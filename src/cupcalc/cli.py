@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("intersect", help="fixed-point table of one parity")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="json")
 
     p = sub.add_parser("bijection", help="convert between labelling sets")
@@ -194,7 +193,17 @@ def _mono_text(mono) -> str:
     return "1" if not mono else "*".join(f"x{i}" for i in mono)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(
+            f"--t must be a rational number such as 3/2 (nonzero denominator), got {text!r}"
+        ) from None
+
+
 def _cmd_cohomology(args) -> int:
+    t = None if args.t is None else _rational(args.t)
     if args.which == "centre":
         halves = {}
         for parity in ("even", "odd"):
@@ -235,8 +244,8 @@ def _cmd_cohomology(args) -> int:
             _emit(f"total dimension {payload['total_dimension']}")
         return 0
 
-    if args.t is not None:
-        dim = springer.equivariant_specialization(args.k, Fraction(args.t))
+    if t is not None:
+        dim = springer.equivariant_specialization(args.k, t)
         payload = {"k": args.k, "t": args.t, "dimension": dim}
         if args.format == "json":
             _emit(json.dumps(payload))
@@ -263,30 +272,8 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-def _table_entry(task):
-    a_enc, b_enc = task
-    a = diagrams.parse_dsl(a_enc)
-    b = diagrams.parse_dsl(b_enc)
-    return [str(o.weight) for o in orientation.orient_circle_diagram(a.star(), b)]
-
-
 def _cmd_intersect(args) -> int:
-    if args.jobs > 1:
-        nodes = diagrams.maximal_diagrams(args.k, args.parity)
-        tasks = [(a.encode(), b.encode()) for a in nodes for b in nodes]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(pool.map(_table_entry, tasks))
-        n = len(nodes)
-        payload = {
-            "k": args.k,
-            "parity": args.parity,
-            "diagrams": [d.encode() for d in nodes],
-            "table": [cells[i * n : (i + 1) * n] for i in range(n)],
-        }
-    else:
-        payload = springer.fixed_point_table(args.k, args.parity).to_json_dict()
+    payload = springer.fixed_point_table(args.k, args.parity).to_json_dict()
     if args.format == "json":
         _emit(json.dumps(payload, indent=2))
     else:

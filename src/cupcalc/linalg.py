@@ -71,12 +71,6 @@ def kernel_basis(rows: List[Dict[int, Fraction]], ncols: int) -> List[Dict[int, 
     return basis
 
 
-def in_span(rows: List[Dict[int, Fraction]], vector: Dict[int, Fraction]) -> bool:
-    pivots = rref(rows)
-    c, _ = _eliminate(vector, pivots)
-    return c is None
-
-
 class ScaledUnionFind:
     """Union-find with multiplicative edge weights and a zero marker.
 

@@ -169,10 +169,7 @@ class MoveGraph:
     arrows: tuple                # (source index, target index, Move)
 
     def index(self, d: CupDiagram) -> int:
-        return self._index_map()[encode(d)]
-
-    def _index_map(self) -> dict:
-        return {encode(n): i for i, n in enumerate(self.nodes)}
+        return _node_index(self.k, self.parity)[encode(d)]
 
     def undirected_adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in self.nodes]
@@ -215,9 +212,15 @@ class MoveGraph:
 
 
 @lru_cache(maxsize=None)
+def _node_index(k: int, parity: str) -> dict:
+    """Encoding -> position among the maximal diagrams of one parity."""
+    return {encode(n): i for i, n in enumerate(maximal_diagrams(k, parity))}
+
+
+@lru_cache(maxsize=None)
 def move_graph(k: int, parity: str) -> MoveGraph:
     nodes = maximal_diagrams(k, parity)
-    index = {encode(n): i for i, n in enumerate(nodes)}
+    index = _node_index(k, parity)
     arrows = []
     for i, a in enumerate(nodes):
         for b, move in successors(a):
@@ -340,7 +343,7 @@ def geodesic_meet(a: CupDiagram, b: CupDiagram) -> CupDiagram:
     reach = _reachability(a.k, a.dot_parity)
     ia, ib = graph.index(a), graph.index(b)
     dab = table[ia][ib]
-    for ic in sorted(range(len(graph.nodes)), key=lambda i: encode(graph.nodes[i])):
+    for ic in range(len(graph.nodes)):  # nodes are in canonical encoding order
         if table[ia][ic] + table[ic][ib] != dab:
             continue
         if ia in reach[ic] and ib in reach[ic]:

@@ -54,6 +54,10 @@ class Weight:
 
     def __getitem__(self, vertex: int) -> str:
         """Symbol at a 1-based vertex."""
+        if not 1 <= vertex <= len(self.text):
+            raise OrientationError(
+                f"vertex {vertex} outside 1..{len(self.text)} of weight {self.text}"
+            )
         return self.text[vertex - 1]
 
     def sort_key(self) -> tuple:
@@ -169,77 +173,63 @@ class ComponentDecomposition:
     def circles(self) -> tuple:
         return tuple(cl for cl in self.classes if cl.kind == "circle")
 
-    @property
-    def lines(self) -> tuple:
-        return tuple(cl for cl in self.classes if cl.kind == "line")
+
+def _partners(half: Union[CupDiagram, CapDiagram]) -> Tuple[list, list]:
+    """Partner of each vertex along its arc (0 for a ray) and the arc's
+    sign flip (-1 undotted, +1 dotted), both indexed 1..k."""
+    partner = [0] * (half.k + 1)
+    flip = [1] * (half.k + 1)
+    for c in half.cups:
+        partner[c.left], partner[c.right] = c.right, c.left
+        if not c.dotted:
+            flip[c.left] = flip[c.right] = -1
+    return partner, flip
 
 
 def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     """Connected components of the glued diagram cap over cup.
 
-    Components are computed by union-find over the cup edges of both
-    halves.  For each class the sign of a vertex relative to the class
-    maximum records the parity of undotted cups along a connecting path;
-    consistency over every edge is checked so that path-independence is
-    certified for circles (an inconsistent circle admits no orientation).
+    Every vertex meets one arc of each half, so each component is a
+    circle or a line.  It is traced from its least vertex by walking
+    alternately along cap and cup partners, multiplying the flips of the
+    arcs passed (-1 per undotted cup); a line needs a second walk from
+    the same vertex in the other direction.  The sign of a vertex
+    relative to the class maximum is the parity of undotted cups on the
+    path between them.  A circle is consistent, and its signs
+    path-independent, exactly when the product of its flips is +1; an
+    inconsistent circle admits no orientation.
     """
     if cap.k != cup.k:
         raise OrientationError("cap and cup must have the same vertex count")
     k = cup.k
-    parent = list(range(k + 1))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    edges = [(c.left, c.right, c.dotted) for c in cap.cups] + [
-        (c.left, c.right, c.dotted) for c in cup.cups
-    ]
-    for a, b, _ in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    members: dict = {}
-    for v in range(1, k + 1):
-        members.setdefault(find(v), []).append(v)
-
-    cap_cupped = {v for c in cap.cups for v in (c.left, c.right)}
-    cup_cupped = {v for c in cup.cups for v in (c.left, c.right)}
-
-    adjacency: dict = {v: [] for v in range(1, k + 1)}
-    for a, b, dotted in edges:
-        flip = -1 if not dotted else 1
-        adjacency[a].append((b, flip))
-        adjacency[b].append((a, flip))
-
+    halves = (_partners(cap), _partners(cup))
+    seen = [False] * (k + 1)
     classes = []
-    for verts in members.values():
-        verts = tuple(sorted(verts))
+    for start in range(1, k + 1):
+        if seen[start]:
+            continue
+        path = {start: 1}  # vertex -> product of flips from start
+        kind, consistent = "line", True
+        for first in (0, 1):
+            v, sign, h = start, 1, first
+            while True:
+                partner, flip = halves[h]
+                w = partner[v]
+                if w == 0:
+                    break
+                sign *= flip[v]
+                if w == start:
+                    kind, consistent = "circle", sign == 1
+                    break
+                seen[w] = True
+                path[w] = sign
+                v, h = w, 1 - h
+            if kind == "circle":
+                break
+        verts = tuple(sorted(path))
         mx = verts[-1]
-        kind = (
-            "circle"
-            if all(v in cap_cupped and v in cup_cupped for v in verts)
-            else "line"
-        )
-        sign = {mx: 1}
-        queue = [mx]
-        consistent = True
-        while queue:
-            u = queue.pop()
-            for w, flip in adjacency[u]:
-                expected = sign[u] * flip
-                if w in sign:
-                    if sign[w] != expected:
-                        consistent = False
-                else:
-                    sign[w] = expected
-                    queue.append(w)
-        signs = tuple(sign[v] for v in verts) if consistent else None
+        signs = tuple(path[v] * path[mx] for v in verts) if consistent else None
         classes.append(ComponentClass(verts, kind, mx, signs, consistent))
-    classes.sort(key=lambda cl: cl.vertices[0])
     return ComponentDecomposition(k, tuple(classes))
 
 
@@ -279,45 +269,52 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCirc
                 return []
             forced[r.at] = val
 
-    circle_maxes = []
-    fixed_value: dict = {}  # mx -> symbol, for lines
+    chars = [None] * cup.k  # line labels are the same in every orientation
+    circles = []
     for cl in dec.classes:
         if not cl.parity_consistent:
             return []
         if cl.kind == "circle":
-            circle_maxes.append(cl.mx)
+            circles.append(cl)
             continue
-        candidates = set()
-        for v in cl.vertices:
-            if v in forced:
-                implied = forced[v] if dec.sign_to_max(v) == 1 else _flip(forced[v])
-                candidates.add(implied)
+        candidates = {
+            forced[v] if s == 1 else _flip(forced[v])
+            for v, s in zip(cl.vertices, cl.signs)
+            if v in forced
+        }
         if len(candidates) != 1:
             return []
-        fixed_value[cl.mx] = candidates.pop()
+        _label(chars, cl, candidates.pop())
+    circles.sort(key=lambda cl: cl.mx)
 
+    # Every weight built below orients both halves, and an oriented arc
+    # is clockwise exactly when its right end is down, so the degree is
+    # read off the right ends without re-validating the weight.
+    right_ends = [c.right - 1 for half in (cap, cup) for c in half.cups]
     results = []
-    for combo in itertools.product((UP, DOWN), repeat=len(circle_maxes)):
-        value = dict(fixed_value)
-        for mx, sym in zip(circle_maxes, combo):
-            value[mx] = sym
-        chars = [None] * cup.k
-        for cl in dec.classes:
-            base = value[cl.mx]
-            for v, s in zip(cl.vertices, cl.signs):
-                chars[v - 1] = base if s == 1 else _flip(base)
-        w = Weight("".join(chars))
+    for combo in itertools.product((UP, DOWN), repeat=len(circles)):
+        for cl, sym in zip(circles, combo):
+            _label(chars, cl, sym)
+        degree = [chars[r] for r in right_ends].count(DOWN)
         circle_classes = tuple(
-            (mx, "anticlockwise" if value[mx] == UP else "clockwise")
-            for mx in sorted(circle_maxes)
+            (cl.mx, "anticlockwise" if sym == UP else "clockwise")
+            for cl, sym in zip(circles, combo)
         )
         results.append(
             OrientedCircleDiagram(
-                cap, w, cup, diagram_degree(cap, w, cup), dec, circle_classes
+                cap, Weight("".join(chars)), cup, degree, dec, circle_classes
             )
         )
     results.sort(key=lambda o: o.weight.sort_key())
     return results
+
+
+def _label(chars: list, cl: ComponentClass, sym: str) -> None:
+    """Give the class maximum the symbol sym and the rest of the class
+    the symbols its signs imply."""
+    other = _flip(sym)
+    for v, s in zip(cl.vertices, cl.signs):
+        chars[v - 1] = sym if s == 1 else other
 
 
 def _flip(sym: str) -> str:

@@ -33,10 +33,9 @@ from .diagrams import CupDiagram, encode
 from .errors import InternalCheckError
 from .movegraph import total_order
 from .orientation import (
+    ComponentDecomposition,
     OrientedCircleDiagram,
     Weight,
-    decompose,
-    min_degree_element,
     orient_circle_diagram,
 )
 
@@ -197,9 +196,13 @@ def intersection_quotient(a: CupDiagram, b: CupDiagram) -> Optional[QuotientPres
     Circle classes keep their maximal vertex, every other circle vertex
     rewrites to it with the path sign; line classes die entirely.
     """
-    if not orient_circle_diagram(a.star(), b):
+    oriented = orient_circle_diagram(a.star(), b)
+    if not oriented:
         return None
-    dec = decompose(a.star(), b)
+    return _quotient_of(oriented[0].decomposition)
+
+
+def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:
     rules: Dict[int, Optional[Tuple[int, int]]] = {}
     for cl in dec.classes:
         if cl.kind == "circle":
@@ -209,7 +212,7 @@ def intersection_quotient(a: CupDiagram, b: CupDiagram) -> Optional[QuotientPres
         else:
             for v in cl.vertices:
                 rules[v] = None
-    return QuotientPresentation(a.k, rules)
+    return QuotientPresentation(dec.k, rules)
 
 
 @dataclass
@@ -220,12 +223,6 @@ class LinearMap:
 
     def column(self, j: int) -> list:
         return [self.matrix[i][j] for i in range(len(self.codomain))]
-
-    def apply(self, coords: list) -> list:
-        return [
-            sum((self.matrix[i][j] * coords[j] for j in range(len(self.domain))), Fraction(0))
-            for i in range(len(self.codomain))
-        ]
 
     def rank(self) -> int:
         rows = []
@@ -379,7 +376,8 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
         raise NotOrientableError(
             f"{encode(a)} and {encode(b)} have empty intersection"
         )
-    target = intersection_quotient(a, b)
+    dec = oriented[0].decomposition
+    target = _quotient_of(dec)
     by_clockwise = {}
     for o in oriented:
         clockwise = frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise")
@@ -393,11 +391,9 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
                 f"degree of orientation {o.weight} is {o.degree}, expected {expected}"
             )
         entries.append((mono, o))
-    dec = decompose(a.star(), b)
-    signs = {}
-    for v in range(1, a.k + 1):
-        cl = dec.class_of(v)
-        signs[v] = dec.sign_to_max(v) if cl.kind == "circle" else 0
+    signs = dict.fromkeys(range(1, a.k + 1), 0)
+    for cl in dec.circles:
+        signs.update(zip(cl.vertices, cl.signs))
     return BasisDictionary(a, b, entries, signs)
 
 
@@ -412,13 +408,10 @@ class GammaMap:
 def gamma_maps(a: CupDiagram, b: CupDiagram) -> Tuple[GammaMap, GammaMap]:
     """Module maps on oriented-diagram bases obtained by transporting the
     restriction maps through the basis dictionaries."""
-    target = intersection_quotient(a, b)
-    if target is None:
-        raise NotOrientableError(
-            f"{encode(a)} and {encode(b)} have empty intersection"
-        )
-    dict_ab = diagram_basis_dictionary(a, b)
-    shift = min_degree_element(a, b)[1]
+    dict_ab = diagram_basis_dictionary(a, b)  # raises when the intersection is empty
+    unit = dict_ab.entries[0][1]  # the empty monomial: minimal degree, all anticlockwise
+    target = _quotient_of(unit.decomposition)
+    shift = unit.degree
     out = []
     for source in (a, b):
         dict_src = diagram_basis_dictionary(source, source)

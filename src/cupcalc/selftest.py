@@ -172,7 +172,7 @@ def _suite_distance_circles(k_max, rng):
                 oriented = orientation.orient_circle_diagram(a.star(), b)
                 if not oriented:
                     continue
-                circles = len(orientation.decompose(a.star(), b).circles)
+                circles = len(oriented[0].decomposition.circles)
                 d = movegraph.distance(a, b)
                 if d != m - circles:
                     return False, f"distance {d} != {m}-{circles} for {a.encode()},{b.encode()}"

@@ -27,7 +27,7 @@ from . import linalg
 from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
 from .errors import InternalCheckError
 from .movegraph import distance
-from .orientation import DOWN, UP, Weight, decompose, orient_circle_diagram
+from .orientation import DOWN, UP, Weight, orient_circle_diagram
 
 
 class MalformedIndexSetError(ValueError):
@@ -296,9 +296,10 @@ def arc_algebra_graded_dimension_closed_form(k: int) -> GradedDimension:
         diagrams = maximal_diagrams(k, parity)
         for a in diagrams:
             for b in diagrams:
-                if not orient_circle_diagram(a.star(), b):
+                oriented = orient_circle_diagram(a.star(), b)
+                if not oriented:
                     continue
-                circles = len(decompose(a.star(), b).circles)
+                circles = len(oriented[0].decomposition.circles)
                 d = distance(a, b)
                 for flipped in range(circles + 1):
                     coeffs[d + 2 * flipped] = (

@@ -2,13 +2,77 @@
 
 Everything here recomputes results from first principles with code
 paths disjoint from the package (no recursive interval generation, no
-union-find, no rewrite systems) so the two sides can disagree.
+partner walks, no rewrite systems) so the two sides can disagree.
 """
 
 import itertools
 from fractions import Fraction
 
 from cupcalc.diagrams import Cup, Ray
+
+
+def oracle_decompose(cap, cup):
+    """Components of cap over cup by union-find over the arcs of both
+    halves, with signs to the class maximum found by a search from it
+    and checked over every edge."""
+    from cupcalc.orientation import ComponentClass, ComponentDecomposition
+
+    k = cup.k
+    parent = list(range(k + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = [(c.left, c.right, c.dotted) for c in cap.cups] + [
+        (c.left, c.right, c.dotted) for c in cup.cups
+    ]
+    for a, b, _ in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    members = {}
+    for v in range(1, k + 1):
+        members.setdefault(find(v), []).append(v)
+
+    cap_cupped = {v for c in cap.cups for v in (c.left, c.right)}
+    cup_cupped = {v for c in cup.cups for v in (c.left, c.right)}
+
+    adjacency = {v: [] for v in range(1, k + 1)}
+    for a, b, dotted in edges:
+        flip = 1 if dotted else -1
+        adjacency[a].append((b, flip))
+        adjacency[b].append((a, flip))
+
+    classes = []
+    for verts in members.values():
+        verts = tuple(sorted(verts))
+        mx = verts[-1]
+        kind = (
+            "circle"
+            if all(v in cap_cupped and v in cup_cupped for v in verts)
+            else "line"
+        )
+        sign = {mx: 1}
+        queue = [mx]
+        consistent = True
+        while queue:
+            u = queue.pop()
+            for w, flip in adjacency[u]:
+                expected = sign[u] * flip
+                if w in sign:
+                    if sign[w] != expected:
+                        consistent = False
+                else:
+                    sign[w] = expected
+                    queue.append(w)
+        signs = tuple(sign[v] for v in verts) if consistent else None
+        classes.append(ComponentClass(verts, kind, mx, signs, consistent))
+    classes.sort(key=lambda cl: cl.vertices[0])
+    return ComponentDecomposition(k, tuple(classes))
 
 
 def raw_arc_covers(k):

@@ -159,6 +159,22 @@ def test_intersect_example(capsys):
     assert cells[(a1, a1)] == {"^^v^", "vvv^", "^^^v", "vv^v"}
 
 
+def test_cohomology_springer_rejects_bad_rational(capsys):
+    for t in ("1/0", "abc", "1/"):
+        code, out, err = capture(capsys, ["cohomology", "springer", "--k", "4", "--t", t])
+        assert (code, out) == (1, "")
+        assert err == (
+            "cupcalc: --t must be a rational number such as 3/2 "
+            f"(nonzero denominator), got {t!r}\n"
+        )
+
+
+def test_intersect_has_no_jobs_flag(capsys):
+    code, out, err = capture(capsys, ["intersect", "--k", "3", "--parity", "even", "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert "--jobs" in err
+
+
 def test_intersect_refuses_bad_parity(capsys):
     code, _, _ = capture(capsys, ["intersect", "--k", "4", "--parity", "sideways"])
     assert code == 1

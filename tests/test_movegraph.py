@@ -71,7 +71,7 @@ def test_distance_basics():
     )
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", [*range(2, 9), 10])
 def test_distance_equals_cups_minus_circles(k):
     m = k // 2
     for parity in ("even", "odd"):

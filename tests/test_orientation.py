@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
-from helpers import brute_clockwise_count, brute_orientations
+from helpers import brute_clockwise_count, brute_orientations, oracle_decompose
 
 
 def w(text):
@@ -15,6 +15,14 @@ def w(text):
 
 def all_weights(k):
     return [w("".join(c)) for c in itertools.product("v^", repeat=k)]
+
+
+def test_weight_rejects_vertices_outside_range():
+    weight = w("^vv")
+    assert (weight[1], weight[3]) == (O.UP, O.DOWN)
+    for vertex in (0, -1, 4):
+        with pytest.raises(O.OrientationError):
+            weight[vertex]
 
 
 def test_orientations_of_cup_examples():
@@ -62,6 +70,33 @@ def test_decompose_single_circle():
 def test_decompose_line():
     dec = O.decompose(D.parse_dsl("3: c(1,2);r(3)").star(), D.parse_dsl("3: r(1);c(2,3)"))
     assert [(c.vertices, c.kind) for c in dec.classes] == [((1, 2, 3), "line")]
+
+
+def _same_k_pairs(k):
+    """Every cap/cup pair on k vertices, any cup count, rays included."""
+    pool = D.enumerate_diagrams(k, "any", "all").members
+    return itertools.product(pool, repeat=2)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_decompose_matches_union_find_oracle(k):
+    for a, b in _same_k_pairs(k):
+        assert O.decompose(a.star(), b) == oracle_decompose(a.star(), b)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_orient_circle_diagram_matches_brute_force(k):
+    for a, b in _same_k_pairs(k):
+        arcs = [
+            ("cup", (c.left, c.right), c.dotted) for half in (a, b) for c in half.cups
+        ] + [("ray", r.at, r.dotted) for half in (a, b) for r in half.rays]
+        oriented = O.orient_circle_diagram(a.star(), b)
+        # brute_orientations lists weights in canonical order
+        assert [o.weight for o in oriented] == brute_orientations(k, arcs)
+        for o in oriented:
+            assert o.degree == brute_clockwise_count(o.weight, a) + brute_clockwise_count(
+                o.weight, b
+            )
 
 
 @pytest.mark.parametrize("k", range(2, 7))

@@ -165,6 +165,13 @@ def test_graded_dimension_identities(k):
     assert direct.coefficients[0] == len(D.maximal_diagrams(k))
 
 
+def test_graded_dimension_closed_form_k10():
+    """126 maximal diagrams per parity: every same-parity pair."""
+    direct = S.arc_algebra_graded_dimension(10)
+    assert direct == S.arc_algebra_graded_dimension_closed_form(10)
+    assert direct.coefficients[0] == len(D.maximal_diagrams(10)) == 252
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_centre_matches_two_presentation_copies(k):
     ring = S.presentation_ring(k)
