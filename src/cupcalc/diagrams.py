@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class DiagramError(ValueError):
@@ -90,16 +90,6 @@ class CupDiagram:
     def dot_parity(self) -> str:
         return "even" if self.dot_count % 2 == 0 else "odd"
 
-    def arcs(self) -> Iterator[Arc]:
-        """All arcs sorted by leftmost vertex."""
-        return iter(sorted(self.cups + self.rays, key=_arc_key))
-
-    def cup_through(self, v: int) -> Optional[Cup]:
-        for c in self.cups:
-            if v in (c.left, c.right):
-                return c
-        return None
-
     def ray_at(self, v: int) -> Optional[Ray]:
         for r in self.rays:
             if r.at == v:
@@ -155,7 +145,7 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
     ``cups`` entries are ``(left, right)`` or ``(left, right, dotted)``;
     ``rays`` entries are ``at`` or ``(at, dotted)``.
     """
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
     cup_list = []
     for c in cups:
@@ -174,13 +164,18 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
             parts = tuple(r)
             ray_list.append(Ray(parts[0], bool(parts[1]) if len(parts) > 1 else False))
 
+    # Vertices must be ints (not bools) before any comparison below.
     violations = []
     for c in cup_list:
+        if type(c.left) is not int or type(c.right) is not int:
+            raise DiagramError(f"cup endpoints must be integers, got {tuple(c)!r}")
         if not (1 <= c.left <= k and 1 <= c.right <= k):
             violations.append(Violation("VertexOutOfRange", (c,)))
         elif c.left >= c.right:
             violations.append(Violation("BadEndpoints", (c,)))
     for r in ray_list:
+        if type(r.at) is not int:
+            raise DiagramError(f"ray vertices must be integers, got {r.at!r}")
         if not (1 <= r.at <= k):
             violations.append(Violation("VertexOutOfRange", (r,)))
 

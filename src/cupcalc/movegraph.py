@@ -16,6 +16,10 @@ III'  dotted cup (i,j), ray k          dotted ray i, cup (j,k)
 IV'   dotted ray i, cup (j,k)          plain cup (i,j), dotted ray k
 ====  ===============================  ===============================
 
+``_RULES`` repeats this table row for row, and it is the only statement
+of the rewrites: read forwards it gives the successors of a diagram,
+read backwards its predecessors and the edges of its cup forest.
+
 Arrows a -> b generate a partial order on the maximal diagrams of each
 dot parity; the undirected graph is connected per parity.  Each diagram
 also carries a forest on its cups (edges from reverse unprimed moves,
@@ -30,11 +34,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .diagrams import (
     Cup,
     CupDiagram,
+    DiagramError,
     InvalidDiagramError,
     Ray,
     encode,
@@ -56,66 +61,21 @@ class NoFiniteDistanceError(ValueError):
     pass
 
 
-def _cup_pair_sources(c1: Cup, c2: Cup):
-    """Rewrites whose *before* side matches the cup pair (c1 left of c2)."""
-    if c1.right < c2.left:  # side by side
-        pos = (c1.left, c1.right, c2.left, c2.right)
-        if not c1.dotted and not c2.dotted:
-            yield "I", pos, [Cup(pos[0], pos[3]), Cup(pos[1], pos[2])]
-        if c1.dotted and not c2.dotted:
-            yield "III", pos, [Cup(pos[0], pos[3], True), Cup(pos[1], pos[2])]
-    elif c2.right < c1.right:  # c2 nested inside c1
-        pos = (c1.left, c2.left, c2.right, c1.right)
-        if not c1.dotted and not c2.dotted:
-            yield "II", pos, [Cup(pos[0], pos[1], True), Cup(pos[2], pos[3], True)]
-        if c1.dotted and not c2.dotted:
-            yield "IV", pos, [Cup(pos[0], pos[1]), Cup(pos[2], pos[3], True)]
-
-
-def _cup_ray_sources(c: Cup, r: Ray):
-    if r.at > c.right:  # ray to the right of the cup
-        pos = (c.left, c.right, r.at)
-        if not c.dotted and not r.dotted:
-            yield "I'", pos, [Ray(pos[0]), Cup(pos[1], pos[2])]
-        if c.dotted and not r.dotted:
-            yield "III'", pos, [Ray(pos[0], True), Cup(pos[1], pos[2])]
-    elif r.at < c.left:  # ray to the left of the cup
-        pos = (r.at, c.left, c.right)
-        if not r.dotted and not c.dotted:
-            yield "II'", pos, [Cup(pos[0], pos[1], True), Ray(pos[2], True)]
-        if r.dotted and not c.dotted:
-            yield "IV'", pos, [Cup(pos[0], pos[1]), Ray(pos[2], True)]
-
-
-def _cup_pair_targets(c1: Cup, c2: Cup):
-    """Rewrites whose *after* side matches the cup pair (c1 left of c2)."""
-    if c1.right < c2.left:
-        pos = (c1.left, c1.right, c2.left, c2.right)
-        if c1.dotted and c2.dotted:
-            yield "II", pos, [Cup(pos[0], pos[3]), Cup(pos[1], pos[2])]
-        if not c1.dotted and c2.dotted:
-            yield "IV", pos, [Cup(pos[0], pos[3], True), Cup(pos[1], pos[2])]
-    elif c2.right < c1.right:
-        pos = (c1.left, c2.left, c2.right, c1.right)
-        if not c1.dotted and not c2.dotted:
-            yield "I", pos, [Cup(pos[0], pos[1]), Cup(pos[2], pos[3])]
-        if c1.dotted and not c2.dotted:
-            yield "III", pos, [Cup(pos[0], pos[1], True), Cup(pos[2], pos[3])]
-
-
-def _cup_ray_targets(c: Cup, r: Ray):
-    if r.at < c.left:
-        pos = (r.at, c.left, c.right)
-        if not r.dotted and not c.dotted:
-            yield "I'", pos, [Cup(pos[0], pos[1]), Ray(pos[2])]
-        if r.dotted and not c.dotted:
-            yield "III'", pos, [Cup(pos[0], pos[1], True), Ray(pos[2])]
-    elif r.at > c.right:
-        pos = (c.left, c.right, r.at)
-        if c.dotted and r.dotted:
-            yield "II'", pos, [Ray(pos[0]), Cup(pos[1], pos[2])]
-        if not c.dotted and r.dotted:
-            yield "IV'", pos, [Ray(pos[0], True), Cup(pos[1], pos[2])]
+# kind -> (before, after) on the vertices of the rewired pair, renumbered
+# 0..3 (0..2 for primed moves); one row per row of the table above.
+_RULES = {
+    "I": ((Cup(0, 1), Cup(2, 3)), (Cup(0, 3), Cup(1, 2))),
+    "II": ((Cup(0, 3), Cup(1, 2)), (Cup(0, 1, True), Cup(2, 3, True))),
+    "III": ((Cup(0, 1, True), Cup(2, 3)), (Cup(0, 3, True), Cup(1, 2))),
+    "IV": ((Cup(0, 3, True), Cup(1, 2)), (Cup(0, 1), Cup(2, 3, True))),
+    "I'": ((Cup(0, 1), Ray(2)), (Ray(0), Cup(1, 2))),
+    "II'": ((Ray(0), Cup(1, 2)), (Cup(0, 1, True), Ray(2, True))),
+    "III'": ((Cup(0, 1, True), Ray(2)), (Ray(0, True), Cup(1, 2))),
+    "IV'": ((Ray(0, True), Cup(1, 2)), (Cup(0, 1), Ray(2, True))),
+}
+# The table read forwards (arrow sources) and backwards (arrow targets).
+_FORWARDS = {before: (kind, after) for kind, (before, after) in _RULES.items()}
+_BACKWARDS = {after: (kind, before) for kind, (before, after) in _RULES.items()}
 
 
 def _rewire(d: CupDiagram, remove, add) -> Optional[CupDiagram]:
@@ -128,31 +88,40 @@ def _rewire(d: CupDiagram, remove, add) -> Optional[CupDiagram]:
         return None
 
 
-def _matches(d: CupDiagram, pair_gen, cup_ray_gen):
-    for c1, c2 in itertools.combinations(d.cups, 2):
-        a, b = sorted((c1, c2), key=lambda c: c.left)
-        for kind, pos, new_arcs in pair_gen(a, b):
-            other = _rewire(d, (a, b), new_arcs)
-            if other is not None:
-                yield other, Move(kind, pos)
-    for c in d.cups:
-        for r in d.rays:
-            for kind, pos, new_arcs in cup_ray_gen(c, r):
-                other = _rewire(d, (c, r), new_arcs)
-                if other is not None:
-                    yield other, Move(kind, pos)
+def _matches(d: CupDiagram, rules: dict):
+    """(other diagram, move, matched arcs) for each rule side found in d.
+
+    Every cup-cup and cup-ray pair is renumbered onto 0..3 (or 0..2),
+    its arcs sorted by leftmost vertex as in ``_RULES``, and looked up in
+    ``rules``; the other side of a matching rule is placed back on the
+    pair's vertices and kept if the result is a legal diagram.
+    """
+    for pair in itertools.chain(
+        itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
+    ):
+        # An arc's last field is its dot, the others are its vertices.
+        pos = sorted(pair[0][:-1] + pair[1][:-1])
+        key = tuple(sorted(tuple(map(pos.index, arc[:-1])) + arc[-1:] for arc in pair))
+        rule = rules.get(key)
+        if rule is None:
+            continue
+        kind, other_side = rule
+        new_arcs = [type(arc)(*map(pos.__getitem__, arc[:-1]), arc[-1]) for arc in other_side]
+        other = _rewire(d, pair, new_arcs)
+        if other is not None:
+            yield other, Move(kind, tuple(pos)), pair
 
 
 def successors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams one arrow a -> b away."""
-    out = list(_matches(a, _cup_pair_sources, _cup_ray_sources))
+    out = [(b, move) for b, move, _ in _matches(a, _FORWARDS)]
     out.sort(key=lambda t: (encode(t[0]), t[1].kind))
     return out
 
 
 def predecessors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams b with an arrow b -> a."""
-    out = list(_matches(a, _cup_pair_targets, _cup_ray_targets))
+    out = [(b, move) for b, move, _ in _matches(a, _BACKWARDS)]
     out.sort(key=lambda t: (encode(t[0]), t[1].kind))
     return out
 
@@ -169,6 +138,10 @@ class MoveGraph:
     arrows: tuple                # (source index, target index, Move)
 
     def index(self, d: CupDiagram) -> int:
+        if d.n_cups != self.k // 2:
+            raise DiagramError(
+                f"{encode(d)} is not maximal: it has {d.n_cups} of the k // 2 = {self.k // 2} cups"
+            )
         return _node_index(self.k, self.parity)[encode(d)]
 
     def undirected_adjacency(self) -> List[List[int]]:
@@ -187,16 +160,7 @@ class MoveGraph:
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
-        adj = self.undirected_adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
+        return len(_reached(self.undirected_adjacency(), 0)) == len(self.nodes)
 
     def to_dot(self) -> str:
         lines = ["digraph moves {"]
@@ -209,6 +173,19 @@ class MoveGraph:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _reached(adj: List[List[int]], src: int) -> set:
+    """Nodes reachable from src along adj (src included), by stack search."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @lru_cache(maxsize=None)
@@ -276,18 +253,7 @@ def _reachability(k: int, parity: str) -> tuple:
     """reach[i] = frozenset of nodes reachable from i along arrows."""
     graph = move_graph(k, parity)
     adj = graph.directed_adjacency()
-    reach = []
-    for src in range(len(graph.nodes)):
-        seen = {src}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(frozenset(seen))
-    return tuple(reach)
+    return tuple(frozenset(_reached(adj, src)) for src in range(len(graph.nodes)))
 
 
 def total_order(k: int, parity: str, tie_break: str = "lex") -> tuple:
@@ -301,7 +267,6 @@ def total_order(k: int, parity: str, tie_break: str = "lex") -> tuple:
     graph = move_graph(k, parity)
     n = len(graph.nodes)
     out_edges = graph.directed_adjacency()
-    indeg = [0] * n
     preds: List[List[int]] = [[] for _ in range(n)]
     for i, js in enumerate(out_edges):
         for j in set(js):
@@ -389,10 +354,9 @@ def _peel_levels(cups) -> dict:
 
 def _special_cups(a: CupDiagram) -> tuple:
     special = set()
-    for b, move in predecessors(a):
+    for _, move, pair in _matches(a, _BACKWARDS):
         if move.kind in PRIMED:
-            new_cup = next(c for c in a.cups if c not in b.cups)
-            special.add(new_cup)
+            special.add(pair[0])  # cup-ray pairs come cup first
     return tuple(sorted(special, key=lambda c: c.left))
 
 
@@ -423,14 +387,6 @@ class CupForest:
         return len(self.edges)
 
 
-_MOVE_TARGET_CUPS = {
-    "I": lambda p: ((p[0], p[3]), (p[1], p[2])),
-    "II": lambda p: ((p[0], p[1]), (p[2], p[3])),
-    "III": lambda p: ((p[0], p[3]), (p[1], p[2])),
-    "IV": lambda p: ((p[0], p[1]), (p[2], p[3])),
-}
-
-
 def cup_forest(a: CupDiagram) -> CupForest:
     """Forest on the cups of a maximal diagram.
 
@@ -440,13 +396,10 @@ def cup_forest(a: CupDiagram) -> CupForest:
     """
     census = nesting_census(a)
     levels = dict(census.degrees)
-    by_span = {(c.left, c.right): c for c in a.cups}
     edges = set()
-    for b, move in predecessors(a):
+    for _, move, (c1, c2) in _matches(a, _BACKWARDS):
         if move.kind not in UNPRIMED:
             continue
-        span1, span2 = _MOVE_TARGET_CUPS[move.kind](move.positions)
-        c1, c2 = by_span[span1], by_span[span2]
         if levels[c2] > levels[c1]:
             edges.add((c1, c2))
         elif levels[c1] > levels[c2]:

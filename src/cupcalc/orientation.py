@@ -242,12 +242,6 @@ class OrientedCircleDiagram:
     decomposition: ComponentDecomposition
     circle_classes: tuple  # ((mx, "clockwise"|"anticlockwise"), ...)
 
-    def circle_class(self, mx: int) -> str:
-        for m, cls in self.circle_classes:
-            if m == mx:
-                return cls
-        raise KeyError(mx)
-
 
 def diagram_degree(cap: CapDiagram, weight: Weight, cup: CupDiagram) -> int:
     return half_degree(weight, cap) + half_degree(weight, cup)

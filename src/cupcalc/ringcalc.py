@@ -35,7 +35,6 @@ from .movegraph import total_order
 from .orientation import (
     ComponentDecomposition,
     OrientedCircleDiagram,
-    Weight,
     orient_circle_diagram,
 )
 
@@ -59,16 +58,8 @@ class SquarefreeElement:
                     self.terms[frozenset(mono)] = coeff
 
     @classmethod
-    def unit(cls, k: int) -> "SquarefreeElement":
-        return cls(k, {frozenset(): Fraction(1)})
-
-    @classmethod
     def variable(cls, k: int, i: int) -> "SquarefreeElement":
         return cls(k, {frozenset((i,)): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, k: int, subset) -> "SquarefreeElement":
-        return cls(k, {frozenset(subset): Fraction(1)})
 
     def __add__(self, other: "SquarefreeElement") -> "SquarefreeElement":
         out = dict(self.terms)
@@ -356,12 +347,6 @@ class BasisDictionary:
             if m == mono:
                 return oriented
         raise KeyError(mono)
-
-    def monomial_of(self, weight: Weight) -> frozenset:
-        for m, oriented in self.entries:
-            if oriented.weight == weight:
-                return m
-        raise KeyError(weight)
 
 
 def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:

@@ -714,8 +714,14 @@ def bitableau_to_json(bt: Bitableau) -> list:
     return [list(bt.marked), list(bt.unmarked)]
 
 
+def _pair_of_lists(obj, what: str) -> list:
+    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, list) for x in obj)):
+        raise TableauError(f"{what} must be a pair of lists, got {obj!r}")
+    return obj
+
+
 def bitableau_from_json(obj) -> Bitableau:
-    marked, unmarked = obj
+    marked, unmarked = _pair_of_lists(obj, "a bitableau")
     return Bitableau(tuple(marked), tuple(unmarked))
 
 
@@ -724,5 +730,5 @@ def stable_to_json(p: STable) -> list:
 
 
 def stable_from_json(obj) -> STable:
-    col1, col2 = obj
+    col1, col2 = _pair_of_lists(obj, "a skew-symmetric table")
     return stable(len(col1), col1, col2)

@@ -99,6 +99,14 @@ def test_distance(capsys):
     assert json.loads(out) == {"distance": None}
 
 
+def test_distance_rejects_non_maximal(capsys):
+    code, out, err = capture(
+        capsys, ["distance", "--a", "4: c(1,2);r(3);r(4)", "--b", "4: c(1,2);c(3,4)"]
+    )
+    assert (code, out) == (1, "")
+    assert "maximal" in err and "4: c(1,2);r(3);r(4)" in err
+
+
 def test_orient_cup_only(capsys):
     code, out, _ = capture(
         capsys, ["orient", "--cup", "5: c(1,4);c(2,3);r(5)", "--format", "json"]
@@ -255,6 +263,27 @@ def test_bijection_bitab_needs_parity(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["rays"] == [{"at": 3, "dotted": False}]
+
+
+@pytest.mark.parametrize(
+    "src, payload, message",
+    [
+        ("cup", {"k": 2, "cups": [{"from": "1", "to": 2, "dotted": False}], "rays": []},
+         "must be integers"),
+        ("cup", {"k": True, "cups": [], "rays": [{"at": 1, "dotted": False}]},
+         "positive integer"),
+        ("stable", 5, "pair of lists"),
+        ("bitab", [[1, 3]], "pair of lists"),
+    ],
+)
+def test_bijection_rejects_malformed_json(tmp_path, capsys, src, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = capture(
+        capsys, ["bijection", "--from", src, "--to", "cup", "--input", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_bijection_bad_file(capsys):

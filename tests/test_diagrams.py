@@ -219,3 +219,12 @@ def test_json_schema_field_order():
     obj = json.loads(D.render(D.parse_dsl("4: c*(1,4);c(2,3)"), "json"))
     assert list(obj) == ["k", "cups", "rays"]
     assert obj["cups"][0] == {"from": 1, "to": 4, "dotted": True}
+
+
+@pytest.mark.parametrize(
+    "k, cups, rays",
+    [(2, [("1", 2)], []), (True, [], [1]), (1, [], [True]), (2, [(1, 2.0)], [])],
+)
+def test_validate_rejects_non_integer_vertices(k, cups, rays):
+    with pytest.raises(D.DiagramError, match="integer"):
+        D.validate(k, cups, rays)

@@ -43,6 +43,46 @@ def test_moves_preserve_parity_and_invert(k):
             assert (a, move) in M.successors(b)
 
 
+# One literal (source, target) pair per kind, independent of the rule table.
+MOVE_EXAMPLES = [
+    ("I", "4: c(1,2);c(3,4)", "4: c(1,4);c(2,3)"),
+    ("II", "4: c(1,4);c(2,3)", "4: c*(1,2);c*(3,4)"),
+    ("III", "4: c*(1,2);c(3,4)", "4: c*(1,4);c(2,3)"),
+    ("IV", "4: c*(1,4);c(2,3)", "4: c(1,2);c*(3,4)"),
+    ("I'", "3: c(1,2);r(3)", "3: r(1);c(2,3)"),
+    ("II'", "3: r(1);c(2,3)", "3: c*(1,2);r*(3)"),
+    ("III'", "3: c*(1,2);r(3)", "3: r*(1);c(2,3)"),
+    ("IV'", "3: r*(1);c(2,3)", "3: c(1,2);r*(3)"),
+]
+
+
+@pytest.mark.parametrize("kind, source, target", MOVE_EXAMPLES)
+def test_each_move_kind_both_directions(kind, source, target):
+    a, b = D.parse_dsl(source), D.parse_dsl(target)
+    assert (target, kind) in enc_set(M.successors(a))
+    assert (source, kind) in enc_set(M.predecessors(b))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_predecessors_match_brute_force(k):
+    incoming = {a: set() for a in D.maximal_diagrams(k)}
+    for b in D.maximal_diagrams(k):
+        for a, move in M.successors(b):
+            incoming[a].add((b, move))
+    for a, expected in incoming.items():
+        got = M.predecessors(a)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+
+
+@pytest.mark.parametrize(
+    "k, arrows", [(2, 0), (3, 2), (4, 2), (5, 15), (6, 15), (7, 84), (8, 84), (9, 420)]
+)
+def test_arrow_counts_per_parity(k, arrows):
+    for parity in ("even", "odd"):
+        assert len(M.move_graph(k, parity).arrows) == arrows
+
+
 @pytest.mark.parametrize(
     "k, parity, nodes",
     [(6, "even", 10), (3, "even", 3), (2, "odd", 1)],
@@ -104,6 +144,12 @@ def test_geodesic_meets(k):
             if any(enc == b.encode() for enc, _ in
                    ((x.encode(), m) for x, m in M.successors(a))):
                 assert c == a  # one arrow: the source is the meet
+
+
+def test_index_rejects_non_maximal_diagram():
+    graph = M.move_graph(4, "even")
+    with pytest.raises(D.DiagramError, match="not maximal.*k // 2 = 2"):
+        graph.index(D.parse_dsl("4: c(1,2);r(3);r(4)"))
 
 
 def test_geodesic_meet_cross_parity_raises():
