@@ -138,10 +138,7 @@ class MoveGraph:
     arrows: tuple                # (source index, target index, Move)
 
     def index(self, d: CupDiagram) -> int:
-        if d.n_cups != self.k // 2:
-            raise DiagramError(
-                f"{encode(d)} is not maximal: it has {d.n_cups} of the k // 2 = {self.k // 2} cups"
-            )
+        _require_maximal(d)
         return _node_index(self.k, self.parity)[encode(d)]
 
     def undirected_adjacency(self) -> List[List[int]]:
@@ -186,6 +183,13 @@ def _reached(adj: List[List[int]], src: int) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def _require_maximal(d: CupDiagram) -> None:
+    if d.n_cups != d.k // 2:
+        raise DiagramError(
+            f"{encode(d)} is not maximal: it has {d.n_cups} of the k // 2 = {d.k // 2} cups"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -239,6 +243,8 @@ def distance(a: CupDiagram, b: CupDiagram):
     """Undirected arrow distance; math.inf across parities."""
     if a.k != b.k:
         raise ValueError("diagrams must share the vertex count")
+    _require_maximal(a)
+    _require_maximal(b)
     if a.dot_parity != b.dot_parity:
         return math.inf
     graph = move_graph(a.k, a.dot_parity)
@@ -301,6 +307,8 @@ def _hkey(s: str, sign: int):
 
 def geodesic_meet(a: CupDiagram, b: CupDiagram) -> CupDiagram:
     """Some c below both a and b with d(a,b) = d(a,c) + d(c,b)."""
+    _require_maximal(a)
+    _require_maximal(b)
     if a.dot_parity != b.dot_parity or a.k != b.k:
         raise NoFiniteDistanceError("no finite-distance chain between the diagrams")
     graph = move_graph(a.k, a.dot_parity)

@@ -293,13 +293,13 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
         for pos, key in enumerate(vars_by_degree[degree]):
             var_index[key] = pos
 
-    rows_by_degree: Dict[int, List[Dict[int, Fraction]]] = {d: [] for d in vars_by_degree}
+    rows_by_degree: Dict[int, List[Dict[int, int]]] = {d: [] for d in vars_by_degree}
     for ai in range(len(diagrams)):
         for bi in range(ai + 1, len(diagrams)):
             target = intersection_quotient(diagrams[ai], diagrams[bi])
             if target is None:
                 continue
-            constraint: Dict[frozenset, Dict[int, Fraction]] = {}
+            constraint: Dict[frozenset, Dict[int, int]] = {}
             for side, qi in ((1, ai), (-1, bi)):
                 for mono in quotients[qi].basis():
                     reduced = target.reduce_monomial(mono)
@@ -308,7 +308,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
                     sign, image = reduced
                     row = constraint.setdefault(image, {})
                     col = var_index[(qi, mono)]
-                    row[col] = row.get(col, Fraction(0)) + side * sign
+                    row[col] = row.get(col, 0) + side * sign
             for image, row in constraint.items():
                 row = {c: v for c, v in row.items() if v}
                 if row:

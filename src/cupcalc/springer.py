@@ -131,36 +131,44 @@ def equivariant_specialization(k: int, t) -> int:
     In the algebra with x_i^2 = t^2 the defining relations pair each
     half-size monomial with its complement, so every spanned relation
     has at most two terms and the quotient dimension is computed exactly
-    by a weighted union-find over the 2^k squarefree monomials.
+    by a weighted union-find over the 2^k squarefree monomials.  Each
+    coefficient is a power of t, so the union-find tracks exponents.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     t = Fraction(t)
     n = 1 << k
     full = n - 1
+    popcount = [0] * n
+    for m in range(1, n):
+        popcount[m] = popcount[m >> 1] + (m & 1)
     generators = []  # (mask I, power adjustment for the complementary side)
     if k % 2 == 0:
         seen = set()
         for mask in range(n):
-            if bin(mask).count("1") == k // 2 and mask not in seen:
+            if popcount[mask] == k // 2 and mask not in seen:
                 comp = full ^ mask
                 seen.add(comp)
                 generators.append((mask, 0))
     else:
         for mask in range(n):
-            if bin(mask).count("1") == (k + 1) // 2:
+            if popcount[mask] == (k + 1) // 2:
                 generators.append((mask, 1))
 
-    uf = linalg.ScaledUnionFind(n)
+    uf = linalg.ScaledUnionFind(n, 1 if t == 1 else 2 if t == -1 else 0)
+    relate, nonzero = uf.relate, t != 0
     for mask_i, extra in generators:
         comp = full ^ mask_i
         for m in range(n):
-            c1 = t ** (2 * bin(m & mask_i).count("1"))
-            c2 = t ** (2 * bin(m & comp).count("1") + extra)
+            # the coefficients are t^e1 and t^e2; t^e is zero iff t = 0 < e
+            e1 = 2 * popcount[m & mask_i]
+            e2 = 2 * popcount[m & comp] + extra
             a, b = m ^ mask_i, m ^ comp
-            if c1 and c2:
-                uf.relate(a, b, c2 / c1)
-            elif c1:
+            if nonzero or not (e1 or e2):
+                relate(a, b, e2 - e1)
+            elif not e1:
                 uf.kill(a)
-            elif c2:
+            elif not e2:
                 uf.kill(b)
     return uf.live_class_count()
 

@@ -179,10 +179,95 @@ def dense_rank(rows, ncols):
     return rank
 
 
-def brute_equivariant_dimension(k, t):
-    """Deformed presentation dimension by dense elimination on all
-    monomial multiples of the defining relations."""
-    t = Fraction(t)
+def _oracle_eliminate(row, pivots):
+    row = dict(row)
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            return c, row
+        factor = row[c]
+        for cc, vv in piv.items():
+            nv = row.get(cc, 0) - factor * vv
+            if nv:
+                row[cc] = nv
+            else:
+                row.pop(cc, None)
+    return None, None
+
+
+def oracle_rref(rows):
+    """The sparse elimination of ``linalg.rref`` done in Fractions:
+    every row is scaled to a unit pivot as soon as it is found."""
+    pivots = {}
+    for raw in rows:
+        c, row = _oracle_eliminate(raw, pivots)
+        if c is None:
+            continue
+        inv = Fraction(1) / row[c]
+        row = {cc: vv * inv for cc, vv in row.items()}
+        for pc, prow in pivots.items():
+            f = prow.get(c)
+            if f:
+                for cc, vv in row.items():
+                    nv = prow.get(cc, 0) - f * vv
+                    if nv:
+                        prow[cc] = nv
+                    else:
+                        prow.pop(cc, None)
+        pivots[c] = row
+    return pivots
+
+
+class OracleScaledUnionFind:
+    """Union-find with Fraction edge weights ``x_e = w * x_root`` and a
+    zero marker; merging incompatible scalings kills the class."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.weight = [Fraction(1)] * n
+        self.dead = [False] * n
+
+    def _root(self, e):
+        chain = []
+        while self.parent[e] != e:
+            chain.append(e)
+            e = self.parent[e]
+        w = Fraction(1)
+        for node in reversed(chain):
+            w = w * self.weight[node]
+            self.parent[node] = e
+            self.weight[node] = w
+        return e
+
+    def root_and_weight(self, e):
+        root = self._root(e)
+        return root, self.weight[e] if e != root else Fraction(1)
+
+    def kill(self, e):
+        self.dead[self._root(e)] = True
+
+    def relate(self, a, b, ratio):
+        """Impose x_a = ratio * x_b."""
+        ra, wa = self.root_and_weight(a)
+        rb, wb = self.root_and_weight(b)
+        if ra == rb:
+            if wa != ratio * wb:
+                self.dead[ra] = True
+            return
+        self.parent[ra] = rb
+        self.weight[ra] = ratio * wb / wa
+        if self.dead[ra]:
+            self.dead[rb] = True
+
+    def live_class_count(self):
+        roots = {self._root(e) for e in range(len(self.parent))}
+        return sum(1 for r in roots if not self.dead[r])
+
+
+def _equivariant_generators(k):
+    """(mask I, power adjustment for the complementary side) per
+    defining relation of the deformed presentation ring."""
     n = 1 << k
     full = n - 1
     gens = []
@@ -196,8 +281,39 @@ def brute_equivariant_dimension(k, t):
         for mask in range(n):
             if bin(mask).count("1") == (k + 1) // 2:
                 gens.append((mask, 1))
+    return gens
+
+
+def oracle_equivariant_dimension(k, t):
+    """Deformed presentation dimension by the Fraction-weighted
+    union-find, with every coefficient computed as a power of t."""
+    t = Fraction(t)
+    n = 1 << k
+    full = n - 1
+    uf = OracleScaledUnionFind(n)
+    for mask, extra in _equivariant_generators(k):
+        comp = full ^ mask
+        for m in range(n):
+            c1 = t ** (2 * bin(m & mask).count("1"))
+            c2 = t ** (2 * bin(m & comp).count("1") + extra)
+            a, b = m ^ mask, m ^ comp
+            if c1 and c2:
+                uf.relate(a, b, c2 / c1)
+            elif c1:
+                uf.kill(a)
+            elif c2:
+                uf.kill(b)
+    return uf.live_class_count()
+
+
+def brute_equivariant_dimension(k, t):
+    """Deformed presentation dimension by dense elimination on all
+    monomial multiples of the defining relations."""
+    t = Fraction(t)
+    n = 1 << k
+    full = n - 1
     rows = []
-    for mask, extra in gens:
+    for mask, extra in _equivariant_generators(k):
         comp = full ^ mask
         for m in range(n):
             row = {}

@@ -107,6 +107,15 @@ def test_distance_rejects_non_maximal(capsys):
     assert "maximal" in err and "4: c(1,2);r(3);r(4)" in err
 
 
+def test_distance_rejects_non_maximal_across_parities(capsys):
+    """Maximality is checked before the dot parities are compared."""
+    code, out, err = capture(
+        capsys, ["distance", "--a", "4: c(1,2);r(3);r(4)", "--b", "4: c*(1,2);c(3,4)"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "cupcalc: 4: c(1,2);r(3);r(4) is not maximal: it has 1 of the k // 2 = 2 cups\n"
+
+
 def test_orient_cup_only(capsys):
     code, out, _ = capture(
         capsys, ["orient", "--cup", "5: c(1,4);c(2,3);r(5)", "--format", "json"]
@@ -175,6 +184,12 @@ def test_cohomology_springer_rejects_bad_rational(capsys):
             "cupcalc: --t must be a rational number such as 3/2 "
             f"(nonzero denominator), got {t!r}\n"
         )
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cohomology_springer_deformed_rejects_nonpositive_k(capsys, k):
+    code, out, err = capture(capsys, ["cohomology", "springer", "--k", k, "--t", "2"])
+    assert (code, out, err) == (1, "", "cupcalc: k must be positive\n")
 
 
 def test_intersect_has_no_jobs_flag(capsys):

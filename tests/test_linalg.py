@@ -1,0 +1,86 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from cupcalc import linalg
+from cupcalc import ringcalc as R
+from cupcalc import springer as S
+from helpers import dense_rank, oracle_rref
+
+
+def assert_matches_oracle(rows):
+    got = linalg.rref(rows)
+    want = oracle_rref(rows)
+    assert list(got) == list(want)  # pivot insertion order
+    assert got == want
+    assert all(type(v) is Fraction for row in got.values() for v in row.values())
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rref_matches_oracle_on_centre_systems(monkeypatch, k, parity):
+    systems = []
+    kernel_basis = linalg.kernel_basis
+
+    def recording(rows, ncols):
+        systems.append([dict(row) for row in rows])
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    R.centre(k, parity)
+    assert systems
+    for rows in systems:
+        assert_matches_oracle(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_rref_matches_oracle_on_presentation_relations(k):
+    assert_matches_oracle(S.presentation_relations(k))
+
+
+def test_rref_matches_oracle_on_random_fraction_rows():
+    rng = random.Random(20240917)
+    values = [Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-4, 3),
+              Fraction(2), Fraction(5, 7), Fraction(-1, 6), Fraction(9)]
+    for _ in range(400):
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(0, 16)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+            rows.append({c: rng.choice(values) for c in cols})
+        assert_matches_oracle(rows)
+        assert linalg.rank(rows) == dense_rank(rows, ncols)
+
+
+def test_union_find_compares_exponents_by_modulus():
+    # x_0 = t^2 x_1 and x_1 = t^-2 x_0 agree for every t
+    for modulus in (0, 1, 2):
+        uf = linalg.ScaledUnionFind(2, modulus)
+        uf.relate(0, 1, 2)
+        uf.relate(1, 0, -2)
+        assert uf.live_class_count() == 1
+    # x_0 = t x_1 and x_0 = t^3 x_1: equal at t = 1 and t = -1 only
+    for modulus, live in ((0, 0), (1, 1), (2, 1)):
+        uf = linalg.ScaledUnionFind(2, modulus)
+        uf.relate(0, 1, 1)
+        uf.relate(0, 1, 3)
+        assert uf.live_class_count() == live
+    # x_0 = t x_1 and x_0 = x_1: equal at t = 1 only
+    for modulus, live in ((0, 0), (1, 1), (2, 0)):
+        uf = linalg.ScaledUnionFind(2, modulus)
+        uf.relate(0, 1, 1)
+        uf.relate(0, 1, 0)
+        assert uf.live_class_count() == live
+
+
+def test_union_find_composes_exponents_along_paths():
+    uf = linalg.ScaledUnionFind(4, 0)
+    uf.relate(0, 1, 1)
+    uf.relate(1, 2, 2)
+    uf.relate(2, 3, -4)
+    assert uf.root_and_weight(0)[1] - uf.root_and_weight(3)[1] == -1
+    uf.relate(0, 3, -1)
+    assert uf.live_class_count() == 1
+    uf.kill(2)
+    assert uf.live_class_count() == 0

@@ -152,6 +152,16 @@ def test_index_rejects_non_maximal_diagram():
         graph.index(D.parse_dsl("4: c(1,2);r(3);r(4)"))
 
 
+def test_non_maximal_rejected_before_parity_comparison():
+    non_maximal = D.parse_dsl("4: c(1,2);r(3);r(4)")
+    other_parity = D.parse_dsl("4: c*(1,2);c(3,4)")
+    for a, b in ((non_maximal, other_parity), (other_parity, non_maximal)):
+        with pytest.raises(D.DiagramError, match="not maximal"):
+            M.distance(a, b)
+        with pytest.raises(D.DiagramError, match="not maximal"):
+            M.geodesic_meet(a, b)
+
+
 def test_geodesic_meet_cross_parity_raises():
     with pytest.raises(M.NoFiniteDistanceError):
         M.geodesic_meet(D.parse_dsl("2: c(1,2)"), D.parse_dsl("2: c*(1,2)"))

@@ -161,7 +161,7 @@ def test_transport_sign_against_independent_path():
 # --- centre -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 10))
 def test_centre_total_dimension(k):
     dims = [R.centre(k, parity).dimension for parity in ("even", "odd")]
     assert sum(dims) == 2 ** k

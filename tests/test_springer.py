@@ -7,7 +7,7 @@ from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from helpers import brute_equivariant_dimension, dense_rank
+from helpers import brute_equivariant_dimension, dense_rank, oracle_equivariant_dimension
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -51,9 +51,21 @@ def test_equivariant_dimension(k, t):
 
 
 @pytest.mark.parametrize("k", range(2, 6))
-@pytest.mark.parametrize("t", [0, 1, 2, Fraction(3, 2)])
+@pytest.mark.parametrize("t", [0, 1, 2, Fraction(3, 2), -1, -2, Fraction(1, 3)])
 def test_equivariant_matches_dense_oracle(k, t):
     assert S.equivariant_specialization(k, t) == brute_equivariant_dimension(k, t)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_equivariant_matches_fraction_union_find(k):
+    for t in [0, 1, -1, 2, 3, Fraction(3, 2), -2, Fraction(1, 3), Fraction(-3, 2)]:
+        assert S.equivariant_specialization(k, t) == oracle_equivariant_dimension(k, t), t
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_equivariant_rejects_nonpositive_k(k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        S.equivariant_specialization(k, 2)
 
 
 def test_index_set_conversions():
@@ -172,7 +184,7 @@ def test_graded_dimension_closed_form_k10():
     assert direct.coefficients[0] == len(D.maximal_diagrams(10)) == 252
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
 def test_centre_matches_two_presentation_copies(k):
     ring = S.presentation_ring(k)
     even = R.centre(k, "even").graded_dims
