@@ -15,6 +15,19 @@ Vertices are numbered 1..k from the left.  Every diagram has a unique
 canonical text encoding, ``k: arc;arc;...`` with arcs sorted by leftmost
 vertex, e.g. ``4: c*(1,4);c(2,3)`` (the ``*`` marks a dot).  The same
 grammar doubles as the input DSL, which is whitespace-insensitive.
+
+Validation policy: :func:`validate` checks every rule, and it runs where
+arcs come from outside the program or are computed from data a caller
+supplied.  That is :func:`parse_dsl` and :func:`from_json` (which also
+bound the vertex count by the arcs given), the tableau and weight
+bijections that assemble arcs from user input (``std_to_cups``,
+``to_cup``, ``cup_of_weight``, ``cup_of_bitableau``), and the move
+graph's rewrites, where a failed check means that a move does not fire.
+Code that builds diagrams legal by construction, such as
+:func:`enumerate_diagrams` and :func:`dot_parity_involution`, calls the
+:class:`CupDiagram` constructor directly, with cups sorted by left end
+and rays ascending as :func:`validate` returns them; the tests check
+those members against :func:`validate`.
 """
 
 from __future__ import annotations
@@ -293,14 +306,39 @@ def parse_dsl(text: str) -> CupDiagram:
         if peek() is None:
             break
         expect("';'", lambda t: t == ";")
+    return _validate_input(k, cups, rays)
+
+
+def _validate_input(k, cups: list, rays: list) -> CupDiagram:
+    """:func:`validate` for parsed input, after refusing a vertex count
+    that the given arcs cannot cover: each arc covers at most two
+    vertices, and :func:`validate` reports every uncovered vertex."""
+    n_arcs = len(cups) + len(rays)
+    if type(k) is int and k > 2 * n_arcs:
+        raise DiagramError(
+            f"vertex count {k} is more than twice the number of arcs given ({n_arcs})"
+        )
     return validate(k, cups, rays)
 
 
 def from_json(data: Union[str, dict]) -> CupDiagram:
     obj = json.loads(data) if isinstance(data, str) else data
-    cups = [(c["from"], c["to"], c["dotted"]) for c in obj.get("cups", [])]
-    rays = [(r["at"], r["dotted"]) for r in obj.get("rays", [])]
-    return validate(obj["k"], cups, rays)
+    if not isinstance(obj, dict) or "k" not in obj:
+        raise DiagramError(f"a diagram must be a JSON object with a 'k' key, got {obj!r}")
+    arcs = {}
+    for name, keys in (("cups", ("from", "to", "dotted")), ("rays", ("at", "dotted"))):
+        items = obj.get(name, [])
+        if not isinstance(items, list) or not all(
+            isinstance(x, dict) and all(key in x for key in keys)
+            and type(x["dotted"]) is bool
+            for x in items
+        ):
+            raise DiagramError(
+                f"{name!r} must be a list of objects with keys {list(keys)}, "
+                f"'dotted' a boolean, got {items!r}"
+            )
+        arcs[name] = [tuple(x[key] for key in keys) for x in items]
+    return _validate_input(obj["k"], arcs["cups"], arcs["rays"])
 
 
 def _render_ascii(d: CupDiagram) -> str:
@@ -370,7 +408,8 @@ def _matchings(lo: int, hi: int, rays_ok: bool):
     """All crossingless cup/ray structures on vertices lo..hi.
 
     Rays are forbidden inside a cup, hence the flag is dropped when we
-    recurse under one.
+    recurse under one.  Cups come sorted by left end and rays ascending,
+    the order :func:`validate` gives them.
     """
     if lo > hi:
         yield (), ()
@@ -414,6 +453,16 @@ class DiagramSet:
 _DOT_FILTERS = ("all", "even", "odd", "none")
 
 
+def dot_count_filter(k: int, dots: str):
+    """The test on a dot count that ``dots`` stands for, after rejecting a
+    vertex count or dot filter that :func:`enumerate_diagrams` cannot take."""
+    if not isinstance(k, int) or k < 1:
+        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
+    if dots not in _DOT_FILTERS:
+        raise DiagramError(f"dot filter must be one of {_DOT_FILTERS}, got {dots!r}")
+    return lambda n: dots == "all" or (dots == "none" and n == 0) or dots == ("even", "odd")[n % 2]
+
+
 def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all") -> DiagramSet:
     """All legal diagrams on k vertices, in canonical encoding order.
 
@@ -421,10 +470,7 @@ def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all")
     ``dots`` filters by dot count: ``"all"``, ``"even"``, ``"odd"`` or
     ``"none"`` (undecorated only).
     """
-    if not isinstance(k, int) or k < 1:
-        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
-    if dots not in _DOT_FILTERS:
-        raise DiagramError(f"dot filter must be one of {_DOT_FILTERS}, got {dots!r}")
+    keeps = dot_count_filter(k, dots)
     if cups == "max":
         target = k // 2
     elif cups == "any":
@@ -438,21 +484,17 @@ def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all")
             continue
         dottable = _dottable(cup_pairs, ray_positions)
         for n_dots in range(len(dottable) + 1):
-            if dots == "none" and n_dots > 0:
-                break
-            if dots == "even" and n_dots % 2 == 1:
-                continue
-            if dots == "odd" and n_dots % 2 == 0:
+            if not keeps(n_dots):
                 continue
             for chosen in itertools.combinations(dottable, n_dots):
                 chosen_set = set(chosen)
-                cup_arcs = [
-                    (l, r, ("cup", (l, r)) in chosen_set) for (l, r) in cup_pairs
-                ]
-                ray_arcs = [
-                    (at, ("ray", at) in chosen_set) for at in ray_positions
-                ]
-                members.append(validate(k, cup_arcs, ray_arcs))
+                cup_arcs = tuple(
+                    Cup(l, r, ("cup", (l, r)) in chosen_set) for (l, r) in cup_pairs
+                )
+                ray_arcs = tuple(
+                    Ray(at, ("ray", at) in chosen_set) for at in ray_positions
+                )
+                members.append(CupDiagram(k, cup_arcs, ray_arcs))
     members.sort(key=encode)
     return DiagramSet(k, cups, dots, tuple(members))
 
@@ -466,6 +508,6 @@ def maximal_diagrams(k: int, parity: str = "all") -> tuple:
 
 def dot_parity_involution(d: CupDiagram) -> CupDiagram:
     """Toggle the dot on the arc through vertex 1 (a dot-parity flip)."""
-    cups = [Cup(c.left, c.right, not c.dotted if c.left == 1 else c.dotted) for c in d.cups]
-    rays = [Ray(r.at, not r.dotted if r.at == 1 else r.dotted) for r in d.rays]
-    return validate(d.k, cups, rays)
+    cups = tuple(Cup(c.left, c.right, not c.dotted if c.left == 1 else c.dotted) for c in d.cups)
+    rays = tuple(Ray(r.at, not r.dotted if r.at == 1 else r.dotted) for r in d.rays)
+    return CupDiagram(d.k, cups, rays)

@@ -360,19 +360,22 @@ def _peel_levels(cups) -> dict:
     return levels
 
 
-def _special_cups(a: CupDiagram) -> tuple:
-    special = set()
-    for _, move, pair in _matches(a, _BACKWARDS):
-        if move.kind in PRIMED:
-            special.add(pair[0])  # cup-ray pairs come cup first
-    return tuple(sorted(special, key=lambda c: c.left))
+def _backward_moves(a: CupDiagram) -> list:
+    """(move kind, matched arcs) for every arrow into a: one matcher pass."""
+    return [(move.kind, pair) for _, move, pair in _matches(a, _BACKWARDS)]
 
 
 def nesting_census(a: CupDiagram) -> NestingCensus:
+    return _nesting_census(a, _backward_moves(a))
+
+
+def _nesting_census(a: CupDiagram, backward: list) -> NestingCensus:
     levels = _peel_levels(a.cups)
     degrees = tuple((c, levels[c]) for c in a.cups)
     outer = tuple(c for c in a.cups if levels[c] == 0)
-    special = _special_cups(a)
+    # cup-ray pairs come cup first
+    special = {pair[0] for kind, pair in backward if kind in PRIMED}
+    special = tuple(sorted(special, key=lambda c: c.left))
     if not set(special) <= set(outer):
         raise InternalCheckError("special cup outside the outer cups")
     return NestingCensus(degrees, outer, special)
@@ -402,11 +405,12 @@ def cup_forest(a: CupDiagram) -> CupForest:
     points at the more deeply nested one; roots are the outer cups, and
     the ones a reverse primed move can create are marked special.
     """
-    census = nesting_census(a)
+    backward = _backward_moves(a)
+    census = _nesting_census(a, backward)
     levels = dict(census.degrees)
     edges = set()
-    for _, move, (c1, c2) in _matches(a, _BACKWARDS):
-        if move.kind not in UNPRIMED:
+    for kind, (c1, c2) in backward:
+        if kind not in UNPRIMED:
             continue
         if levels[c2] > levels[c1]:
             edges.add((c1, c2))

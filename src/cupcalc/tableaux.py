@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .diagrams import Cup, CupDiagram, Ray, encode, enumerate_diagrams, validate
+from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, validate
 from .errors import InternalCheckError
 from .orientation import Weight, degree_zero_weight, cup_of_weight
 from .springer import index_set_of_weight, weight_of_index_set
@@ -138,7 +138,7 @@ def domino_tableau(shape: Tuple[int, int], dominoes: Iterable) -> DominoTableau:
             doms.append(Domino(label, tuple(sorted(tuple(c) for c in cells))))
     doms.sort(key=lambda d: d.label)
     n = (r + s) // 2
-    if [d.label for d in doms] != list(range(1, n + 1)):
+    if len(doms) != n or [d.label for d in doms] != list(range(1, n + 1)):
         raise TableauError("labels must be 1..n, each on one domino")
     board = set()
     for d in doms:
@@ -381,25 +381,15 @@ def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDo
     first_ray = min((ray.at for ray in c.rays), default=None)
     dominoes: List[tuple] = []
 
-    def fill_horizontals(inner_cups, inner_rays, lo, hi, v_col):
-        """Vertices lo..hi become horizontals right of the vertical at v_col."""
-        verts = list(range(lo, hi + 1))
-        if not verts:
-            return
-        ranks = {v: i + 1 for i, v in enumerate(verts)}
-        sub = validate(
-            len(verts),
-            [(ranks[x.left], ranks[x.right]) for x in inner_cups],
-            [ranks[x.at] for x in inner_rays],
-        )
-        top, bottom = cups_to_std(sub)
-        back = {rank: v for v, rank in ranks.items()}
-        for i, rank in enumerate(top):
-            col = v_col + 2 * i + 1
-            dominoes.append((back[rank], ((1, col), (1, col + 1))))
-        for i, rank in enumerate(bottom):
-            col = v_col + 2 * i + 1
-            dominoes.append((back[rank], ((2, col), (2, col + 1))))
+    def fill_horizontals(inner_cups, inner_rays, v_col):
+        """The arcs right of the vertical at v_col become horizontals:
+        left ends and rays in the top row, right ends in the bottom."""
+        top = sorted([x.left for x in inner_cups] + [x.at for x in inner_rays])
+        bottom = sorted(x.right for x in inner_cups)
+        for row, labels in ((1, top), (2, bottom)):
+            for i, v in enumerate(labels):
+                col = v_col + 2 * i + 1
+                dominoes.append((v, ((row, col), (row, col + 1))))
 
     signs = []
     closed_region_end = (first_ray - 1) if first_ray is not None else c.k
@@ -415,14 +405,14 @@ def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDo
         dominoes.append((cup.right, ((1, cup.right), (2, cup.right))))
         signs.append((cup.left, "-" if cup.dotted else "+"))
         inner = [x for x in c.cups if cup.left < x.left and x.right < cup.right]
-        fill_horizontals(inner, [], cup.left + 1, cup.right - 1, cup.left)
+        fill_horizontals(inner, [], cup.left)
     if first_ray is not None:
         lead = c.ray_at(first_ray)
         dominoes.append((first_ray, ((1, first_ray), (2, first_ray))))
         signs.append((first_ray, "-" if lead.dotted else "+"))
         open_cups = [x for x in c.cups if x.left > first_ray]
         open_rays = [x for x in c.rays if x.at > first_ray]
-        fill_horizontals(open_cups, open_rays, first_ray + 1, c.k, first_ray)
+        fill_horizontals(open_cups, open_rays, first_ray)
     base = domino_tableau((r, s), dominoes)
     return signed_domino_tableau(base, signs)
 
@@ -499,6 +489,8 @@ def cyc_inverse(S: DominoTableau) -> SignedDominoTableau:
     cluster; untouched odd-column verticals get minus.  Seeds are the
     leftmost-first odd-column top-row horizontals; the open cluster's
     sign is normalized to plus afterwards (the class representative)."""
+    if not admissible_two_row(S.shape):
+        raise InadmissibleShapeError(f"shape {S.shape} is not admissible")
     by_cell = S.filling()
     doms = {d.label: d for d in S.dominoes}
     r, _ = S.shape
@@ -597,18 +589,37 @@ def bitableau_of_cup(c: CupDiagram) -> Bitableau:
 
 
 def cup_of_bitableau(bt: Bitableau, k: int, dots: str = "all") -> CupDiagram:
-    """Inverse by search over diagrams with the forced cup count.
+    """Inverse of :func:`bitableau_of_cup` by one left-to-right walk: a
+    marked vertex opens an arc and an unmarked one closes the last open
+    arc, except that an unmarked vertex with no arc open starts a dotted
+    outer cup, inside which the roles swap; vertices left open are rays.
 
-    Diagrams with rays pair up under toggling the leftmost ray's dot and
-    collide in the marking, so a dot-parity filter (``"even"``/``"odd"``)
-    is needed to make the search unique whenever rays are present.
+    Toggling the leftmost ray's dot keeps the marking, so whenever rays
+    are present a dot-parity filter (``"even"``/``"odd"``) is needed to
+    make the inverse unique.
     """
-    n_cups = k - len(bt.marked)
-    matches = [
-        d
-        for d in enumerate_diagrams(k, cups=n_cups, dots=dots)
-        if bitableau_of_cup(d) == bt
-    ]
+    keeps = dot_count_filter(k, dots)
+    marked = {v for v in bt.marked if type(v) is int}
+    cups = []
+    stack: List[int] = []
+    swapped = False  # inside a dotted outer cup
+    for v in range(1, k + 1):
+        if stack and (v in marked) == swapped:
+            left = stack.pop()
+            cups.append(Cup(left, v, swapped and not stack))
+        else:
+            if not stack:
+                swapped = v not in marked
+            stack.append(v)
+    matches = []
+    for lead_dotted in (False, True) if stack else (False,):
+        rays = [Ray(v, lead_dotted and v == stack[0]) for v in stack]
+        try:  # bt is user input, so the walk's result is checked
+            d = validate(k, cups, rays)
+        except InvalidDiagramError:
+            continue
+        if bitableau_of_cup(d) == bt and keeps(d.dot_count):
+            matches.append(d)
     if not matches:
         raise TableauError(f"no diagram on {k} vertices realizes {bt}")
     if len(matches) > 1:
@@ -698,7 +709,29 @@ def tableau_to_json_dict(t) -> dict:
     return {"shape": list(base.shape), "dominoes": doms}
 
 
+def _int_list(obj, length: Optional[int] = None) -> bool:
+    return (
+        isinstance(obj, list)
+        and length in (None, len(obj))
+        and all(type(x) is int for x in obj)
+    )
+
+
 def tableau_from_json_dict(obj: dict, signed: bool):
+    if not (isinstance(obj, dict) and _int_list(obj.get("shape"), 2)
+            and isinstance(obj.get("dominoes"), list)):
+        raise TableauError(
+            f"a tableau must be an object with an integer pair 'shape' and a list "
+            f"'dominoes', got {obj!r}"
+        )
+    for d in obj["dominoes"]:
+        if not (isinstance(d, dict) and type(d.get("label")) is int
+                and isinstance(d.get("cells"), list) and len(d["cells"]) == 2
+                and all(_int_list(c, 2) for c in d["cells"])):
+            raise TableauError(
+                f"a domino must be an object with an integer 'label' and two "
+                f"integer pairs 'cells', got {d!r}"
+            )
     shape = tuple(obj["shape"])
     dominoes = [(d["label"], tuple(tuple(c) for c in d["cells"])) for d in obj["dominoes"]]
     base = domino_tableau(shape, dominoes)
@@ -715,8 +748,8 @@ def bitableau_to_json(bt: Bitableau) -> list:
 
 
 def _pair_of_lists(obj, what: str) -> list:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, list) for x in obj)):
-        raise TableauError(f"{what} must be a pair of lists, got {obj!r}")
+    if not (isinstance(obj, list) and len(obj) == 2 and all(_int_list(x) for x in obj)):
+        raise TableauError(f"{what} must be a pair of lists of integers, got {obj!r}")
     return obj
 
 

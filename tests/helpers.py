@@ -5,10 +5,12 @@ paths disjoint from the package (no recursive interval generation, no
 partner walks, no rewrite systems) so the two sides can disagree.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
-from cupcalc.diagrams import Cup, Ray
+from cupcalc.diagrams import Cup, Ray, enumerate_diagrams
+from cupcalc.tableaux import TableauError, bitableau_of_cup
 
 
 def oracle_decompose(cap, cup):
@@ -398,3 +400,20 @@ def brute_is_admissible_chain(tableau_cells):
         elif r != s and (r % 2 == 0 or s % 2 == 0):
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _marked_diagrams(k, n_cups, dots):
+    return tuple((bitableau_of_cup(d), d) for d in enumerate_diagrams(k, n_cups, dots))
+
+
+def oracle_cup_of_bitableau(bt, k, dots="all"):
+    """Invert a bitableau by scanning every diagram with the forced cup
+    count, with the same errors as ``tableaux.cup_of_bitableau``."""
+    n_cups = k - len(bt.marked)
+    matches = [d for image, d in _marked_diagrams(k, n_cups, dots) if image == bt]
+    if not matches:
+        raise TableauError(f"no diagram on {k} vertices realizes {bt}")
+    if len(matches) > 1:
+        raise TableauError(f"{bt} is ambiguous on {k} vertices; fix a dot parity")
+    return matches[0]

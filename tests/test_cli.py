@@ -1,8 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import sys
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cupcalc.cli import run
+from cupcalc import diagrams as D
+from cupcalc import tableaux as T
+from cupcalc.cli import _dump_from_cup, run
 
 
 def capture(capsys, argv):
@@ -289,6 +298,17 @@ def test_bijection_bitab_needs_parity(tmp_path, capsys):
          "positive integer"),
         ("stable", 5, "pair of lists"),
         ("bitab", [[1, 3]], "pair of lists"),
+        ("stable", [[[1]], [[-1]]], "pair of lists"),
+        ("adt", {"shape": 5, "dominoes": []}, "integer pair 'shape'"),
+        ("adt", [1, 2], "integer pair 'shape'"),
+        ("adt", {"shape": [2, 2], "dominoes": [{"label": 1, "cells": [[1, 1]]}]},
+         "two integer pairs 'cells'"),
+        ("cup", 5, "'k' key"),
+        ("cup", {"k": 3, "cups": 7, "rays": []}, "'cups' must be a list"),
+        ("cup", {"k": 10 ** 6, "rays": [{"at": 1, "dotted": False}]},
+         "more than twice the number of arcs"),
+        ("dt", {"shape": [2, 0], "dominoes": [{"label": 1, "cells": [[1, 1], [1, 2]]}]},
+         "not admissible"),
     ],
 )
 def test_bijection_rejects_malformed_json(tmp_path, capsys, src, payload, message):
@@ -299,6 +319,54 @@ def test_bijection_rejects_malformed_json(tmp_path, capsys, src, payload, messag
     )
     assert (code, out) == (1, "")
     assert message in err and "Traceback" not in err
+
+
+def test_render_bounds_vertex_count(capsys):
+    code, out, err = capture(capsys, ["render", "--diagram", "1000000: r(1)"])
+    assert (code, out) == (1, "")
+    assert "1000000" in err and len(err) < 200
+
+
+_JSON_KEYS = st.sampled_from(
+    ["k", "cups", "rays", "from", "to", "at", "dotted", "shape", "dominoes",
+     "label", "cells", "sign", "x"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from(["+", "-", "1", ""])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=12,
+)
+_SOURCES = ["cup", "adt", "dt", "bitab", "stable"]
+_DIAGRAMS = [d for k in range(1, 7) for d in D.enumerate_diagrams(k, "any", "all")]
+
+
+def _mutate(data, doc):
+    """Replace one node of a JSON document (possibly the root) with junk."""
+    if isinstance(doc, (list, dict)) and doc and data.draw(st.integers(0, 3)):
+        doc = copy.copy(doc)
+        key = data.draw(st.sampled_from(range(len(doc)) if isinstance(doc, list) else sorted(doc)))
+        doc[key] = _mutate(data, doc[key])
+        return doc
+    return data.draw(_JSON)
+
+
+@given(src=st.sampled_from(_SOURCES), dst=st.sampled_from(_SOURCES), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_bijection_survives_malformed_json(src, dst, data):
+    """Junk, or a valid document with one node replaced by junk: bijection
+    exits 0 or 1 and never raises."""
+    doc = data.draw(_JSON)
+    if data.draw(st.booleans()):
+        try:
+            doc = _mutate(data, _dump_from_cup(src, data.draw(st.sampled_from(_DIAGRAMS))))
+        except T.TableauError:  # no skew-symmetric table for this diagram
+            pass
+    with patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(["bijection", "--from", src, "--to", dst, "--input", "-"])
+    assert code in (0, 1), err.getvalue()
 
 
 def test_bijection_bad_file(capsys):

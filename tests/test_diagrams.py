@@ -228,3 +228,50 @@ def test_json_schema_field_order():
 def test_validate_rejects_non_integer_vertices(k, cups, rays):
     with pytest.raises(D.DiagramError, match="integer"):
         D.validate(k, cups, rays)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_enumerated_members_are_legal(k):
+    """enumerate_diagrams and dot_parity_involution skip validate: their
+    diagrams must be exactly what validate would build."""
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        assert D.validate(k, d.cups, d.rays) == d
+        flipped = D.dot_parity_involution(d)
+        assert D.validate(k, flipped.cups, flipped.rays) == flipped
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda k: D.parse_dsl(f"{k}: r(1)"),
+        lambda k: D.from_json({"k": k, "rays": [{"at": 1, "dotted": False}]}),
+    ],
+    ids=["dsl", "json"],
+)
+def test_vertex_count_bounded_by_arcs(parse):
+    k = 10 ** 6  # small enough that a missing bound fails fast instead of exhausting memory
+    with pytest.raises(D.DiagramError) as exc:
+        parse(k)
+    assert not isinstance(exc.value, D.InvalidDiagramError)
+    assert str(k) in str(exc.value) and "(1)" in str(exc.value)
+    # two vertices per arc is still a count validate itself judges
+    with pytest.raises(D.InvalidDiagramError, match="VertexUnused"):
+        parse(2)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (5, "'k' key"),
+        ([1, 2], "'k' key"),
+        ({"cups": []}, "'k' key"),
+        ({"k": 3, "cups": 7, "rays": []}, "'cups' must be a list"),
+        ({"k": 1, "rays": [1]}, "'rays' must be a list"),
+        ({"k": 2, "cups": [{"from": 1, "to": 2}]}, "'cups' must be a list"),
+        ({"k": 2, "cups": [{"from": 1, "to": 2, "dotted": "no"}]}, "'dotted' a boolean"),
+        ({"k": 1, "rays": [{"at": 1, "dotted": 0}]}, "'dotted' a boolean"),
+    ],
+)
+def test_from_json_rejects_malformed_documents(obj, message):
+    with pytest.raises(D.DiagramError, match=message):
+        D.from_json(obj)

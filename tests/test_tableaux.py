@@ -5,7 +5,7 @@ import pytest
 
 from cupcalc import diagrams as D
 from cupcalc import tableaux as T
-from helpers import brute_domino_tableaux, brute_is_admissible_chain
+from helpers import brute_domino_tableaux, brute_is_admissible_chain, oracle_cup_of_bitableau
 
 # every admissible two-row shape with at most fourteen boxes
 SHAPES = sorted(
@@ -347,6 +347,51 @@ def test_bitableau_ray_dot_is_ambiguous():
 def test_bitableau_unique_without_rays():
     for d in D.maximal_diagrams(4):
         assert T.cup_of_bitableau(T.bitableau_of_cup(d), 4) == d
+
+
+def _outcome(invert, bt, k, dots):
+    try:
+        return invert(bt, k, dots)
+    except (D.DiagramError, T.TableauError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_cup_of_bitableau_matches_scan(k):
+    """The parenthesis walk agrees with the scan over enumerate_diagrams on
+    every marking, results and error messages alike."""
+    for bits in itertools.product((True, False), repeat=k):
+        marked = tuple(v for v, b in enumerate(bits, 1) if b)
+        unmarked = tuple(v for v, b in enumerate(bits, 1) if not b)
+        bt = T.Bitableau(marked, unmarked)
+        for dots in ("all", "even", "odd", "none"):
+            expected = _outcome(oracle_cup_of_bitableau, bt, k, dots)
+            assert _outcome(T.cup_of_bitableau, bt, k, dots) == expected, (bt, dots)
+
+
+@pytest.mark.parametrize(
+    "marked, unmarked, k, dots",
+    [
+        ((1, 1), (2,), 3, "all"),      # duplicate entry
+        ((1, 3), (2, 3), 4, "even"),   # vertex in both rows
+        ((0,), (1,), 2, "all"),
+        ((1,), (0,), 2, "odd"),
+        (("a",), (1,), 2, "even"),
+        (("1",), ("2",), 2, "all"),
+        ((3, 1), (2, 4), 4, "all"),    # unsorted row
+        ((5,), (1, 2), 3, "all"),
+        ((), (1, 2), 2, "all"),
+        ((), (), 0, "all"),
+        ((), (), 0, "bogus"),          # k is reported before the dot filter
+        ((1,), (2,), -1, "all"),
+        ((1,), (2,), 2, "bogus"),
+    ],
+)
+def test_cup_of_bitableau_malformed_matches_scan(marked, unmarked, k, dots):
+    bt = T.Bitableau(marked, unmarked)
+    outcome = _outcome(T.cup_of_bitableau, bt, k, dots)
+    assert isinstance(outcome, tuple)
+    assert outcome == _outcome(oracle_cup_of_bitableau, bt, k, dots)
 
 
 def test_bitableau_image_count_b4():
