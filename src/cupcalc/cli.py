@@ -2,7 +2,7 @@
 
 Verbs: enumerate, render, movegraph, distance, orient, cohomology,
 intersect, bijection, selftest.  Exit codes: 0 success, 1 invalid
-input, 2 tripped internal consistency check.
+input, 2 tripped internal consistency check or any other internal error.
 """
 
 from __future__ import annotations
@@ -10,27 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from . import diagrams, movegraph, orientation, ringcalc, springer, tableaux
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SizeError
 from .selftest import selftest
-
-_USER_ERRORS = (
-    diagrams.DiagramError,
-    orientation.OrientationError,
-    movegraph.NoFiniteDistanceError,
-    ringcalc.NotOrientableError,
-    springer.MalformedIndexSetError,
-    springer.UnequalRowShapeError,
-    tableaux.TableauError,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,6 +29,50 @@ class _UsageError(ValueError):
     pass
 
 
+# The errors that mean "invalid input"; anything else is our own fault.
+_USER_ERRORS = (
+    _UsageError,
+    SizeError,
+    diagrams.DiagramError,
+    orientation.OrientationError,
+    movegraph.NoFiniteDistanceError,
+    ringcalc.NotOrientableError,
+    springer.MalformedIndexSetError,
+    springer.UnequalRowShapeError,
+    tableaux.TableauError,
+    json.JSONDecodeError,
+)
+
+# The largest size each verb takes, checked before any work starts; the
+# README's "Sizes" paragraph gives the time each takes at its ceiling.
+_CEILINGS = {
+    "enumerate": ("--k", 18),
+    "movegraph": ("--k", 16),
+    "intersect": ("--k", 11),
+    "cohomology centre": ("--k", 10),
+    "cohomology springer": ("--k", 14),
+    "selftest": ("--k-max", 10),
+}
+
+
+def _check_ceiling(args) -> None:
+    verb = f"cohomology {args.which}" if args.verb == "cohomology" else args.verb
+    if verb in _CEILINGS:
+        flag, ceiling = _CEILINGS[verb]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value > ceiling:
+            raise SizeError(f"{verb} takes {flag} up to {ceiling}, got {value}")
+
+
+def _cup_count(text: str):
+    """``--cups``: 'max', 'any' or a cup count >= 0."""
+    if text in ("max", "any"):
+        return text
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be 'max', 'any' or a count >= 0, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cupcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
@@ -50,7 +81,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list diagrams in canonical order")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--parity", choices=["all", "even", "odd", "none"], default="all")
-    p.add_argument("--cups", default="max", help="cup count, 'max' or 'any'")
+    p.add_argument("--cups", type=_cup_count, default="max", help="cup count, 'max' or 'any'")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("render", help="render one diagram")
@@ -110,9 +141,8 @@ def _emit(text: str):
 
 
 def _cmd_enumerate(args) -> int:
-    cups = args.cups if args.cups in ("max", "any") else int(args.cups)
     dots = {"all": "all", "even": "even", "odd": "odd", "none": "none"}[args.parity]
-    out = diagrams.enumerate_diagrams(args.k, cups, dots)
+    out = diagrams.enumerate_diagrams(args.k, args.cups, dots)
     if args.format == "json":
         _emit(json.dumps([d.encode() for d in out.members], indent=2))
     else:
@@ -316,7 +346,15 @@ def _dump_from_cup(dst: str, cup):
 
 
 def _cmd_bijection(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input) as f:
+                raw = f.read()
+    except (OSError, ValueError) as exc:  # missing, unreadable or not text
+        reason = getattr(exc, "strerror", None) or exc
+        raise _UsageError(f"cannot read --input {args.input!r}: {reason}") from None
     data = json.loads(raw)
     cup = _load_as_cup(args.src, data, args.parity)
     _emit(json.dumps(_dump_from_cup(args.dst, cup), indent=2))
@@ -357,6 +395,7 @@ def run(argv) -> int:
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
     try:
+        _check_ceiling(args)
         return _COMMANDS[args.verb](args)
     except InternalCheckError as exc:
         print(f"cupcalc: internal check failed: {exc}", file=sys.stderr)
@@ -364,6 +403,16 @@ def run(argv) -> int:
     except _USER_ERRORS as exc:
         print(f"cupcalc: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of ours, not of the input: name where it arose
+        import traceback  # here, not at the top: every run would pay for it
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"cupcalc: internal error: {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return 2
 
 
 def main() -> None:

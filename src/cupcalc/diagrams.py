@@ -16,6 +16,25 @@ canonical text encoding, ``k: arc;arc;...`` with arcs sorted by leftmost
 vertex, e.g. ``4: c*(1,4);c(2,3)`` (the ``*`` marks a dot).  The same
 grammar doubles as the input DSL, which is whitespace-insensitive.
 
+Nesting is decided in one place, :func:`nesting`: a walk over the
+vertices from left to right that keeps the open cups on a stack.  A
+cup's left end pushes it; its depth is the stack height there, and it is
+nested exactly when ``reach``, the cup reaching furthest right among
+those begun earlier, ends after it (on legal input ``reach`` is then its
+outermost enclosing cup).  A right end pops its cup, and every cup still
+above it on the stack crosses it; a ray lies under every cup on the
+stack.  On legal input the stack is only ever popped at the top, so the
+walk costs O(k); with crossings it costs O(k + number of violations).
+:func:`validate`, the tableau bijections and the nesting degrees of the
+move graph all read it.
+
+:func:`validate` reports in two stages.  The first checks the vertices:
+integers in range, each cup's ends in order, every vertex used exactly
+once.  If any of that fails, the error lists those violations only.
+Otherwise the arcs cover 1..k exactly and the walk reports the rest:
+crossing pairs in the order of the input cups, rays under cups by (ray,
+cup) position in the input, then the inaccessible dots.
+
 Validation policy: :func:`validate` checks every rule, and it runs where
 arcs come from outside the program or are computed from data a caller
 supplied.  That is :func:`parse_dsl` and :func:`from_json` (which also
@@ -37,7 +56,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class DiagramError(ValueError):
@@ -53,9 +72,13 @@ class InvalidDiagramError(DiagramError):
     """Raised by :func:`validate`; carries every violated rule."""
 
     def __init__(self, violations: Iterable[Violation]):
+        super().__init__()
         self.violations = tuple(violations)
+
+    def __str__(self) -> str:
+        # built on demand: the move graph discards most of these errors
         summary = "; ".join(f"{v.code} {list(v.arcs)}" for v in self.violations)
-        super().__init__(f"illegal diagram: {summary}")
+        return f"illegal diagram: {summary}"
 
     def codes(self) -> set:
         return {v.code for v in self.violations}
@@ -103,12 +126,6 @@ class CupDiagram:
     def dot_parity(self) -> str:
         return "even" if self.dot_count % 2 == 0 else "odd"
 
-    def ray_at(self, v: int) -> Optional[Ray]:
-        for r in self.rays:
-            if r.at == v:
-                return r
-        return None
-
     def star(self) -> "CapDiagram":
         """The cap diagram obtained by reflecting in the horizontal axis."""
         return CapDiagram(self.k, self.cups, self.rays)
@@ -153,7 +170,7 @@ def _arc_key(arc: Arc) -> int:
 
 
 def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
-    """Build a diagram, reporting every violated rule at once.
+    """Build a diagram, or report what is wrong in the two stages above.
 
     ``cups`` entries are ``(left, right)`` or ``(left, right, dotted)``;
     ``rays`` entries are ``at`` or ``(at, dotted)``.
@@ -205,26 +222,21 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
         elif len(owners) > 1:
             violations.append(Violation("VertexReused", tuple(owners)))
     # a cup using the same vertex twice is caught by BadEndpoints above
+    if violations:
+        raise InvalidDiagramError(violations)
 
-    for c1, c2 in itertools.combinations(cup_list, 2):
-        a, b = sorted((c1, c2), key=lambda c: c.left)
-        if a.left < b.left < a.right < b.right:
-            violations.append(Violation("Crossing", (a, b)))
-    for r in ray_list:
-        for c in cup_list:
-            if c.left < r.at < c.right:
-                violations.append(Violation("RayUnderCup", (r, c)))
-
-    leftmost_ray = min((r.at for r in ray_list), default=None)
-    for c in cup_list:
-        if not c.dotted:
-            continue
-        nested = any(o.left < c.left and c.right < o.right for o in cup_list)
-        blocked = leftmost_ray is not None and leftmost_ray < c.left
-        if nested or blocked:
+    # The arcs cover 1..k exactly once, so the walk can report the rest.
+    walk = nesting(k, cup_list, ray_list)
+    for i, j in sorted(walk.crossings, key=sorted):
+        violations.append(Violation("Crossing", (cup_list[i], cup_list[j])))
+    for r, i in sorted(walk.rays_under):
+        violations.append(Violation("RayUnderCup", (ray_list[r], cup_list[i])))
+    leftmost_ray = min((r.at for r in ray_list), default=k + 1)
+    for c, outer in zip(cup_list, walk.outer):
+        if c.dotted and (outer is not None or leftmost_ray < c.left):
             violations.append(Violation("DotInaccessible", (c,)))
     for r in ray_list:
-        if r.dotted and leftmost_ray is not None and r.at != leftmost_ray:
+        if r.dotted and r.at != leftmost_ray:
             violations.append(Violation("DotInaccessible", (r,)))
 
     if violations:
@@ -234,6 +246,49 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
         tuple(sorted(cup_list, key=lambda c: c.left)),
         tuple(sorted(ray_list, key=lambda r: r.at)),
     )
+
+
+class Nesting(NamedTuple):
+    crossings: list
+    rays_under: list
+    outer: list
+    depth: list
+
+
+def nesting(k: int, cups, rays) -> Nesting:
+    """The walk described above, over arcs that cover 1..k exactly once.
+
+    Pairs hold positions in ``cups`` and ``rays``: (i, j) in ``crossings``
+    for crossing cups, cup i first, and (r, i) in ``rays_under`` for ray r
+    under cup i.  ``outer[i]`` is cup i's reach if it is nested, else None.
+    """
+    at: list = [None] * (k + 1)  # vertex -> ray index, or (cup index, is left end)
+    for i, c in enumerate(cups):
+        at[c.left], at[c.right] = (i, True), (i, False)
+    for r, ray in enumerate(rays):
+        at[ray.at] = r
+    walk = Nesting([], [], [None] * len(cups), [0] * len(cups))
+    stack: list = []
+    reach = Cup(0, 0)  # the cup begun so far that reaches furthest right
+    for event in at[1:]:
+        if type(event) is int:
+            walk.rays_under.extend((event, i) for i in stack)
+            continue
+        i, opens = event
+        if opens:
+            if reach.right > cups[i].right:
+                walk.outer[i] = reach
+            else:
+                reach = cups[i]
+            walk.depth[i] = len(stack)
+            stack.append(i)
+        else:
+            top = len(stack) - 1
+            while stack[top] != i:
+                top -= 1
+            walk.crossings.extend((i, j) for j in stack[top + 1:])
+            del stack[top]
+    return walk
 
 
 def encode(d: Union[CupDiagram, CapDiagram]) -> str:

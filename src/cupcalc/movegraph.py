@@ -44,6 +44,7 @@ from .diagrams import (
     Ray,
     encode,
     maximal_diagrams,
+    nesting,
     validate,
 )
 from .errors import InternalCheckError
@@ -242,7 +243,7 @@ def _distance_table(k: int, parity: str) -> tuple:
 def distance(a: CupDiagram, b: CupDiagram):
     """Undirected arrow distance; math.inf across parities."""
     if a.k != b.k:
-        raise ValueError("diagrams must share the vertex count")
+        raise DiagramError("diagrams must share the vertex count")
     _require_maximal(a)
     _require_maximal(b)
     if a.dot_parity != b.dot_parity:
@@ -340,24 +341,16 @@ class NestingCensus(NamedTuple):
         raise KeyError(cup)
 
 
-def _peel_levels(cups) -> dict:
-    levels: dict = {}
-    remaining = set(cups)
-    level = 0
-    while remaining:
-        outer_now = [
-            c
-            for c in remaining
-            if not any(o.left < c.left and c.right < o.right for o in remaining)
-            and not any(o.dotted and o.left > c.right for o in remaining)
-        ]
-        if not outer_now:
-            raise InternalCheckError("nesting peel stalled")  # pragma: no cover
-        for c in outer_now:
-            levels[c] = level
-        remaining.difference_update(outer_now)
-        level += 1
-    return levels
+def _nesting_degrees(a: CupDiagram) -> dict:
+    """Each cup's depth plus the dotted cups right of it (all right of its
+    outer cup, as no dotted cup is nested): the round in which a peel
+    removes the cup, if each round removes the cups neither nested nor
+    followed by a dotted cup."""
+    degrees, dotted_right = {}, 0
+    for c, depth in sorted(zip(a.cups, nesting(a.k, a.cups, a.rays).depth), reverse=True):
+        degrees[c] = depth + dotted_right
+        dotted_right += c.dotted
+    return degrees
 
 
 def _backward_moves(a: CupDiagram) -> list:
@@ -370,7 +363,7 @@ def nesting_census(a: CupDiagram) -> NestingCensus:
 
 
 def _nesting_census(a: CupDiagram, backward: list) -> NestingCensus:
-    levels = _peel_levels(a.cups)
+    levels = _nesting_degrees(a)
     degrees = tuple((c, levels[c]) for c in a.cups)
     outer = tuple(c for c in a.cups if levels[c] == 0)
     # cup-ray pairs come cup first

@@ -77,16 +77,6 @@ class SquarefreeElement:
         scalar = Fraction(scalar)
         return SquarefreeElement(self.k, {m: c * scalar for m, c in self.terms.items()})
 
-    def __mul__(self, other: "SquarefreeElement") -> "SquarefreeElement":
-        out: Dict[frozenset, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue  # repeated variable squares to zero
-                mono = m1 | m2
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return SquarefreeElement(self.k, out)
-
     def homogeneous_part(self, size: int) -> "SquarefreeElement":
         return SquarefreeElement(
             self.k, {m: c for m, c in self.terms.items() if len(m) == size}

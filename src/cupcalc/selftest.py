@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from . import diagrams, linalg, movegraph, orientation, ringcalc, springer, tableaux
+from .errors import SizeError
 
 
 @dataclass
@@ -365,7 +366,7 @@ SUITES: List[Tuple[str, Callable]] = [
 
 def selftest(k_max: int, seed: int = 0) -> SelfTestReport:
     if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+        raise SizeError("k_max must be at least 2")
     results = []
     rng = random.Random(seed)
     for name, fn in SUITES:

@@ -25,7 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SizeError
 from .movegraph import distance
 from .orientation import DOWN, UP, Weight, orient_circle_diagram
 
@@ -105,7 +105,7 @@ def presentation_ring(k: int) -> PresentationRing:
     the basis span are complementary inside the ambient ring.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise SizeError("k must be positive")
     monos, index = _mono_index(k)
     relations = presentation_relations(k)
     rank = linalg.rank(relations)
@@ -135,7 +135,7 @@ def equivariant_specialization(k: int, t) -> int:
     coefficient is a power of t, so the union-find tracks exponents.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise SizeError("k must be positive")
     t = Fraction(t)
     n = 1 << k
     full = n - 1

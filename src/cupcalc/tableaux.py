@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, validate
+from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, nesting, validate
 from .errors import InternalCheckError
 from .orientation import Weight, degree_zero_weight, cup_of_weight
 from .springer import index_set_of_weight, weight_of_index_set
@@ -378,7 +378,7 @@ def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDo
             f"diagram {encode(c)} has shape {derived}, not {tuple(shape)}"
         )
     r, s = derived
-    first_ray = min((ray.at for ray in c.rays), default=None)
+    first_ray = c.rays[0].at if c.rays else None
     dominoes: List[tuple] = []
 
     def fill_horizontals(inner_cups, inner_rays, v_col):
@@ -393,23 +393,19 @@ def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDo
 
     signs = []
     closed_region_end = (first_ray - 1) if first_ray is not None else c.k
-    outer = [
-        cup
-        for cup in c.cups
-        if cup.right <= closed_region_end
-        and not any(o.left < cup.left and cup.right < o.right for o in c.cups)
-    ]
-    outer.sort(key=lambda cup: cup.left)
-    for cup in outer:
+    outer = nesting(c.k, c.cups, c.rays).outer
+    inner: Dict[Cup, list] = {cup: [] for cup, o in zip(c.cups, outer) if o is None}
+    for cup, o in zip(c.cups, outer):
+        if o is not None:
+            inner[o].append(cup)
+    for cup in sorted(x for x in inner if x.right <= closed_region_end):
         dominoes.append((cup.left, ((1, cup.left), (2, cup.left))))
         dominoes.append((cup.right, ((1, cup.right), (2, cup.right))))
         signs.append((cup.left, "-" if cup.dotted else "+"))
-        inner = [x for x in c.cups if cup.left < x.left and x.right < cup.right]
-        fill_horizontals(inner, [], cup.left)
+        fill_horizontals(inner[cup], [], cup.left)
     if first_ray is not None:
-        lead = c.ray_at(first_ray)
         dominoes.append((first_ray, ((1, first_ray), (2, first_ray))))
-        signs.append((first_ray, "-" if lead.dotted else "+"))
+        signs.append((first_ray, "-" if c.rays[0].dotted else "+"))
         open_cups = [x for x in c.cups if x.left > first_ray]
         open_rays = [x for x in c.rays if x.at > first_ray]
         fill_horizontals(open_cups, open_rays, first_ray)
@@ -570,20 +566,13 @@ def bitableau_of_cup(c: CupDiagram) -> Bitableau:
     """Mark one endpoint of every arc: within an outer cup left of all
     rays, left endpoints (right when the outer cup is dotted); ray
     vertices; left endpoints of cups beyond a ray."""
-    marked = set()
-    first_ray = min((r.at for r in c.rays), default=None)
-    for cup in c.cups:
-        if first_ray is not None and first_ray < cup.left:
+    marked = {r.at for r in c.rays}
+    first_ray = min(marked, default=c.k + 1)
+    for cup, outer in zip(c.cups, nesting(c.k, c.cups, c.rays).outer):
+        if first_ray < cup.left:
             marked.add(cup.left)  # cup beyond a ray
-            continue
-        nested = any(o.left < cup.left and cup.right < o.right for o in c.cups)
-        if nested:
-            continue
-        inside = [x for x in c.cups if cup.left <= x.left and x.right <= cup.right]
-        for x in inside:
-            marked.add(x.right if cup.dotted else x.left)
-    for r in c.rays:
-        marked.add(r.at)
+        else:
+            marked.add(cup.right if (outer or cup).dotted else cup.left)
     rest = sorted(set(range(1, c.k + 1)) - marked)
     return Bitableau(tuple(sorted(marked)), tuple(rest))
 

@@ -9,7 +9,15 @@ import functools
 import itertools
 from fractions import Fraction
 
-from cupcalc.diagrams import Cup, Ray, enumerate_diagrams
+from cupcalc.diagrams import (
+    Cup,
+    CupDiagram,
+    DiagramError,
+    InvalidDiagramError,
+    Ray,
+    Violation,
+    enumerate_diagrams,
+)
 from cupcalc.tableaux import TableauError, bitableau_of_cup
 
 
@@ -417,3 +425,104 @@ def oracle_cup_of_bitableau(bt, k, dots="all"):
     if len(matches) > 1:
         raise TableauError(f"{bt} is ambiguous on {k} vertices; fix a dot parity")
     return matches[0]
+
+
+def oracle_validate(k, cups, rays):
+    """``diagrams.validate`` by all-pairs scans over the arcs: every rule
+    is checked on every input, so input that fails the vertex checks also
+    lists the crossing and nesting violations among its arcs."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
+    cup_list = []
+    for c in cups:
+        if isinstance(c, Cup):
+            cup_list.append(c)
+        else:
+            parts = tuple(c)
+            cup_list.append(Cup(parts[0], parts[1], bool(parts[2]) if len(parts) > 2 else False))
+    ray_list = []
+    for r in rays:
+        if isinstance(r, Ray):
+            ray_list.append(r)
+        elif isinstance(r, int):
+            ray_list.append(Ray(r, False))
+        else:
+            parts = tuple(r)
+            ray_list.append(Ray(parts[0], bool(parts[1]) if len(parts) > 1 else False))
+
+    violations = []
+    for c in cup_list:
+        if type(c.left) is not int or type(c.right) is not int:
+            raise DiagramError(f"cup endpoints must be integers, got {tuple(c)!r}")
+        if not (1 <= c.left <= k and 1 <= c.right <= k):
+            violations.append(Violation("VertexOutOfRange", (c,)))
+        elif c.left >= c.right:
+            violations.append(Violation("BadEndpoints", (c,)))
+    for r in ray_list:
+        if type(r.at) is not int:
+            raise DiagramError(f"ray vertices must be integers, got {r.at!r}")
+        if not (1 <= r.at <= k):
+            violations.append(Violation("VertexOutOfRange", (r,)))
+
+    used = {}
+    for c in cup_list:
+        for v in (c.left, c.right):
+            used.setdefault(v, []).append(c)
+    for r in ray_list:
+        used.setdefault(r.at, []).append(r)
+    for v in range(1, k + 1):
+        owners = used.get(v, [])
+        if not owners:
+            violations.append(Violation("VertexUnused", (v,)))
+        elif len(owners) > 1:
+            violations.append(Violation("VertexReused", tuple(owners)))
+
+    for c1, c2 in itertools.combinations(cup_list, 2):
+        a, b = sorted((c1, c2), key=lambda c: c.left)
+        if a.left < b.left < a.right < b.right:
+            violations.append(Violation("Crossing", (a, b)))
+    for r in ray_list:
+        for c in cup_list:
+            if c.left < r.at < c.right:
+                violations.append(Violation("RayUnderCup", (r, c)))
+
+    leftmost_ray = min((r.at for r in ray_list), default=None)
+    for c in cup_list:
+        if not c.dotted:
+            continue
+        nested = any(o.left < c.left and c.right < o.right for o in cup_list)
+        blocked = leftmost_ray is not None and leftmost_ray < c.left
+        if nested or blocked:
+            violations.append(Violation("DotInaccessible", (c,)))
+    for r in ray_list:
+        if r.dotted and leftmost_ray is not None and r.at != leftmost_ray:
+            violations.append(Violation("DotInaccessible", (r,)))
+
+    if violations:
+        raise InvalidDiagramError(violations)
+    return CupDiagram(
+        k,
+        tuple(sorted(cup_list, key=lambda c: c.left)),
+        tuple(sorted(ray_list, key=lambda r: r.at)),
+    )
+
+
+def oracle_peel_levels(cups):
+    """Nesting degrees by peeling: each round removes the remaining cups
+    that no remaining cup encloses and no remaining dotted cup follows."""
+    levels = {}
+    remaining = set(cups)
+    level = 0
+    while remaining:
+        outer_now = [
+            c
+            for c in remaining
+            if not any(o.left < c.left and c.right < o.right for o in remaining)
+            and not any(o.dotted and o.left > c.right for o in remaining)
+        ]
+        assert outer_now, "nesting peel stalled"
+        for c in outer_now:
+            levels[c] = level
+        remaining.difference_update(outer_now)
+        level += 1
+    return levels

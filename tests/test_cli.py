@@ -398,3 +398,105 @@ def test_outputs_byte_identical(capsys):
         _, first, _ = capture(capsys, argv)
         _, second, _ = capture(capsys, argv)
         assert first == second
+
+
+_DSL_TEXTS = [d.encode() for d in _DIAGRAMS]
+_DSL_ALPHABET = "0123456789cr:;,()* "
+
+
+@st.composite
+def _dsl(draw):
+    """Junk over the DSL's alphabet, or a legal diagram with a few
+    characters replaced, inserted or deleted."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_DSL_ALPHABET + "-x", max_size=30))
+    text = draw(st.sampled_from(_DSL_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.text(alphabet=_DSL_ALPHABET, max_size=2)) + text[at + cut:]
+    return text
+
+
+@st.composite
+def _diagram_request(draw):
+    verb = draw(st.sampled_from(["render", "orient", "distance"]))
+    if verb == "render":
+        argv = ["render", "--diagram", draw(_dsl())]
+    elif verb == "orient":
+        argv = ["orient", "--cup", draw(_dsl())]
+        if draw(st.booleans()):
+            argv += ["--cap", draw(_dsl())]
+    else:
+        argv = ["distance", "--a", draw(_dsl()), "--b", draw(_dsl())]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "ascii", "tikz", "yaml", ""]))]
+    if draw(st.integers(0, 4)) == 0:  # drop or repeat a flag, or add a stray one
+        argv = draw(st.sampled_from([argv[:-1], argv + argv[1:3], argv + ["--k", "3"]]))
+    return argv
+
+
+@given(_diagram_request())
+@settings(max_examples=300, deadline=None)
+def test_diagram_verbs_survive_malformed_text_and_flags(argv):
+    """Malformed DSL text and flags through render, orient and distance:
+    exit 0 or 1 and never raise."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    assert code in (0, 1), err.getvalue()
+
+
+def test_internal_error_is_not_invalid_input(capsys):
+    """A bug that raises a plain ValueError or KeyError exits 2, not 1."""
+    for exc in (ValueError("boom"), KeyError("boom")):
+        with patch.object(D, "render", side_effect=exc):
+            code, out, err = capture(capsys, ["render", "--diagram", "2: c(1,2)"])
+        assert (code, out) == (2, "")
+        assert err.startswith("cupcalc: internal error: ") and "boom" in err
+
+
+def test_springer_rejects_nonpositive_k(capsys):
+    code, out, err = capture(capsys, ["cohomology", "springer", "--k", "0"])
+    assert (code, out, err) == (1, "", "cupcalc: k must be positive\n")
+
+
+def test_distance_rejects_vertex_count_mismatch(capsys):
+    code, out, err = capture(capsys, ["distance", "--a", "2: c(1,2)", "--b", "4: c(1,2);c(3,4)"])
+    assert (code, out, err) == (1, "", "cupcalc: diagrams must share the vertex count\n")
+
+
+@pytest.mark.parametrize("cups", ["-1", "abc", "1.5", ""])
+def test_enumerate_rejects_bad_cup_count(capsys, cups):
+    code, out, err = capture(capsys, ["enumerate", "--k", "4", "--cups", cups])
+    assert (code, out) == (1, "")
+    assert err.startswith("cupcalc: argument --cups: must be 'max', 'any' or a count >= 0")
+
+
+def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, reason in ((missing, "No such file"), (tmp_path, "Is a directory"), (binary, "decode")):
+        code, out, err = capture(
+            capsys, ["bijection", "--from", "cup", "--to", "adt", "--input", str(path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"cupcalc: cannot read --input {str(path)!r}: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--k", "19"], "enumerate takes --k up to 18, got 19"),
+        (["movegraph", "--k", "17", "--parity", "even"], "movegraph takes --k up to 16, got 17"),
+        (["intersect", "--k", "12", "--parity", "odd"], "intersect takes --k up to 11, got 12"),
+        (["cohomology", "centre", "--k", "40"], "cohomology centre takes --k up to 10, got 40"),
+        (["cohomology", "springer", "--k", "15", "--t", "2"],
+         "cohomology springer takes --k up to 14, got 15"),
+        (["selftest", "--k-max", "11"], "selftest takes --k-max up to 10, got 11"),
+    ],
+)
+def test_size_ceilings_refuse_before_work(capsys, argv, message):
+    code, out, err = capture(capsys, argv)
+    assert (code, out, err) == (1, "", f"cupcalc: {message}\n")

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
-from helpers import brute_crossingless_matchings, raw_arc_covers
+from helpers import brute_crossingless_matchings, oracle_validate, raw_arc_covers
 
 # the six maximal diagrams on three vertices, in canonical order
 B3 = [
@@ -275,3 +276,84 @@ def test_vertex_count_bounded_by_arcs(parse):
 def test_from_json_rejects_malformed_documents(obj, message):
     with pytest.raises(D.DiagramError, match=message):
         D.from_json(obj)
+
+
+def _outcome(check, k, cups, rays):
+    """What a validator makes of the arcs: the diagram or the error text."""
+    try:
+        return check(k, cups, rays)
+    except D.InvalidDiagramError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_validate_matches_all_pairs_oracle(k):
+    """Every raw arc cover, in input order and shuffled, gets the same
+    diagram or the same report, order included, from the walk as from
+    the all-pairs scans."""
+    rng = random.Random(k)
+    for cups, rays in raw_arc_covers(k):
+        for order in range(2):
+            if order:
+                rng.shuffle(cups)
+                rng.shuffle(rays)
+            assert _outcome(D.validate, k, cups, rays) == _outcome(oracle_validate, k, cups, rays)
+
+
+_ARC_ENDS = st.integers(min_value=-1, max_value=10)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.tuples(_ARC_ENDS, _ARC_ENDS, st.booleans()), max_size=6),
+    st.lists(st.tuples(_ARC_ENDS, st.booleans()), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_validate_accepts_what_the_oracle_accepts(k, cups, rays):
+    """On arbitrary arcs (reused, reversed, out of range) the two-stage
+    report keeps the accept/reject decision of the all-pairs scans."""
+    mine = _outcome(D.validate, k, cups, rays)
+    theirs = _outcome(oracle_validate, k, cups, rays)
+    assert isinstance(mine, str) == isinstance(theirs, str)
+    if not isinstance(mine, str):
+        assert mine == theirs
+
+
+def test_invalid_input_reports_vertex_checks_only():
+    """Input that misuses a vertex lists those violations, not the
+    crossings among its arcs."""
+    with pytest.raises(D.InvalidDiagramError) as exc:
+        D.parse_dsl("4: c(1,3);c(2,5)")
+    assert str(exc.value) == (
+        "illegal diagram: VertexOutOfRange [Cup(left=2, right=5, dotted=False)]; "
+        "VertexUnused [4]"
+    )
+
+
+def test_invalid_diagram_error_formats_on_demand():
+    class Unprintable(tuple):
+        def __repr__(self):
+            raise AssertionError("formatted while constructing")
+
+    exc = D.InvalidDiagramError([D.Violation("Crossing", (Unprintable(),))])
+    assert exc.codes() == {"Crossing"}
+    with pytest.raises(AssertionError, match="formatted while constructing"):
+        str(exc)
+
+
+@pytest.mark.parametrize(
+    "cups, rays, crossings, rays_under, outer, depth",
+    [
+        ([(1, 4), (2, 3)], [], [], [], [None, (1, 4)], [0, 1]),
+        ([(1, 3), (2, 4)], [], [(0, 1)], [], [None, None], [0, 1]),
+        ([(1, 4), (2, 6), (3, 5)], [], [(0, 1), (0, 2)], [], [None, None, (2, 6)], [0, 1, 2]),
+        ([(1, 3)], [2], [], [(0, 0)], [None], [0]),
+    ],
+)
+def test_nesting_walk(cups, rays, crossings, rays_under, outer, depth):
+    cups = [D.Cup(*c) for c in cups]
+    walk = D.nesting(2 * len(cups) + len(rays), cups, [D.Ray(r) for r in rays])
+    assert walk.crossings == crossings
+    assert walk.rays_under == rays_under
+    assert walk.outer == [o and D.Cup(*o) for o in outer]
+    assert walk.depth == depth

