@@ -190,6 +190,9 @@ def _cmd_movegraph(args) -> int:
 def _cmd_distance(args) -> int:
     a = diagrams.parse_dsl(args.a)
     b = diagrams.parse_dsl(args.b)
+    ceiling = _CEILINGS["movegraph"][1]  # distance builds the move graph of its k
+    if max(a.k, b.k) > ceiling:
+        raise SizeError(f"distance takes diagrams up to k = {ceiling}, got k = {max(a.k, b.k)}")
     d = movegraph.distance(a, b)
     if args.format == "json":
         _emit(json.dumps({"distance": None if d == math.inf else d}))
@@ -202,8 +205,7 @@ def _cmd_orient(args) -> int:
     cup = diagrams.parse_dsl(args.cup)
     if args.cap is None:
         rows = [
-            {"weight": str(w), "degree": orientation.half_degree(w, cup)}
-            for w in orientation.orientations_of_cup(cup)
+            {"weight": str(w), "degree": d} for w, d in orientation.graded_orientations(cup)
         ]
     else:
         cap = diagrams.parse_dsl(args.cap).star()
@@ -417,3 +419,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

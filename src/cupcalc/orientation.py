@@ -127,6 +127,13 @@ def orientations_of_cup(c: CupDiagram) -> List[Weight]:
     return weights
 
 
+def graded_orientations(c: CupDiagram) -> List[Tuple[Weight, int]]:
+    """Each weight orienting c, in canonical order, with its half degree:
+    an oriented arc is clockwise exactly when its right end is down."""
+    right_ends = [cup.right - 1 for cup in c.cups]
+    return [(w, [w.text[r] for r in right_ends].count(DOWN)) for w in orientations_of_cup(c)]
+
+
 # ---------------------------------------------------------------------------
 # Component decomposition of a glued cap/cup pair
 

@@ -10,10 +10,12 @@ with t^2 (and, for odd k, inserts a factor t into the identification);
 its dimension is 2^(k-1) for every value of t.
 
 Fixed points of the torus action on component intersections are
-labelled by the weights orienting the glued diagram, giving the square
-intersection table of a parity, and summing q^degree over all oriented
-diagrams yields the graded dimension of the diagram algebra spanned by
-them.
+labelled by the weights orienting the glued diagram a*b.  Those are the
+weights orienting both a and b, so each cell of the square intersection
+table of a parity is the intersection of the two diagrams' orientation
+sets.  Summing q^degree over all oriented diagrams yields the graded
+dimension of the diagram algebra spanned by them, where the degree of
+a*b under a weight is the sum of its two half degrees.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
 from .errors import InternalCheckError, SizeError
 from .movegraph import distance
 from .orientation import DOWN, UP, Weight, orient_circle_diagram
+from .orientation import graded_orientations, orientations_of_cup
 
 
 class MalformedIndexSetError(ValueError):
@@ -265,14 +268,12 @@ def fixed_point_table(k: int, parity: str, shape: Optional[Tuple[int, int]] = No
             f"fixed-point tables require equal rows, got shape {tuple(shape)}"
         )
     diagrams = maximal_diagrams(k, parity)
-    entries = []
-    for a in diagrams:
-        row = []
-        for b in diagrams:
-            oriented = orient_circle_diagram(a.star(), b)
-            row.append(tuple(o.weight for o in oriented))
-        entries.append(tuple(row))
-    return FixedPointTable(k, parity, diagrams, tuple(entries))
+    weights = [{w.text: w for w in orientations_of_cup(d)} for d in diagrams]
+    entries = tuple(
+        tuple(tuple(w for text, w in wa.items() if text in wb) for wb in weights)
+        for wa in weights
+    )
+    return FixedPointTable(k, parity, diagrams, entries)
 
 
 class GradedDimension(NamedTuple):
@@ -284,15 +285,18 @@ def arc_algebra_graded_dimension(k: int) -> GradedDimension:
     """Graded dimension of the span of all oriented glued diagrams.
 
     Sums q^degree over every orientation of every same-parity ordered
-    pair of maximal diagrams.
+    pair of maximal diagrams, reading each pair's weights and degrees
+    off the two diagrams' graded orientations.
     """
     coeffs: Dict[int, int] = {}
     for parity in ("even", "odd"):
         diagrams = maximal_diagrams(k, parity)
-        for a in diagrams:
-            for b in diagrams:
-                for o in orient_circle_diagram(a.star(), b):
-                    coeffs[o.degree] = coeffs.get(o.degree, 0) + 1
+        halves = [{w.text: d for w, d in graded_orientations(c)} for c in diagrams]
+        for ha in halves:
+            for hb in halves:
+                for text in ha.keys() & hb.keys():
+                    degree = ha[text] + hb[text]
+                    coeffs[degree] = coeffs.get(degree, 0) + 1
     return GradedDimension(dict(sorted(coeffs.items())), sum(coeffs.values()))
 
 

@@ -526,3 +526,41 @@ def oracle_peel_levels(cups):
         remaining.difference_update(outer_now)
         level += 1
     return levels
+
+
+def oracle_fixed_point_table(k, parity):
+    """``fixed_point_table(k, parity).to_json_dict()`` by gluing every
+    ordered pair of maximal diagrams and orienting the circle diagram.
+
+    This is the package's glued path (``orient_circle_diagram``, itself
+    checked against brute force), kept as the reference for the table
+    built from per-diagram orientation sets."""
+    from cupcalc.diagrams import maximal_diagrams
+    from cupcalc.orientation import orient_circle_diagram
+
+    nodes = maximal_diagrams(k, parity)
+    return {
+        "k": k,
+        "parity": parity,
+        "diagrams": [d.encode() for d in nodes],
+        "table": [
+            [[str(o.weight) for o in orient_circle_diagram(a.star(), b)] for b in nodes]
+            for a in nodes
+        ],
+    }
+
+
+def oracle_graded_dimension(k):
+    """``arc_algebra_graded_dimension(k)`` as (coefficients, total), by
+    summing q^degree over every orientation of every glued same-parity
+    pair of maximal diagrams."""
+    from cupcalc.diagrams import maximal_diagrams
+    from cupcalc.orientation import orient_circle_diagram
+
+    coeffs = {}
+    for parity in ("even", "odd"):
+        nodes = maximal_diagrams(k, parity)
+        for a, b in itertools.product(nodes, repeat=2):
+            for o in orient_circle_diagram(a.star(), b):
+                coeffs[o.degree] = coeffs.get(o.degree, 0) + 1
+    return dict(sorted(coeffs.items())), sum(coeffs.values())

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from unittest.mock import patch
 
@@ -485,6 +487,9 @@ def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
         assert err.startswith(f"cupcalc: cannot read --input {str(path)!r}: ") and reason in err
 
 
+_SIDE_BY_SIDE_17 = "17: " + ";".join(f"c({i},{i + 1})" for i in range(1, 17, 2)) + ";r(17)"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -495,8 +500,31 @@ def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
         (["cohomology", "springer", "--k", "15", "--t", "2"],
          "cohomology springer takes --k up to 14, got 15"),
         (["selftest", "--k-max", "11"], "selftest takes --k-max up to 10, got 11"),
+        (["distance", "--a", _SIDE_BY_SIDE_17, "--b", _SIDE_BY_SIDE_17],
+         "distance takes diagrams up to k = 16, got k = 17"),
     ],
 )
 def test_size_ceilings_refuse_before_work(capsys, argv, message):
     code, out, err = capture(capsys, argv)
     assert (code, out, err) == (1, "", f"cupcalc: {message}\n")
+
+
+def _python_m(module, argv):
+    """Run ``python -m module argv`` on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(D.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("module", ["cupcalc", "cupcalc.cli"])
+def test_python_m_runs_the_cli(capsys, module):
+    argv = ["intersect", "--k", "4", "--parity", "odd"]
+    _, expected, _ = capture(capsys, argv)
+    done = _python_m(module, argv)
+    assert (done.returncode, done.stdout) == (0, expected)
+    done = _python_m(module, ["intersect", "--k", "4"])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("cupcalc: the following arguments are required: --parity")

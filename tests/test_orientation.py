@@ -99,6 +99,26 @@ def test_orient_circle_diagram_matches_brute_force(k):
             )
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_glued_orientations_are_intersected_halves(k):
+    """a*b is oriented by the weights orienting both a and b, in a's
+    canonical order, with the two half degrees summed."""
+    for a, b in _same_k_pairs(k):
+        of_b = dict(O.graded_orientations(b))
+        expected = [(w, d + of_b[w]) for w, d in O.graded_orientations(a) if w in of_b]
+        glued = O.orient_circle_diagram(a.star(), b)
+        assert [(o.weight, o.degree) for o in glued] == expected
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_graded_orientations_match_half_degree(k):
+    for c in D.enumerate_diagrams(k, "any", "all"):
+        graded = O.graded_orientations(c)
+        assert [w for w, _ in graded] == O.orientations_of_cup(c)
+        for weight, degree in graded:
+            assert degree == O.half_degree(weight, c)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_epsilon_path_independence(k):
     """Orientable pairs give parity-consistent circles; inconsistent

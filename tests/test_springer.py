@@ -7,7 +7,13 @@ from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from helpers import brute_equivariant_dimension, dense_rank, oracle_equivariant_dimension
+from helpers import (
+    brute_equivariant_dimension,
+    dense_rank,
+    oracle_equivariant_dimension,
+    oracle_fixed_point_table,
+    oracle_graded_dimension,
+)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -144,6 +150,12 @@ def test_table_diagonals_and_symmetry(k):
                 assert set(table.entry(i, j)) == set(table.entry(j, i))
 
 
+@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_fixed_point_table_matches_glued_oracle(k, parity):
+    assert S.fixed_point_table(k, parity).to_json_dict() == oracle_fixed_point_table(k, parity)
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_table_empty_iff_quotient_missing(k):
     for parity in ("even", "odd"):
@@ -175,6 +187,12 @@ def test_graded_dimension_identities(k):
     )
     assert direct.total == tables
     assert direct.coefficients[0] == len(D.maximal_diagrams(k))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_graded_dimension_matches_glued_oracle(k):
+    got = S.arc_algebra_graded_dimension(k)
+    assert (got.coefficients, got.total) == oracle_graded_dimension(k)
 
 
 def test_graded_dimension_closed_form_k10():
