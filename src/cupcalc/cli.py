@@ -8,6 +8,7 @@ input, 2 tripped internal consistency check or any other internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,6 +74,7 @@ def _cup_count(text: str):
     raise argparse.ArgumentTypeError(f"must be 'max', 'any' or a count >= 0, got {text!r}")
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cupcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
@@ -405,6 +407,8 @@ def run(argv) -> int:
     except _USER_ERRORS as exc:
         print(f"cupcalc: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout: not a fault of ours; see main
+        raise
     except Exception as exc:  # a fault of ours, not of the input: name where it arose
         import traceback  # here, not at the top: every run would pay for it
 
@@ -418,7 +422,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As a writer killed by SIGPIPE would: exit 128 + 13 in silence.  Point
+        # stdout at devnull so the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -218,26 +218,27 @@ def move_graph(k: int, parity: str) -> MoveGraph:
     return graph
 
 
+@lru_cache(maxsize=None)  # built once, so every row together costs one all-pairs table
+def _undirected_adjacency(k: int, parity: str) -> List[List[int]]:
+    return move_graph(k, parity).undirected_adjacency()
+
+
 @lru_cache(maxsize=None)
-def _distance_table(k: int, parity: str) -> tuple:
-    graph = move_graph(k, parity)
-    adj = graph.undirected_adjacency()
-    n = len(graph.nodes)
-    table = []
-    for src in range(n):
-        dist = [None] * n
-        dist[src] = 0
-        queue = [src]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if dist[w] is None:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            queue = nxt
-        table.append(tuple(dist))
-    return tuple(table)
+def _distance_row(k: int, parity: str, src: int) -> tuple:
+    """Undirected arrow distance from node src to every node, by BFS."""
+    adj = _undirected_adjacency(k, parity)
+    dist = [None] * len(adj)
+    dist[src] = 0
+    queue = [src]
+    while queue:
+        nxt = []
+        for u in queue:
+            for w in adj[u]:
+                if dist[w] is None:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        queue = nxt
+    return tuple(dist)
 
 
 def distance(a: CupDiagram, b: CupDiagram):
@@ -249,7 +250,7 @@ def distance(a: CupDiagram, b: CupDiagram):
     if a.dot_parity != b.dot_parity:
         return math.inf
     graph = move_graph(a.k, a.dot_parity)
-    d = _distance_table(a.k, a.dot_parity)[graph.index(a)][graph.index(b)]
+    d = _distance_row(a.k, a.dot_parity, graph.index(a))[graph.index(b)]
     if d is None:  # unreachable: per-parity graphs are connected
         return math.inf
     return d
@@ -313,12 +314,13 @@ def geodesic_meet(a: CupDiagram, b: CupDiagram) -> CupDiagram:
     if a.dot_parity != b.dot_parity or a.k != b.k:
         raise NoFiniteDistanceError("no finite-distance chain between the diagrams")
     graph = move_graph(a.k, a.dot_parity)
-    table = _distance_table(a.k, a.dot_parity)
     reach = _reachability(a.k, a.dot_parity)
     ia, ib = graph.index(a), graph.index(b)
-    dab = table[ia][ib]
+    from_a = _distance_row(a.k, a.dot_parity, ia)
+    from_b = _distance_row(a.k, a.dot_parity, ib)  # d(c, b) = d(b, c): undirected
+    dab = from_a[ib]
     for ic in range(len(graph.nodes)):  # nodes are in canonical encoding order
-        if table[ia][ic] + table[ic][ib] != dab:
+        if from_a[ic] + from_b[ic] != dab:
             continue
         if ia in reach[ic] and ib in reach[ic]:
             return graph.nodes[ic]

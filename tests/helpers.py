@@ -564,3 +564,24 @@ def oracle_graded_dimension(k):
             for o in orient_circle_diagram(a.star(), b):
                 coeffs[o.degree] = coeffs.get(o.degree, 0) + 1
     return dict(sorted(coeffs.items())), sum(coeffs.values())
+
+
+def oracle_distance_table(k, parity):
+    """The all-pairs undirected arrow distance table of one parity, by
+    Floyd-Warshall over the move graph's arrows; ``math.inf`` where no
+    path exists.  Rows and columns follow ``move_graph(k, parity).nodes``."""
+    import math
+
+    from cupcalc.movegraph import move_graph
+
+    graph = move_graph(k, parity)
+    n = len(graph.nodes)
+    table = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for i, j, _ in graph.arrows:
+        table[i][j] = table[j][i] = 1
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if table[i][m] + table[m][j] < table[i][j]:
+                    table[i][j] = table[i][m] + table[m][j]
+    return table

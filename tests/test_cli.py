@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cupcalc import cli
 from cupcalc import diagrams as D
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
@@ -391,15 +392,37 @@ def test_selftest_runs_green(capsys):
     assert len(report["suites"]) >= 15
 
 
+_REPEATED_ARGVS = [
+    ["intersect", "--k", "3", "--parity", "even"],
+    ["cohomology", "centre", "--k", "3", "--format", "json", "--basis"],
+    ["movegraph", "--k", "5", "--parity", "odd", "--format", "json"],
+]
+
+
 def test_outputs_byte_identical(capsys):
-    for argv in (
-        ["intersect", "--k", "3", "--parity", "even"],
-        ["cohomology", "centre", "--k", "3", "--format", "json", "--basis"],
-        ["movegraph", "--k", "5", "--parity", "odd", "--format", "json"],
-    ):
+    for argv in _REPEATED_ARGVS:
         _, first, _ = capture(capsys, argv)
         _, second, _ = capture(capsys, argv)
         assert first == second
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    """The parser is built once per process; no call sees another's flags."""
+    assert cli._build_parser() is cli._build_parser()
+    argvs = _REPEATED_ARGVS + [
+        ["enumerate", "--k", "3", "--frobnicate"],
+        ["--version"],
+        ["enumerate", "--k", "3", "--cups", "any"],
+        ["enumerate", "--k", "3"],
+    ]
+    with patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):  # fresh per call
+        fresh = [capture(capsys, argv) for argv in argvs]
+    assert fresh[3][0] == 1 and "frobnicate" in fresh[3][2]
+    assert fresh[-1][1].count("\n") == 6  # --cups max is back after --cups any
+    first = [capture(capsys, argv) for argv in argvs]
+    assert first == fresh
+    backwards = [capture(capsys, argv) for argv in reversed(argvs)]
+    assert backwards[::-1] == first
 
 
 _DSL_TEXTS = [d.encode() for d in _DIAGRAMS]
@@ -509,14 +532,29 @@ def test_size_ceilings_refuse_before_work(capsys, argv, message):
     assert (code, out, err) == (1, "", f"cupcalc: {message}\n")
 
 
-def _python_m(module, argv):
-    """Run ``python -m module argv`` on this checkout's package."""
+def _checkout_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(D.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _python_m(module, argv):
+    """Run ``python -m module argv`` on this checkout's package."""
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=_checkout_env(), timeout=60,
     )
+
+
+def test_closed_stdout_exits_141_in_silence():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cupcalc", "intersect", "--k", "6", "--parity", "odd"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env(),
+    )
+    proc.stdout.close()  # as `| head` does once it has read enough
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("module", ["cupcalc", "cupcalc.cli"])

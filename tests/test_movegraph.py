@@ -6,7 +6,7 @@ import pytest
 from cupcalc import diagrams as D
 from cupcalc import movegraph as M
 from cupcalc import orientation as O
-from helpers import oracle_peel_levels
+from helpers import oracle_distance_table, oracle_peel_levels
 
 
 def enc_set(pairs):
@@ -145,6 +145,25 @@ def test_geodesic_meets(k):
             if any(enc == b.encode() for enc, _ in
                    ((x.encode(), m) for x, m in M.successors(a))):
                 assert c == a  # one arrow: the source is the meet
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_distance_and_geodesic_meet_match_the_full_table(k):
+    """One BFS row per source gives what the all-pairs table gives."""
+    for parity in ("even", "odd"):
+        graph = M.move_graph(k, parity)
+        table = oracle_distance_table(k, parity)
+        reach = M._reachability(k, parity)
+        n = len(graph.nodes)
+        for ia, ib in itertools.product(range(n), repeat=2):
+            a, b = graph.nodes[ia], graph.nodes[ib]
+            assert M.distance(a, b) == table[ia][ib]
+            meet = next(
+                ic for ic in range(n)
+                if table[ia][ic] + table[ic][ib] == table[ia][ib]
+                and ia in reach[ic] and ib in reach[ic]
+            )
+            assert M.geodesic_meet(a, b) == graph.nodes[meet]
 
 
 def test_index_rejects_non_maximal_diagram():
