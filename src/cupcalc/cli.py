@@ -54,6 +54,9 @@ _CEILINGS = {
     "cohomology springer": ("--k", 14),
     "selftest": ("--k-max", 10),
 }
+# Verbs that read k from their DSL diagrams: distance builds the move
+# graph of its k, and orient lists up to 2^(k/2) weights.
+_DIAGRAM_CEILINGS = {"distance": _CEILINGS["movegraph"][1], "orient": 32}
 
 
 def _check_ceiling(args) -> None:
@@ -63,6 +66,17 @@ def _check_ceiling(args) -> None:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value > ceiling:
             raise SizeError(f"{verb} takes {flag} up to {ceiling}, got {value}")
+
+
+def _sized_diagrams(verb: str, *texts):
+    """Parse the verb's DSL diagrams (None for an absent one), refusing
+    them above the verb's ceiling before any work starts."""
+    parsed = [None if text is None else diagrams.parse_dsl(text) for text in texts]
+    k = max(d.k for d in parsed if d is not None)
+    ceiling = _DIAGRAM_CEILINGS[verb]
+    if k > ceiling:
+        raise SizeError(f"{verb} takes diagrams up to k = {ceiling}, got k = {k}")
+    return parsed
 
 
 def _cup_count(text: str):
@@ -143,8 +157,7 @@ def _emit(text: str):
 
 
 def _cmd_enumerate(args) -> int:
-    dots = {"all": "all", "even": "even", "odd": "odd", "none": "none"}[args.parity]
-    out = diagrams.enumerate_diagrams(args.k, args.cups, dots)
+    out = diagrams.enumerate_diagrams(args.k, args.cups, args.parity)
     if args.format == "json":
         _emit(json.dumps([d.encode() for d in out.members], indent=2))
     else:
@@ -190,11 +203,7 @@ def _cmd_movegraph(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = diagrams.parse_dsl(args.a)
-    b = diagrams.parse_dsl(args.b)
-    ceiling = _CEILINGS["movegraph"][1]  # distance builds the move graph of its k
-    if max(a.k, b.k) > ceiling:
-        raise SizeError(f"distance takes diagrams up to k = {ceiling}, got k = {max(a.k, b.k)}")
+    a, b = _sized_diagrams("distance", args.a, args.b)
     d = movegraph.distance(a, b)
     if args.format == "json":
         _emit(json.dumps({"distance": None if d == math.inf else d}))
@@ -204,16 +213,15 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    cup = diagrams.parse_dsl(args.cup)
-    if args.cap is None:
+    cup, cap = _sized_diagrams("orient", args.cup, args.cap)
+    if cap is None:
         rows = [
             {"weight": str(w), "degree": d} for w, d in orientation.graded_orientations(cup)
         ]
     else:
-        cap = diagrams.parse_dsl(args.cap).star()
         rows = [
             {"weight": str(o.weight), "degree": o.degree}
-            for o in orientation.orient_circle_diagram(cap, cup)
+            for o in orientation.orient_circle_diagram(cap.star(), cup)
         ]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2))

@@ -557,8 +557,7 @@ def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all")
 @lru_cache(maxsize=None)
 def maximal_diagrams(k: int, parity: str = "all") -> tuple:
     """Diagrams with the maximal number floor(k/2) of cups, canonically ordered."""
-    dots = {"all": "all", "even": "even", "odd": "odd"}[parity]
-    return enumerate_diagrams(k, "max", dots).members
+    return enumerate_diagrams(k, "max", parity).members
 
 
 def dot_parity_involution(d: CupDiagram) -> CupDiagram:

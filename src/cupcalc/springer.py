@@ -7,7 +7,11 @@ die and x_I is identified with its complementary monomial when
 |I| = k/2.  Either way the quotient has dimension 2^(k-1), with an
 explicit monomial basis.  The equivariant deformation replaces x_i^2
 with t^2 (and, for odd k, inserts a factor t into the identification);
-its dimension is 2^(k-1) for every value of t.
+its dimension is 2^(k-1) for every value of t, and at t = 0 it is the
+ring above.  Every relation of the deformed ideal has at most two
+terms, so one weighted union-find over the 2^k squarefree monomials
+reduces it at every t; at t = 0 its live classes certify the explicit
+basis, which must meet each live class exactly once.
 
 Fixed points of the torus action on component intersections are
 labelled by the weights orienting the glued diagram a*b.  Those are the
@@ -66,29 +70,6 @@ def _subsets(universe: List[int]):
         yield frozenset(universe[i] for i in range(n) if mask >> i & 1)
 
 
-def _mono_index(k: int):
-    monos = sorted(_subsets(list(range(1, k + 1))), key=lambda m: (len(m), sorted(m)))
-    return monos, {m: i for i, m in enumerate(monos)}
-
-
-def presentation_relations(k: int) -> List[Dict[int, Fraction]]:
-    """Spanning set of the presentation ideal inside the 2^k-dim ambient ring."""
-    monos, index = _mono_index(k)
-    rows = []
-    if k % 2 == 1:
-        for m in monos:
-            if len(m) >= (k + 1) // 2:
-                rows.append({index[m]: Fraction(1)})
-    else:
-        full = frozenset(range(1, k + 1))
-        for m in monos:
-            if len(m) > k // 2:
-                rows.append({index[m]: Fraction(1)})
-            elif len(m) == k // 2 and k in m:
-                rows.append({index[m]: Fraction(1), index[full - m]: Fraction(-1)})
-    return rows
-
-
 def presentation_basis(k: int) -> List[frozenset]:
     basis = []
     for m in sorted(_subsets(list(range(1, k + 1))), key=lambda m: (len(m), sorted(m))):
@@ -104,37 +85,33 @@ def presentation_basis(k: int) -> List[frozenset]:
 def presentation_ring(k: int) -> PresentationRing:
     """The 2^(k-1)-dimensional presentation ring with its monomial basis.
 
-    The claimed basis is certified by elimination: the relation span and
-    the basis span are complementary inside the ambient ring.
+    The ring is the equivariant deformation at t = 0, so its relation
+    classes come from :func:`_relation_classes`.  Those classes certify
+    the claimed basis: its monomials lie in distinct live classes, one
+    for each live class, so they span a complement of the ideal.
     """
-    if k < 1:
-        raise SizeError("k must be positive")
-    monos, index = _mono_index(k)
-    relations = presentation_relations(k)
-    rank = linalg.rank(relations)
+    uf = _relation_classes(k, 0)
     basis = presentation_basis(k)
-    if rank + len(basis) != 2 ** k:
-        raise InternalCheckError(
-            f"relation rank {rank} and basis size {len(basis)} do not fill 2^{k}"
-        )
-    combined = relations + [{index[m]: Fraction(1)} for m in basis]
-    if linalg.rank(combined) != 2 ** k:
+    live = uf.live_class_count()
+    roots = {uf.root_and_weight(sum(1 << (i - 1) for i in m))[0] for m in basis}
+    if len(roots) != len(basis) or live != len(basis) or any(uf.dead[r] for r in roots):
         raise InternalCheckError("claimed basis is not a complement of the relations")
+    if len(basis) != 2 ** (k - 1):
+        raise InternalCheckError("presentation dimension is not 2^(k-1)")
     dims = [0] * (k + 1)
     for m in basis:
         dims[len(m)] += 1
-    if len(basis) != 2 ** (k - 1):
-        raise InternalCheckError("presentation dimension is not 2^(k-1)")
-    return PresentationRing(k, tuple(basis), tuple(dims), rank)
+    return PresentationRing(k, tuple(basis), tuple(dims), 2 ** k - live)
 
 
-def equivariant_specialization(k: int, t) -> int:
-    """Dimension of the deformed presentation ring at a rational value t.
+def _relation_classes(k: int, t) -> linalg.ScaledUnionFind:
+    """The deformed presentation ideal at a rational value t, reduced.
 
     In the algebra with x_i^2 = t^2 the defining relations pair each
     half-size monomial with its complement, so every spanned relation
-    has at most two terms and the quotient dimension is computed exactly
-    by a weighted union-find over the 2^k squarefree monomials.  Each
+    has at most two terms and a weighted union-find over the 2^k
+    squarefree monomials (bit i - 1 standing for x_i) reduces them
+    exactly; its live classes form a basis of the quotient.  Each
     coefficient is a power of t, so the union-find tracks exponents.
     """
     if k < 1:
@@ -145,18 +122,12 @@ def equivariant_specialization(k: int, t) -> int:
     popcount = [0] * n
     for m in range(1, n):
         popcount[m] = popcount[m >> 1] + (m & 1)
-    generators = []  # (mask I, power adjustment for the complementary side)
+    # (mask I, power adjustment for the complementary side)
     if k % 2 == 0:
-        seen = set()
-        for mask in range(n):
-            if popcount[mask] == k // 2 and mask not in seen:
-                comp = full ^ mask
-                seen.add(comp)
-                generators.append((mask, 0))
+        generators = [(mask, 0) for mask in range(n)
+                      if popcount[mask] == k // 2 and mask < full ^ mask]
     else:
-        for mask in range(n):
-            if popcount[mask] == (k + 1) // 2:
-                generators.append((mask, 1))
+        generators = [(mask, 1) for mask in range(n) if popcount[mask] == (k + 1) // 2]
 
     uf = linalg.ScaledUnionFind(n, 1 if t == 1 else 2 if t == -1 else 0)
     relate, nonzero = uf.relate, t != 0
@@ -173,7 +144,12 @@ def equivariant_specialization(k: int, t) -> int:
                 uf.kill(a)
             elif not e2:
                 uf.kill(b)
-    return uf.live_class_count()
+    return uf
+
+
+def equivariant_specialization(k: int, t) -> int:
+    """Dimension of the deformed presentation ring at a rational value t."""
+    return _relation_classes(k, t).live_class_count()
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,10 @@ def oracle_equivariant_dimension(k, t):
     return uf.live_class_count()
 
 
-def brute_equivariant_dimension(k, t):
-    """Deformed presentation dimension by dense elimination on all
-    monomial multiples of the defining relations."""
+def brute_equivariant_rows(k, t):
+    """Every monomial multiple of the deformed presentation ring's
+    defining relations, as rows over the 2^k squarefree monomials
+    (column = bitmask, bit i - 1 standing for x_i)."""
     t = Fraction(t)
     n = 1 << k
     full = n - 1
@@ -336,7 +337,45 @@ def brute_equivariant_dimension(k, t):
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-    return n - dense_rank(rows, n)
+    return rows
+
+
+def brute_equivariant_dimension(k, t):
+    """Deformed presentation dimension by dense elimination on all
+    monomial multiples of the defining relations."""
+    n = 1 << k
+    return n - dense_rank(brute_equivariant_rows(k, t), n)
+
+
+def oracle_monomial_index(k):
+    """The squarefree monomials of Q[x_1..x_k] as frozensets, by (size,
+    lex), with each one's position in that order."""
+    monos = sorted(
+        (frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)),
+        key=lambda m: (len(m), sorted(m)),
+    )
+    return monos, {m: i for i, m in enumerate(monos)}
+
+
+def oracle_presentation_relations(k):
+    """The presentation ideal as the paper states it, one row per
+    relation over the columns of :func:`oracle_monomial_index`: for odd
+    k every x_I with |I| >= (k+1)/2; for even k every x_I with
+    |I| > k/2, and x_I - x_{I^c} for |I| = k/2 with k in I."""
+    monos, index = oracle_monomial_index(k)
+    rows = []
+    if k % 2 == 1:
+        for m in monos:
+            if len(m) >= (k + 1) // 2:
+                rows.append({index[m]: Fraction(1)})
+    else:
+        full = frozenset(range(1, k + 1))
+        for m in monos:
+            if len(m) > k // 2:
+                rows.append({index[m]: Fraction(1)})
+            elif len(m) == k // 2 and k in m:
+                rows.append({index[m]: Fraction(1), index[full - m]: Fraction(-1)})
+    return rows
 
 
 def brute_domino_tableaux(shape):

@@ -511,6 +511,7 @@ def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
 
 
 _SIDE_BY_SIDE_17 = "17: " + ";".join(f"c({i},{i + 1})" for i in range(1, 17, 2)) + ";r(17)"
+_SIDE_BY_SIDE_34 = "34: " + ";".join(f"c({i},{i + 1})" for i in range(1, 34, 2))
 
 
 @pytest.mark.parametrize(
@@ -525,6 +526,9 @@ _SIDE_BY_SIDE_17 = "17: " + ";".join(f"c({i},{i + 1})" for i in range(1, 17, 2))
         (["selftest", "--k-max", "11"], "selftest takes --k-max up to 10, got 11"),
         (["distance", "--a", _SIDE_BY_SIDE_17, "--b", _SIDE_BY_SIDE_17],
          "distance takes diagrams up to k = 16, got k = 17"),
+        (["orient", "--cup", _SIDE_BY_SIDE_34], "orient takes diagrams up to k = 32, got k = 34"),
+        (["orient", "--cup", "4: c(1,2);c(3,4)", "--cap", _SIDE_BY_SIDE_34],
+         "orient takes diagrams up to k = 32, got k = 34"),
     ],
 )
 def test_size_ceilings_refuse_before_work(capsys, argv, message):

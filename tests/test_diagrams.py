@@ -105,6 +105,16 @@ def test_parity_split_and_involution(k):
     assert all(D.dot_parity_involution(D.dot_parity_involution(d)) == d for d in even)
 
 
+def test_maximal_diagrams_take_every_dot_filter():
+    plain = D.maximal_diagrams(4, "none")
+    assert [d.encode() for d in plain] == ["4: c(1,2);c(3,4)", "4: c(1,4);c(2,3)"]
+    assert plain == tuple(
+        d for d in D.maximal_diagrams(4) if not any(a.dotted for a in d.cups + d.rays)
+    )
+    with pytest.raises(D.DiagramError, match="dot filter must be one of .* got 'dotted'"):
+        D.maximal_diagrams(4, "dotted")
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_total_diagram_count_is_power_of_two(k):
     assert len(D.enumerate_diagrams(k, "any", "all")) == 2 ** k

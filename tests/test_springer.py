@@ -7,12 +7,16 @@ from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
+from cupcalc.errors import InternalCheckError
 from helpers import (
     brute_equivariant_dimension,
+    brute_equivariant_rows,
     dense_rank,
     oracle_equivariant_dimension,
     oracle_fixed_point_table,
     oracle_graded_dimension,
+    oracle_monomial_index,
+    oracle_presentation_relations,
 )
 
 
@@ -40,8 +44,47 @@ def test_presentation_bases_explicit():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_presentation_relation_rank_by_dense_oracle(k):
-    rows = S.presentation_relations(k)
-    assert dense_rank(rows, 2 ** k) == 2 ** k - 2 ** (k - 1)
+    ring = S.presentation_ring(k)
+    n = 2 ** k
+    monos, index = oracle_monomial_index(k)
+    rows = oracle_presentation_relations(k)
+    assert dense_rank(rows, n) == ring.relation_rank == n - 2 ** (k - 1)
+    # the basis spans a complement of the ideal
+    assert dense_rank(rows + [{index[m]: Fraction(1)} for m in ring.basis], n) == n
+    # the ideal is the deformed ideal at t = 0, whose columns are bitmasks
+    mask = {index[m]: sum(1 << (i - 1) for i in m) for m in monos}
+    stated = [{mask[c]: v for c, v in row.items()} for row in rows]
+    # repeated rows dropped: the same span, a smaller dense elimination
+    deformed = list({tuple(sorted(r.items())): r for r in brute_equivariant_rows(k, 0)}.values())
+    assert dense_rank(deformed, n) == dense_rank(stated + deformed, n) == ring.relation_rank
+
+
+def _with_basis(monkeypatch, basis):
+    monkeypatch.setattr(S, "presentation_basis", lambda k: [frozenset(m) for m in basis])
+    return S.presentation_ring(4)
+
+
+_BASIS_4 = [(), (1,), (2,), (3,), (4,), (1, 4), (2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        _BASIS_4[:-1] + [(1, 2, 3, 4)],  # x_34 replaced by the dead x_1234
+        [(1, 3) if m == (1,) else m for m in _BASIS_4],  # x_13 shares x_24's class
+        _BASIS_4[:-1],  # one monomial short
+    ],
+)
+def test_presentation_certificate_trips(monkeypatch, basis):
+    with pytest.raises(InternalCheckError, match="not a complement"):
+        _with_basis(monkeypatch, basis)
+
+
+def test_presentation_certificate_accepts_a_class_mate(monkeypatch):
+    basis = [(1, 3) if m == (2, 4) else m for m in _BASIS_4]
+    ring = _with_basis(monkeypatch, basis)
+    assert [tuple(sorted(m)) for m in ring.basis] == basis
+    assert ring.graded_dims == (1, 4, 3, 0, 0) and ring.relation_rank == 8
 
 
 def test_presentation_graded_dims():
