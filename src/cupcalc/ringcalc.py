@@ -304,6 +304,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
                 if row:
                     rows_by_degree[len(image)].append(row)
 
+    names = [encode(d) for d in diagrams]
     graded_dims = {}
     basis = {}
     for degree in sorted(vars_by_degree):
@@ -315,7 +316,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
             named = {}
             for col, coeff in sorted(vec.items()):
                 ai, mono = variables[col]
-                named[(encode(diagrams[ai]), tuple(sorted(mono)))] = coeff
+                named[(names[ai], tuple(sorted(mono)))] = coeff
             vectors.append(named)
         basis[degree] = vectors
     return CentreBasis(k, parity, diagrams, graded_dims, basis)

@@ -10,12 +10,23 @@ signed tableau and delimit the *clusters*: a closed cluster runs from
 such a vertical to the next even-column vertical, an open cluster has
 no closing vertical and absorbs everything to its right.
 
+Domino label v is vertex v of the cup diagram, so a tableau is fixed by
+its *row list*: the row of each label in label order, 1 or 2 for a
+horizontal in that row, "V" for a vertical.  A vertical sits where both
+rows are equally long and only horizontals lie between two verticals, so
+verticals alternate V1, V0 in label order.  The bijections with cup
+diagrams and the cycle moves read one stack walk over the labels,
+:func:`_arcs`, in which bottom-row horizontals and V0s close the last
+domino still open, and lay out row lists with :func:`_place`.
+
 The bijections implemented here, composable through cup diagrams:
 
-* signed tableaux  <->  cup diagrams with floor(s/2) cups (clusters map
-  to decorated outer cups/rays over the ordinary two-row bijection),
+* signed tableaux  <->  cup diagrams with floor(s/2) cups (the walk's
+  pairs are the cups, a V1 closed by a V0 is an outer cup dotted by its
+  sign, the open V1 is the first ray),
 * signed tableaux up to closed-cluster signs  <->  standard domino
-  tableaux (rectangular cycle moves),
+  tableaux (rectangular cycle moves: a plus-signed V1 and its V0 turn
+  into a top-row and a bottom-row horizontal),
 * two-row standard tableaux  <->  undecorated diagrams (bottom entries
   close cups),
 * cup diagrams  <->  bitableaux (one marked endpoint per arc),
@@ -197,6 +208,49 @@ def signed_domino_tableau(base: DominoTableau, signs) -> SignedDominoTableau:
 
 
 # ---------------------------------------------------------------------------
+# Row lists and the label walk
+
+
+def _rows(t) -> list:
+    return [d.row if d.kind == "H" else "V" for d in t.dominoes]
+
+
+def _place(shape: Tuple[int, int], rows) -> DominoTableau:
+    """Lay domino 1, 2, ... at the first free columns of its rows."""
+    ends = [None, 0, 0]  # columns filled in rows 1 and 2
+    dominoes = []
+    for label, row in enumerate(rows, 1):
+        if row == "V":
+            cells = ((1, ends[1] + 1), (2, ends[2] + 1))
+        else:
+            cells = ((row, ends[row] + 1), (row, ends[row] + 2))
+        for cell_row, col in cells:
+            ends[cell_row] = col
+        dominoes.append((label, cells))
+    return domino_tableau(shape, dominoes)
+
+
+def _arcs(t) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Walk the dominoes in label order: a bottom-row horizontal or a V0
+    closes the last domino still open, any other domino opens.  Returns
+    the (opener, closer) pairs in closing order and the labels left open.
+
+    The walk cannot fail on a standard tableau: half the difference of
+    the row lengths is open, plus a V1 still waiting for its V0, so a
+    bottom-row horizontal always finds an opener; a V0 comes when the
+    rows are equal, and by the alternation law only its V1 is then open.
+    """
+    pairs: List[Tuple[int, int]] = []
+    stack: List[int] = []
+    for d in t.dominoes:
+        if d.kind == "V0" or (d.kind == "H" and d.row == 2):
+            pairs.append((stack.pop(), d.label))
+        else:
+            stack.append(d.label)
+    return pairs, stack
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 
 
@@ -208,17 +262,16 @@ def enumerate_dt(shape: Tuple[int, int]) -> tuple:
         raise InadmissibleShapeError(f"not a two-row domino shape: {shape}")
     results = []
 
-    def grow(rc, sc, dominoes):
+    def grow(rc, sc, rows):
         if (rc, sc) == (r, s):
-            results.append(domino_tableau(shape, dominoes))
+            results.append(_place(shape, rows))
             return
-        label = len(dominoes) + 1
         if rc + 2 <= r:
-            grow(rc + 2, sc, dominoes + [(label, ((1, rc + 1), (1, rc + 2)))])
+            grow(rc + 2, sc, rows + [1])
         if sc + 2 <= s and sc + 2 <= rc:
-            grow(rc, sc + 2, dominoes + [(label, ((2, sc + 1), (2, sc + 2)))])
+            grow(rc, sc + 2, rows + [2])
         if rc == sc and rc + 1 <= r and sc + 1 <= s:
-            grow(rc + 1, sc + 1, dominoes + [(label, ((1, rc + 1), (2, sc + 1)))])
+            grow(rc + 1, sc + 1, rows + ["V"])
 
     grow(0, 0, [])
     results.sort(key=DominoTableau.sort_key)
@@ -328,228 +381,99 @@ def cups_to_std(c: CupDiagram) -> Tuple[tuple, tuple]:
 
 
 def to_cup(t: SignedDominoTableau) -> CupDiagram:
-    """Clusters become decorated outer cups (closed) or a leading ray (open)."""
-    cups: List[Cup] = []
-    rays: List[Ray] = []
-    offset = 0
-    for cluster in clusters(t):
-        labels = cluster.labels
-        d = len(labels)
-        by_label = {dom.label: dom for dom in t.dominoes}
-        h_top = [lab for lab in labels if by_label[lab].kind == "H" and by_label[lab].row == 1]
-        h_bot = [lab for lab in labels if by_label[lab].kind == "H" and by_label[lab].row == 2]
-        ranks = {lab: i + 1 for i, lab in enumerate(sorted(h_top + h_bot))}
-        inner = (
-            std_to_cups(
-                tuple(ranks[lab] for lab in sorted(h_top)),
-                tuple(ranks[lab] for lab in sorted(h_bot)),
-            )
-            if ranks
-            else None
-        )
-        if cluster.kind == "closed":
-            cups.append(Cup(offset + 1, offset + d, cluster.sign == "-"))
-        else:
-            rays.append(Ray(offset + 1, cluster.sign == "-"))
-        if inner is not None:
-            shift = offset + 1
-            for cup in inner.cups:
-                cups.append(Cup(cup.left + shift, cup.right + shift, False))
-            for ray in inner.rays:
-                rays.append(Ray(ray.at + shift, False))
-        offset += d
-    return validate(offset, cups, rays)
-
-
-def _derived_shape(c: CupDiagram) -> Tuple[int, int]:
-    if c.rays:
-        s = 2 * c.n_cups + 1
-    else:
-        s = 2 * c.n_cups
-    return (2 * c.k - s, s)
+    """Each (opener, closer) pair of the label walk is a cup and each
+    domino left open a ray, on vertex = label.  By the alternation law a
+    V0 closes a V1; that cup, and the ray of the V1 left open, are dotted
+    when the V1 is minus-signed."""
+    pairs, still_open = _arcs(t)
+    minus = {lab for lab, sign in t.signs if sign == "-"}
+    cups = [Cup(a, b, a in minus) for a, b in pairs]
+    rays = [Ray(v, v in minus) for v in still_open]
+    return validate(len(t.dominoes), cups, rays)
 
 
 def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDominoTableau:
     """Inverse of :func:`to_cup`; the target shape is determined by the
-    diagram (rays force both rows odd) and checked against ``shape``."""
-    derived = _derived_shape(c)
+    diagram (rays force both rows odd) and checked against ``shape``.
+
+    The row list is read off the diagram, vertex v giving label v: both
+    ends of an outer cup left of all rays, and the first ray, are
+    verticals signed by their dot; every other left end or ray is in row
+    1 and every other right end in row 2."""
+    s = 2 * c.n_cups + bool(c.rays)
+    derived = (2 * c.k - s, s)
     if shape is not None and tuple(shape) != derived:
         raise ShapeMismatchError(
             f"diagram {encode(c)} has shape {derived}, not {tuple(shape)}"
         )
-    r, s = derived
-    first_ray = c.rays[0].at if c.rays else None
-    dominoes: List[tuple] = []
-
-    def fill_horizontals(inner_cups, inner_rays, v_col):
-        """The arcs right of the vertical at v_col become horizontals:
-        left ends and rays in the top row, right ends in the bottom."""
-        top = sorted([x.left for x in inner_cups] + [x.at for x in inner_rays])
-        bottom = sorted(x.right for x in inner_cups)
-        for row, labels in ((1, top), (2, bottom)):
-            for i, v in enumerate(labels):
-                col = v_col + 2 * i + 1
-                dominoes.append((v, ((row, col), (row, col + 1))))
-
+    first_ray = c.rays[0].at if c.rays else c.k + 1
+    rows = [1] * c.k  # left ends and rays unless set below
     signs = []
-    closed_region_end = (first_ray - 1) if first_ray is not None else c.k
-    outer = nesting(c.k, c.cups, c.rays).outer
-    inner: Dict[Cup, list] = {cup: [] for cup, o in zip(c.cups, outer) if o is None}
-    for cup, o in zip(c.cups, outer):
-        if o is not None:
-            inner[o].append(cup)
-    for cup in sorted(x for x in inner if x.right <= closed_region_end):
-        dominoes.append((cup.left, ((1, cup.left), (2, cup.left))))
-        dominoes.append((cup.right, ((1, cup.right), (2, cup.right))))
-        signs.append((cup.left, "-" if cup.dotted else "+"))
-        fill_horizontals(inner[cup], [], cup.left)
-    if first_ray is not None:
-        dominoes.append((first_ray, ((1, first_ray), (2, first_ray))))
+    for cup, outer in zip(c.cups, nesting(c.k, c.cups, c.rays).outer):
+        if outer is None and cup.right < first_ray:
+            rows[cup.left - 1] = rows[cup.right - 1] = "V"
+            signs.append((cup.left, "-" if cup.dotted else "+"))
+        else:
+            rows[cup.right - 1] = 2
+    if c.rays:
+        rows[first_ray - 1] = "V"
         signs.append((first_ray, "-" if c.rays[0].dotted else "+"))
-        open_cups = [x for x in c.cups if x.left > first_ray]
-        open_rays = [x for x in c.rays if x.at > first_ray]
-        fill_horizontals(open_cups, open_rays, first_ray)
-    base = domino_tableau((r, s), dominoes)
-    return signed_domino_tableau(base, signs)
+    return signed_domino_tableau(_place(derived, rows), signs)
 
 
 # ---------------------------------------------------------------------------
 # Cycle moves: signed tableaux (mod closed-cluster signs) <-> standard tableaux
 
 
-def _cycle_cluster(t: SignedDominoTableau, cluster: Cluster) -> List[tuple]:
-    """Rewrite one closed cluster as the all-horizontal rectangle."""
-    by_label = {d.label: d for d in t.dominoes}
-    first, last = cluster.columns
-    v1 = by_label[cluster.labels[0]]
-    v0_label = next(
-        lab for lab in cluster.labels if by_label[lab].kind == "V0"
-    )
-    tops = [lab for lab in cluster.labels if by_label[lab].kind == "H" and by_label[lab].row == 1]
-    bots = [lab for lab in cluster.labels if by_label[lab].kind == "H" and by_label[lab].row == 2]
-    new_top = [v1.label] + sorted(tops)
-    new_bot = sorted(bots) + [v0_label]
-    out = []
-    for i, lab in enumerate(new_top):
-        col = first + 2 * i
-        out.append((lab, ((1, col), (1, col + 1))))
-    for i, lab in enumerate(new_bot):
-        col = first + 2 * i
-        out.append((lab, ((2, col), (2, col + 1))))
-    return out
-
-
 def cyc(t: SignedDominoTableau) -> DominoTableau:
-    """Cycle every plus-signed closed cluster into its rectangle, then
-    forget all signs.  Minus-signed clusters and the open cluster keep
-    their dominoes, so the shape never changes."""
-    dominoes: List[tuple] = []
-    by_label = {d.label: d for d in t.dominoes}
-    for cluster in clusters(t):
-        if cluster.kind == "closed" and cluster.sign == "+":
-            dominoes.extend(_cycle_cluster(t, cluster))
-        else:
-            dominoes.extend((lab, by_label[lab].cells) for lab in cluster.labels)
-    return domino_tableau(t.shape, dominoes)
-
-
-def _find_rectangle(S: DominoTableau, col: int):
-    """Smallest both-rows horizontal rectangle at ``col`` whose 2u labels
-    are consecutive integers; None if no width works."""
-    by_cell = S.filling()
-    doms = {d.label: d for d in S.dominoes}
-    _, s = S.shape
-    u = 1
-    while col + 2 * u - 1 <= s:
-        labels = []
-        ok = True
-        for i in range(u):
-            cc = col + 2 * i
-            for row in (1, 2):
-                lab = by_cell.get((row, cc))
-                dd = doms.get(lab) if lab is not None else None
-                if dd is None or dd.kind != "H" or dd.left_col != cc or dd.row != row:
-                    ok = False
-                    break
-                labels.append(lab)
-            if not ok:
-                break
-        if ok and sorted(labels) == list(range(min(labels), min(labels) + 2 * u)):
-            return u
-        u += 1
-    return None
+    """In the row list, turn every plus-signed V1 and the V0 closing it
+    into rows 1 and 2, then forget all signs.  This cycles each
+    plus-signed closed cluster into its rectangle; the shape never
+    changes."""
+    rows = _rows(t)
+    plus = {lab for lab, sign in t.signs if sign == "+"}
+    for a, b in _arcs(t)[0]:
+        if a in plus:
+            rows[a - 1], rows[b - 1] = 1, 2
+    return _place(t.shape, rows)
 
 
 def cyc_inverse(S: DominoTableau) -> SignedDominoTableau:
-    """Reverse every seeded odd-column rectangle back into a plus-signed
-    cluster; untouched odd-column verticals get minus.  Seeds are the
-    leftmost-first odd-column top-row horizontals; the open cluster's
-    sign is normalized to plus afterwards (the class representative)."""
+    """Reverse :func:`cyc` on the row list: each odd-column top-row
+    horizontal outside every earlier seed's pair is a seed, and it and
+    its closer become verticals, a plus-signed V1 and its V0.  A V1
+    closed by a V0 gets minus; the V1 left open gets plus (the class
+    representative of :func:`cl_class`)."""
     if not admissible_two_row(S.shape):
         raise InadmissibleShapeError(f"shape {S.shape} is not admissible")
-    by_cell = S.filling()
-    doms = {d.label: d for d in S.dominoes}
-    r, _ = S.shape
-    claimed: set = set()
-    new_dominoes: List[tuple] = []
-    signs: List[tuple] = []
-    col = 1
-    while col <= r:
-        lab = by_cell.get((1, col))
-        d = doms[lab]
-        if d.kind == "H" and col % 2 == 1 and d.left_col == col and lab not in claimed:
-            u = _find_rectangle(S, col)
-            if u is None:
-                raise InternalCheckError(
-                    f"no rectangle completes the horizontal at column {col}"
-                )
-            tops = sorted(by_cell[(1, col + 2 * i)] for i in range(u))
-            bots = sorted(by_cell[(2, col + 2 * i)] for i in range(u))
-            claimed.update(tops)
-            claimed.update(bots)
-            v1_label, v0_label = tops[0], bots[-1]
-            new_dominoes.append((v1_label, ((1, col), (2, col))))
-            signs.append((v1_label, "+"))
-            for i, lab2 in enumerate(tops[1:]):
-                cc = col + 2 * i + 1
-                new_dominoes.append((lab2, ((1, cc), (1, cc + 1))))
-            for i, lab2 in enumerate(bots[:-1]):
-                cc = col + 2 * i + 1
-                new_dominoes.append((lab2, ((2, cc), (2, cc + 1))))
-            new_dominoes.append((v0_label, ((1, col + 2 * u - 1), (2, col + 2 * u - 1))))
-            col += 2 * u
-        else:
-            col += 1
-    for d in S.dominoes:
-        if d.label not in claimed:
-            new_dominoes.append((d.label, d.cells))
-            if d.kind == "V1":
-                signs.append((d.label, "-"))
-    base = domino_tableau(S.shape, new_dominoes)
-    t = signed_domino_tableau(base, signs)
-    open_clusters = [cl for cl in clusters(t) if cl.kind == "open"]
-    if open_clusters:
-        v1_label = open_clusters[0].labels[0]
-        adjusted = tuple(
-            (lab, "+" if lab == v1_label else sign) for lab, sign in t.signs
-        )
-        t = SignedDominoTableau(base, adjusted)
-    return t
+    rows = _rows(S)
+    pairs, still_open = _arcs(S)
+    signs = []
+    seed_end = 0  # closer of the last seed
+    for a, b in sorted(pairs):
+        d = S.dominoes[a - 1]
+        if a > seed_end and rows[a - 1] == 1 and d.left_col % 2 == 1:
+            rows[a - 1] = rows[b - 1] = "V"
+            signs.append((a, "+"))
+            seed_end = b
+        elif d.kind == "V1":
+            signs.append((a, "-"))
+    signs.extend((v, "+") for v in still_open if S.dominoes[v - 1].kind == "V1")
+    return signed_domino_tableau(_place(S.shape, rows), signs)
 
 
 def cl_class(t: SignedDominoTableau) -> tuple:
-    """The equivalence class of tableaux sharing closed-cluster signs."""
-    open_clusters = [cl for cl in clusters(t) if cl.kind == "open"]
-    if not open_clusters:
+    """The equivalence class of tableaux sharing closed-cluster signs:
+    both signs of the V1 left open by the label walk, if there is one."""
+    open_v1 = [v for v in _arcs(t)[1] if t.dominoes[v - 1].kind == "V1"]
+    if not open_v1:
         return (t,)
-    v1_label = open_clusters[0].labels[0]
-    variants = []
-    for sign in "+-":
-        adjusted = tuple(
-            (lab, sign if lab == v1_label else s) for lab, s in t.signs
+    return tuple(
+        SignedDominoTableau(
+            t.base, tuple((lab, sign if lab == open_v1[0] else s) for lab, s in t.signs)
         )
-        variants.append(SignedDominoTableau(t.base, adjusted))
-    return tuple(variants)
+        for sign in "+-"
+    )
 
 
 # ---------------------------------------------------------------------------

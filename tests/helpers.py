@@ -16,9 +16,24 @@ from cupcalc.diagrams import (
     InvalidDiagramError,
     Ray,
     Violation,
+    encode,
     enumerate_diagrams,
+    nesting,
+    validate,
 )
-from cupcalc.tableaux import TableauError, bitableau_of_cup
+from cupcalc.errors import InternalCheckError
+from cupcalc.tableaux import (
+    InadmissibleShapeError,
+    SignedDominoTableau,
+    ShapeMismatchError,
+    TableauError,
+    admissible_two_row,
+    bitableau_of_cup,
+    clusters,
+    domino_tableau,
+    signed_domino_tableau,
+    std_to_cups,
+)
 
 
 def oracle_decompose(cap, cup):
@@ -447,6 +462,195 @@ def brute_is_admissible_chain(tableau_cells):
         elif r != s and (r % 2 == 0 or s % 2 == 0):
             return False
     return True
+
+
+def oracle_to_cup(t):
+    """``tableaux.to_cup`` by clusters: each closed cluster is a decorated
+    outer cup and the open one a leading ray, over the two-row standard
+    bijection of its renumbered horizontals."""
+    cups = []
+    rays = []
+    offset = 0
+    for cluster in clusters(t):
+        labels = cluster.labels
+        d = len(labels)
+        by_label = {dom.label: dom for dom in t.dominoes}
+        h_top = [lab for lab in labels if by_label[lab].kind == "H" and by_label[lab].row == 1]
+        h_bot = [lab for lab in labels if by_label[lab].kind == "H" and by_label[lab].row == 2]
+        ranks = {lab: i + 1 for i, lab in enumerate(sorted(h_top + h_bot))}
+        inner = (
+            std_to_cups(
+                tuple(ranks[lab] for lab in sorted(h_top)),
+                tuple(ranks[lab] for lab in sorted(h_bot)),
+            )
+            if ranks
+            else None
+        )
+        if cluster.kind == "closed":
+            cups.append(Cup(offset + 1, offset + d, cluster.sign == "-"))
+        else:
+            rays.append(Ray(offset + 1, cluster.sign == "-"))
+        if inner is not None:
+            shift = offset + 1
+            for cup in inner.cups:
+                cups.append(Cup(cup.left + shift, cup.right + shift, False))
+            for ray in inner.rays:
+                rays.append(Ray(ray.at + shift, False))
+        offset += d
+    return validate(offset, cups, rays)
+
+
+def oracle_from_cup(c, shape=None):
+    """``tableaux.from_cup`` by regions: outer cups left of all rays and
+    the first ray become signed verticals, and the arcs inside each
+    region fill horizontals column by column from the region's vertical."""
+    s_ = 2 * c.n_cups + 1 if c.rays else 2 * c.n_cups
+    derived = (2 * c.k - s_, s_)
+    if shape is not None and tuple(shape) != derived:
+        raise ShapeMismatchError(
+            f"diagram {encode(c)} has shape {derived}, not {tuple(shape)}"
+        )
+    first_ray = c.rays[0].at if c.rays else None
+    dominoes = []
+
+    def fill_horizontals(inner_cups, inner_rays, v_col):
+        top = sorted([x.left for x in inner_cups] + [x.at for x in inner_rays])
+        bottom = sorted(x.right for x in inner_cups)
+        for row, labels in ((1, top), (2, bottom)):
+            for i, v in enumerate(labels):
+                col = v_col + 2 * i + 1
+                dominoes.append((v, ((row, col), (row, col + 1))))
+
+    signs = []
+    closed_region_end = (first_ray - 1) if first_ray is not None else c.k
+    outer = nesting(c.k, c.cups, c.rays).outer
+    inner = {cup: [] for cup, o in zip(c.cups, outer) if o is None}
+    for cup, o in zip(c.cups, outer):
+        if o is not None:
+            inner[o].append(cup)
+    for cup in sorted(x for x in inner if x.right <= closed_region_end):
+        dominoes.append((cup.left, ((1, cup.left), (2, cup.left))))
+        dominoes.append((cup.right, ((1, cup.right), (2, cup.right))))
+        signs.append((cup.left, "-" if cup.dotted else "+"))
+        fill_horizontals(inner[cup], [], cup.left)
+    if first_ray is not None:
+        dominoes.append((first_ray, ((1, first_ray), (2, first_ray))))
+        signs.append((first_ray, "-" if c.rays[0].dotted else "+"))
+        open_cups = [x for x in c.cups if x.left > first_ray]
+        open_rays = [x for x in c.rays if x.at > first_ray]
+        fill_horizontals(open_cups, open_rays, first_ray)
+    return signed_domino_tableau(domino_tableau(derived, dominoes), signs)
+
+
+def _oracle_cycle_cluster(t, cluster):
+    """Rewrite one closed cluster as the all-horizontal rectangle."""
+    by_label = {d.label: d for d in t.dominoes}
+    first, _ = cluster.columns
+    v1 = by_label[cluster.labels[0]]
+    v0_label = next(lab for lab in cluster.labels if by_label[lab].kind == "V0")
+    tops = [lab for lab in cluster.labels if by_label[lab].kind == "H" and by_label[lab].row == 1]
+    bots = [lab for lab in cluster.labels if by_label[lab].kind == "H" and by_label[lab].row == 2]
+    out = []
+    for i, lab in enumerate([v1.label] + sorted(tops)):
+        col = first + 2 * i
+        out.append((lab, ((1, col), (1, col + 1))))
+    for i, lab in enumerate(sorted(bots) + [v0_label]):
+        col = first + 2 * i
+        out.append((lab, ((2, col), (2, col + 1))))
+    return out
+
+
+def oracle_cyc(t):
+    """``tableaux.cyc`` by clusters: every plus-signed closed cluster is
+    cycled into its rectangle, every other cluster keeps its dominoes."""
+    dominoes = []
+    by_label = {d.label: d for d in t.dominoes}
+    for cluster in clusters(t):
+        if cluster.kind == "closed" and cluster.sign == "+":
+            dominoes.extend(_oracle_cycle_cluster(t, cluster))
+        else:
+            dominoes.extend((lab, by_label[lab].cells) for lab in cluster.labels)
+    return domino_tableau(t.shape, dominoes)
+
+
+def _oracle_find_rectangle(S, col):
+    """Smallest both-rows horizontal rectangle at ``col`` whose 2u labels
+    are consecutive integers; None if no width works."""
+    by_cell = S.filling()
+    doms = {d.label: d for d in S.dominoes}
+    _, s = S.shape
+    u = 1
+    while col + 2 * u - 1 <= s:
+        labels = []
+        ok = True
+        for i in range(u):
+            cc = col + 2 * i
+            for row in (1, 2):
+                lab = by_cell.get((row, cc))
+                dd = doms.get(lab) if lab is not None else None
+                if dd is None or dd.kind != "H" or dd.left_col != cc or dd.row != row:
+                    ok = False
+                    break
+                labels.append(lab)
+            if not ok:
+                break
+        if ok and sorted(labels) == list(range(min(labels), min(labels) + 2 * u)):
+            return u
+        u += 1
+    return None
+
+
+def oracle_cyc_inverse(S):
+    """``tableaux.cyc_inverse`` by a column scan of the top row: each
+    unclaimed odd-column horizontal seeds the smallest rectangle of
+    consecutive labels, which is reversed into a plus-signed cluster;
+    other odd-column verticals get minus, and the open cluster plus."""
+    if not admissible_two_row(S.shape):
+        raise InadmissibleShapeError(f"shape {S.shape} is not admissible")
+    by_cell = S.filling()
+    doms = {d.label: d for d in S.dominoes}
+    r, _ = S.shape
+    claimed = set()
+    new_dominoes = []
+    signs = []
+    col = 1
+    while col <= r:
+        lab = by_cell.get((1, col))
+        d = doms[lab]
+        if d.kind == "H" and col % 2 == 1 and d.left_col == col and lab not in claimed:
+            u = _oracle_find_rectangle(S, col)
+            if u is None:
+                raise InternalCheckError(f"no rectangle completes the horizontal at column {col}")
+            tops = sorted(by_cell[(1, col + 2 * i)] for i in range(u))
+            bots = sorted(by_cell[(2, col + 2 * i)] for i in range(u))
+            claimed.update(tops)
+            claimed.update(bots)
+            v1_label, v0_label = tops[0], bots[-1]
+            new_dominoes.append((v1_label, ((1, col), (2, col))))
+            signs.append((v1_label, "+"))
+            for i, lab2 in enumerate(tops[1:]):
+                cc = col + 2 * i + 1
+                new_dominoes.append((lab2, ((1, cc), (1, cc + 1))))
+            for i, lab2 in enumerate(bots[:-1]):
+                cc = col + 2 * i + 1
+                new_dominoes.append((lab2, ((2, cc), (2, cc + 1))))
+            new_dominoes.append((v0_label, ((1, col + 2 * u - 1), (2, col + 2 * u - 1))))
+            col += 2 * u
+        else:
+            col += 1
+    for d in S.dominoes:
+        if d.label not in claimed:
+            new_dominoes.append((d.label, d.cells))
+            if d.kind == "V1":
+                signs.append((d.label, "-"))
+    base = domino_tableau(S.shape, new_dominoes)
+    t = signed_domino_tableau(base, signs)
+    open_clusters = [cl for cl in clusters(t) if cl.kind == "open"]
+    if open_clusters:
+        v1_label = open_clusters[0].labels[0]
+        adjusted = tuple((lab, "+" if lab == v1_label else sign) for lab, sign in t.signs)
+        t = SignedDominoTableau(base, adjusted)
+    return t
 
 
 @functools.lru_cache(maxsize=None)

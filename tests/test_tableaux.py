@@ -5,7 +5,15 @@ import pytest
 
 from cupcalc import diagrams as D
 from cupcalc import tableaux as T
-from helpers import brute_domino_tableaux, brute_is_admissible_chain, oracle_cup_of_bitableau
+from helpers import (
+    brute_domino_tableaux,
+    brute_is_admissible_chain,
+    oracle_cup_of_bitableau,
+    oracle_cyc,
+    oracle_cyc_inverse,
+    oracle_from_cup,
+    oracle_to_cup,
+)
 
 # every admissible two-row shape with at most fourteen boxes
 SHAPES = sorted(
@@ -14,6 +22,12 @@ SHAPES = sorted(
     for s in range(1, r + 1)
     if (r + s) % 2 == 0 and r + s <= 14 and T.admissible_two_row((r, s))
 )
+
+
+# every two-row domino shape with at most ten dominoes
+SMALL_DOMINO_SHAPES = [
+    (r, s) for r in range(21) for s in range(r + 1) if (r + s) % 2 == 0 and r + s <= 20
+]
 
 
 def V(label, col):
@@ -30,6 +44,13 @@ def Hb(label, col):
 
 def signed66(doms, signs):
     return T.signed_domino_tableau(T.domino_tableau((6, 6), doms), signs)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (D.DiagramError, T.TableauError) as exc:
+        return type(exc), str(exc)
 
 
 def test_admissible_shapes():
@@ -307,6 +328,59 @@ def test_cl_class_sizes():
     assert {len(T.cl_class(t)) for t in closed_shape} == {1}
 
 
+# --- label walk against the cluster oracles ----------------------------------
+
+
+def test_verticals_alternate_in_label_order():
+    """Both rows are equally long under every vertical and only
+    horizontals lie between two verticals, so verticals read V1, V0, V1,
+    ... in label order on every standard tableau: the law that lets the
+    label walk in ``to_cup``/``cyc`` run without a guard."""
+    count = 0
+    for shape in SMALL_DOMINO_SHAPES:
+        for t in T.enumerate_dt(shape):
+            kinds = [d.kind for d in t.dominoes if d.kind != "H"]
+            assert kinds == ["V1", "V0"] * (len(kinds) // 2) + ["V1"] * (len(kinds) % 2), t
+            count += 1
+    assert count == 2047
+
+
+def test_bijections_match_cluster_oracles():
+    """to_cup, cyc and cl_class on every signed tableau, and cyc_inverse on
+    every standard tableau of each admissible shape with n <= 10, equal
+    the cluster-and-rectangle versions they replaced."""
+    signed = standard = 0
+    for shape in SMALL_DOMINO_SHAPES:
+        if not T.admissible_two_row(shape):
+            continue
+        for t in T.enumerate_signed(shape):
+            signed += 1
+            assert _outcome(T.to_cup, t) == _outcome(oracle_to_cup, t), t
+            assert T.cyc(t) == oracle_cyc(t), t
+            is_open = any(cl.kind == "open" for cl in T.clusters(t))
+            assert t in T.cl_class(t) and len(T.cl_class(t)) == 1 + is_open
+        for S in T.enumerate_dt(shape):
+            standard += 1
+            assert T.cyc_inverse(S) == oracle_cyc_inverse(S), S
+    assert signed == 2047  # 2046 and the empty tableau
+    assert standard == 1199
+
+
+def test_from_cup_matches_oracle():
+    """from_cup equals the region-filling version it replaced on every
+    diagram with k <= 10, and under a wrong shape raises the same error."""
+    count = 0
+    for k in range(1, 11):
+        for c in D.enumerate_diagrams(k, "any", "all"):
+            assert T.from_cup(c) == oracle_from_cup(c), c
+            count += 1
+        wrong = (2 * k, 0)  # no diagram has neither cups nor rays
+        refused = _outcome(T.from_cup, c, wrong)
+        assert refused[0] is T.ShapeMismatchError
+        assert refused == _outcome(oracle_from_cup, c, wrong)
+    assert count == 2046
+
+
 # --- bitableaux ---------------------------------------------------------------
 
 
@@ -347,13 +421,6 @@ def test_bitableau_ray_dot_is_ambiguous():
 def test_bitableau_unique_without_rays():
     for d in D.maximal_diagrams(4):
         assert T.cup_of_bitableau(T.bitableau_of_cup(d), 4) == d
-
-
-def _outcome(invert, bt, k, dots):
-    try:
-        return invert(bt, k, dots)
-    except (D.DiagramError, T.TableauError) as exc:
-        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
