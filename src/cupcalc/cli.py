@@ -51,7 +51,7 @@ _CEILINGS = {
     "movegraph": ("--k", 16),
     "intersect": ("--k", 11),
     "cohomology centre": ("--k", 10),
-    "cohomology springer": ("--k", 14),
+    "cohomology springer": ("--k", 16),
     "selftest": ("--k-max", 10),
 }
 # Verbs that read k from their DSL diagrams: distance builds the move
@@ -79,6 +79,21 @@ def _sized_diagrams(verb: str, *texts):
     return parsed
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=`` for an integer flag bounded below by ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _cup_count(text: str):
     """``--cups``: 'max', 'any' or a cup count >= 0."""
     if text in ("max", "any"):
@@ -93,9 +108,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cupcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
+    vertex_count = _int_at_least(1)
 
     p = sub.add_parser("enumerate", help="list diagrams in canonical order")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=vertex_count, required=True)
     p.add_argument("--parity", choices=["all", "even", "odd", "none"], default="all")
     p.add_argument("--cups", type=_cup_count, default="max", help="cup count, 'max' or 'any'")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -105,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["ascii", "tikz", "json"], default="ascii")
 
     p = sub.add_parser("movegraph", help="arrow graph on the maximal diagrams")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=vertex_count, required=True)
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -122,13 +138,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cohomology", help="exact graded dimensions")
     p.add_argument("which", choices=["centre", "springer"])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=vertex_count, required=True)
     p.add_argument("--t", help="deformation parameter (rational)")
     p.add_argument("--basis", action="store_true", help="include echelon bases")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("intersect", help="fixed-point table of one parity")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=vertex_count, required=True)
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--format", choices=["text", "json"], default="json")
 
@@ -144,7 +160,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("selftest", help="run the cross-module identity suites")
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_int_at_least(2), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
     return parser

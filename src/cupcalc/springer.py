@@ -8,10 +8,14 @@ die and x_I is identified with its complementary monomial when
 explicit monomial basis.  The equivariant deformation replaces x_i^2
 with t^2 (and, for odd k, inserts a factor t into the identification);
 its dimension is 2^(k-1) for every value of t, and at t = 0 it is the
-ring above.  Every relation of the deformed ideal has at most two
-terms, so one weighted union-find over the 2^k squarefree monomials
-reduces it at every t; at t = 0 its live classes certify the explicit
-basis, which must meet each live class exactly once.
+ring above.  Every monomial multiple of a defining relation pairs a
+squarefree monomial x_a with its complement, as x_a = t^(2|a| - k)
+times the complement, so one weighted union-find over the 2^k
+squarefree monomials reduces the ideal at every t.  At t != 0 that is
+one relation per monomial; at t = 0 only the multiples that avoid one
+side of the generator act, and they kill monomials or identify the two
+sides.  The live classes at t = 0 certify the explicit basis, which
+must meet each live class exactly once.
 
 Fixed points of the torus action on component intersections are
 labelled by the weights orienting the glued diagram a*b.  Those are the
@@ -24,6 +28,7 @@ a*b under a weight is the sum of its two half degrees.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,22 +69,15 @@ class PresentationRing:
         return {2 * d: n for d, n in enumerate(self.graded_dims) if n}
 
 
-def _subsets(universe: List[int]):
-    n = len(universe)
-    for mask in range(1 << n):
-        yield frozenset(universe[i] for i in range(n) if mask >> i & 1)
-
-
 def presentation_basis(k: int) -> List[frozenset]:
-    basis = []
-    for m in sorted(_subsets(list(range(1, k + 1))), key=lambda m: (len(m), sorted(m))):
-        if k % 2 == 1:
-            if len(m) <= (k - 1) // 2:
-                basis.append(m)
-        else:
-            if len(m) < k // 2 or (len(m) == k // 2 and k in m):
-                basis.append(m)
-    return basis
+    """The monomials x_I with |I| < k/2, and for even k those with
+    |I| = k/2 and k in I, by (size, lex)."""
+    return [
+        frozenset(c)
+        for size in range(k // 2 + 1)
+        for c in itertools.combinations(range(1, k + 1), size)
+        if 2 * size < k or k in c
+    ]
 
 
 def presentation_ring(k: int) -> PresentationRing:
@@ -107,43 +105,47 @@ def presentation_ring(k: int) -> PresentationRing:
 def _relation_classes(k: int, t) -> linalg.ScaledUnionFind:
     """The deformed presentation ideal at a rational value t, reduced.
 
-    In the algebra with x_i^2 = t^2 the defining relations pair each
-    half-size monomial with its complement, so every spanned relation
-    has at most two terms and a weighted union-find over the 2^k
-    squarefree monomials (bit i - 1 standing for x_i) reduces them
-    exactly; its live classes form a basis of the quotient.  Each
-    coefficient is a power of t, so the union-find tracks exponents.
+    The squarefree monomials are bitmasks, bit i - 1 standing for x_i;
+    each coefficient is a power of t, so the union-find tracks
+    exponents.  With C the complement of I and extra = k mod 2, the
+    multiple x_m of the generator x_I - t^extra x_C reads
+    t^e1 x_a - t^e2 x_b with a = m ^ I and b = m ^ C = full ^ a, where
+    e2 - e1 = 2|a| - k whatever I is: every relation pairs a monomial
+    with its complement.  At t != 0 the ideal is therefore the 2^k
+    relations x_a = t^(2|a| - k) x_(full ^ a), each imposed once (both
+    orientations of a pair are, and the union-find checks that they
+    agree).  At t = 0, t^e vanishes for e > 0, so only the multiples
+    that avoid one side of the generator act.  Taking I over every
+    monomial of size (k + 1) // 2 (for even k, both sides of each
+    generator), each nonzero submask m of C kills m | I, and m = 0
+    identifies I with C for even k or, through the factor t, kills x_I
+    for odd k.  The live classes index a basis of the quotient.
     """
     if k < 1:
         raise SizeError("k must be positive")
     t = Fraction(t)
     n = 1 << k
     full = n - 1
-    popcount = [0] * n
-    for m in range(1, n):
-        popcount[m] = popcount[m >> 1] + (m & 1)
-    # (mask I, power adjustment for the complementary side)
-    if k % 2 == 0:
-        generators = [(mask, 0) for mask in range(n)
-                      if popcount[mask] == k // 2 and mask < full ^ mask]
-    else:
-        generators = [(mask, 1) for mask in range(n) if popcount[mask] == (k + 1) // 2]
-
     uf = linalg.ScaledUnionFind(n, 1 if t == 1 else 2 if t == -1 else 0)
-    relate, nonzero = uf.relate, t != 0
-    for mask_i, extra in generators:
+    if t:
+        relate = uf.relate
+        for a in range(n):
+            relate(a, full ^ a, 2 * a.bit_count() - k)
+        return uf
+
+    kill = uf.kill
+    for mask_i in range(n):
+        if mask_i.bit_count() != (k + 1) // 2:
+            continue
         comp = full ^ mask_i
-        for m in range(n):
-            # the coefficients are t^e1 and t^e2; t^e is zero iff t = 0 < e
-            e1 = 2 * popcount[m & mask_i]
-            e2 = 2 * popcount[m & comp] + extra
-            a, b = m ^ mask_i, m ^ comp
-            if nonzero or not (e1 or e2):
-                relate(a, b, e2 - e1)
-            elif not e1:
-                uf.kill(a)
-            elif not e2:
-                uf.kill(b)
+        if k % 2:
+            kill(mask_i)
+        else:
+            uf.relate(mask_i, comp, 0)
+        m = comp
+        while m:
+            kill(m | mask_i)
+            m = (m - 1) & comp
     return uf
 
 

@@ -22,6 +22,7 @@ from cupcalc.diagrams import (
     validate,
 )
 from cupcalc.errors import InternalCheckError
+from cupcalc.linalg import ScaledUnionFind
 from cupcalc.tableaux import (
     InadmissibleShapeError,
     SignedDominoTableau,
@@ -360,6 +361,52 @@ def brute_equivariant_dimension(k, t):
     monomial multiples of the defining relations."""
     n = 1 << k
     return n - dense_rank(brute_equivariant_rows(k, t), n)
+
+
+def oracle_relation_classes(k, t):
+    """The deformed presentation ideal reduced by the package's
+    exponent union-find, imposing every multiple x_m of every generator:
+    the generic loop that ``springer._relation_classes`` replaced."""
+    t = Fraction(t)
+    n = 1 << k
+    full = n - 1
+    popcount = [0] * n
+    for m in range(1, n):
+        popcount[m] = popcount[m >> 1] + (m & 1)
+    uf = ScaledUnionFind(n, 1 if t == 1 else 2 if t == -1 else 0)
+    relate, nonzero = uf.relate, t != 0
+    for mask_i, extra in _equivariant_generators(k):
+        comp = full ^ mask_i
+        for m in range(n):
+            # the coefficients are t^e1 and t^e2; t^e is zero iff t = 0 < e
+            e1 = 2 * popcount[m & mask_i]
+            e2 = 2 * popcount[m & comp] + extra
+            a, b = m ^ mask_i, m ^ comp
+            if nonzero or not (e1 or e2):
+                relate(a, b, e2 - e1)
+            elif not e1:
+                uf.kill(a)
+            elif not e2:
+                uf.kill(b)
+    return uf
+
+
+def oracle_presentation_basis(k):
+    """The presentation ring's monomial basis by filtering all 2^k
+    subsets sorted by (size, lex)."""
+    universe = list(range(1, k + 1))
+    subsets = (
+        frozenset(universe[i] for i in range(k) if mask >> i & 1) for mask in range(1 << k)
+    )
+    basis = []
+    for m in sorted(subsets, key=lambda m: (len(m), sorted(m))):
+        if k % 2 == 1:
+            if len(m) <= (k - 1) // 2:
+                basis.append(m)
+        else:
+            if len(m) < k // 2 or (len(m) == k // 2 and k in m):
+                basis.append(m)
+    return basis
 
 
 def oracle_monomial_index(k):

@@ -201,7 +201,7 @@ def test_cohomology_springer_rejects_bad_rational(capsys):
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_cohomology_springer_deformed_rejects_nonpositive_k(capsys, k):
     code, out, err = capture(capsys, ["cohomology", "springer", "--k", k, "--t", "2"])
-    assert (code, out, err) == (1, "", "cupcalc: k must be positive\n")
+    assert (code, out, err) == (1, "", f"cupcalc: argument --k: must be an integer >= 1, got {k!r}\n")
 
 
 def test_intersect_has_no_jobs_flag(capsys):
@@ -380,8 +380,8 @@ def test_bijection_bad_file(capsys):
 
 
 def test_selftest_rejects_small_k(capsys):
-    code, _, err = capture(capsys, ["selftest", "--k-max", "1"])
-    assert code == 1 and "at least 2" in err
+    code, out, err = capture(capsys, ["selftest", "--k-max", "1"])
+    assert (code, out, err) == (1, "", "cupcalc: argument --k-max: must be an integer >= 2, got '1'\n")
 
 
 def test_selftest_runs_green(capsys):
@@ -483,7 +483,24 @@ def test_internal_error_is_not_invalid_input(capsys):
 
 def test_springer_rejects_nonpositive_k(capsys):
     code, out, err = capture(capsys, ["cohomology", "springer", "--k", "0"])
-    assert (code, out, err) == (1, "", "cupcalc: k must be positive\n")
+    assert (code, out, err) == (1, "", "cupcalc: argument --k: must be an integer >= 1, got '0'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate"],
+        ["movegraph", "--parity", "even"],
+        ["intersect", "--parity", "odd"],
+        ["cohomology", "centre"],
+        ["cohomology", "springer"],
+        ["cohomology", "springer", "--t", "2"],
+    ],
+)
+@pytest.mark.parametrize("k", ["0", "-3", "x", "1.5"])
+def test_every_k_flag_states_its_lower_bound_once(capsys, argv, k):
+    code, out, err = capture(capsys, argv + ["--k", k])
+    assert (code, out, err) == (1, "", f"cupcalc: argument --k: must be an integer >= 1, got {k!r}\n")
 
 
 def test_distance_rejects_vertex_count_mismatch(capsys):
@@ -521,8 +538,8 @@ _SIDE_BY_SIDE_34 = "34: " + ";".join(f"c({i},{i + 1})" for i in range(1, 34, 2))
         (["movegraph", "--k", "17", "--parity", "even"], "movegraph takes --k up to 16, got 17"),
         (["intersect", "--k", "12", "--parity", "odd"], "intersect takes --k up to 11, got 12"),
         (["cohomology", "centre", "--k", "40"], "cohomology centre takes --k up to 10, got 40"),
-        (["cohomology", "springer", "--k", "15", "--t", "2"],
-         "cohomology springer takes --k up to 14, got 15"),
+        (["cohomology", "springer", "--k", "17", "--t", "2"],
+         "cohomology springer takes --k up to 16, got 17"),
         (["selftest", "--k-max", "11"], "selftest takes --k-max up to 10, got 11"),
         (["distance", "--a", _SIDE_BY_SIDE_17, "--b", _SIDE_BY_SIDE_17],
          "distance takes diagrams up to k = 16, got k = 17"),

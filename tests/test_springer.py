@@ -16,7 +16,9 @@ from helpers import (
     oracle_fixed_point_table,
     oracle_graded_dimension,
     oracle_monomial_index,
+    oracle_presentation_basis,
     oracle_presentation_relations,
+    oracle_relation_classes,
 )
 
 
@@ -109,6 +111,36 @@ def test_equivariant_matches_dense_oracle(k, t):
 def test_equivariant_matches_fraction_union_find(k):
     for t in [0, 1, -1, 2, 3, Fraction(3, 2), -2, Fraction(1, 3), Fraction(-3, 2)]:
         assert S.equivariant_specialization(k, t) == oracle_equivariant_dimension(k, t), t
+
+
+def _class_signature(uf):
+    """Each class of a ScaledUnionFind as its members, each with its
+    exponent relative to the smallest member (modulo the modulus), and
+    whether the class is dead: a form independent of which member is
+    the root."""
+    classes = {}
+    for e in range(len(uf.parent)):
+        root, w = uf.root_and_weight(e)
+        classes.setdefault(root, []).append((e, w))
+    signature = set()
+    for root, members in classes.items():
+        w0 = members[0][1]
+        rel = tuple((e, (w - w0) % uf.modulus if uf.modulus else w - w0) for e, w in members)
+        signature.add((rel, uf.dead[root]))
+    return signature
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_relation_classes_match_generic_loop(k):
+    for t in [0, 1, -1, 2, Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5)]:
+        new, old = S._relation_classes(k, t), oracle_relation_classes(k, t)
+        assert new.modulus == old.modulus
+        assert _class_signature(new) == _class_signature(old), t
+
+
+@pytest.mark.parametrize("k", range(0, 13))
+def test_presentation_basis_matches_sorted_subsets(k):
+    assert S.presentation_basis(k) == oracle_presentation_basis(k)
 
 
 @pytest.mark.parametrize("k", [0, -1])
