@@ -41,7 +41,6 @@ _USER_ERRORS = (
     springer.MalformedIndexSetError,
     springer.UnequalRowShapeError,
     tableaux.TableauError,
-    json.JSONDecodeError,
 )
 
 # The largest size each verb takes, checked before any work starts; the
@@ -383,7 +382,10 @@ def _cmd_bijection(args) -> int:
     except (OSError, ValueError) as exc:  # missing, unreadable or not text
         reason = getattr(exc, "strerror", None) or exc
         raise _UsageError(f"cannot read --input {args.input!r}: {reason}") from None
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"--input {args.input!r} is not valid JSON: {exc}") from None
     cup = _load_as_cup(args.src, data, args.parity)
     _emit(json.dumps(_dump_from_cup(args.dst, cup), indent=2))
     return 0

@@ -38,15 +38,17 @@ cup) position in the input, then the inaccessible dots.
 Validation policy: :func:`validate` checks every rule, and it runs where
 arcs come from outside the program or are computed from data a caller
 supplied.  That is :func:`parse_dsl` and :func:`from_json` (which also
-bound the vertex count by the arcs given), the tableau and weight
+bound the vertex count by the arcs given) and the tableau and weight
 bijections that assemble arcs from user input (``std_to_cups``,
-``to_cup``, ``cup_of_weight``, ``cup_of_bitableau``), and the move
-graph's rewrites, where a failed check means that a move does not fire.
-Code that builds diagrams legal by construction, such as
-:func:`enumerate_diagrams` and :func:`dot_parity_involution`, calls the
-:class:`CupDiagram` constructor directly, with cups sorted by left end
-and rays ascending as :func:`validate` returns them; the tests check
-those members against :func:`validate`.
+``to_cup``, ``cup_of_weight``, ``cup_of_bitableau``).  Code that builds
+diagrams legal by construction, such as :func:`enumerate_diagrams` and
+:func:`dot_parity_involution`, calls the :class:`CupDiagram` constructor
+directly, with cups sorted by left end and rays ascending as
+:func:`validate` returns them; the tests check those members against
+:func:`validate`.  So do the move graph's rewrites, which swap two arcs
+of a legal diagram on the same vertices and decide with one walk of
+their own whether the result is legal; the tests check that walk against
+:func:`validate` on every diagram with k <= 10.
 """
 
 from __future__ import annotations

@@ -40,12 +40,10 @@ from .diagrams import (
     Cup,
     CupDiagram,
     DiagramError,
-    InvalidDiagramError,
     Ray,
     encode,
     maximal_diagrams,
     nesting,
-    validate,
 )
 from .errors import InternalCheckError
 
@@ -79,14 +77,39 @@ _FORWARDS = {before: (kind, after) for kind, (before, after) in _RULES.items()}
 _BACKWARDS = {after: (kind, before) for kind, (before, after) in _RULES.items()}
 
 
-def _rewire(d: CupDiagram, remove, add) -> Optional[CupDiagram]:
-    removed = set(remove)
-    cups = [c for c in d.cups if c not in removed] + [a for a in add if isinstance(a, Cup)]
-    rays = [r for r in d.rays if r not in removed] + [a for a in add if isinstance(a, Ray)]
-    try:
-        return validate(d.k, cups, rays)
-    except InvalidDiagramError:
-        return None
+def _rewire(d: CupDiagram, add) -> Optional[CupDiagram]:
+    """d with the matched pair replaced by ``add`` on the same vertices, or
+    None if that breaks a rule of :func:`diagrams.validate`.
+
+    The vertices stay covered once, so one walk decides the other rules,
+    with the open cups on a stack: a cup must close on top of the stack
+    (no crossing), a ray must find the stack empty (no ray under a cup),
+    and a dot must be reachable from the left (a dotted cup opens on an
+    empty stack with no ray before it; a dotted ray comes first of the
+    rays).  The walk meets cups by left end and rays in order, so it
+    collects the arcs as :func:`diagrams.validate` would return them.
+    """
+    at: list = [None] * (d.k + 1)
+    for arc in itertools.chain(d.cups, d.rays, add):  # add overwrites the pair
+        if type(arc) is Ray:
+            at[arc.at] = arc
+        else:
+            at[arc.left] = at[arc.right] = arc
+    cups, rays, open_cups = [], [], []
+    for v in range(1, d.k + 1):
+        arc = at[v]
+        if type(arc) is Ray:
+            if open_cups or (arc.dotted and rays):
+                return None
+            rays.append(arc)
+        elif arc.left == v:
+            if arc.dotted and (open_cups or rays):
+                return None
+            open_cups.append(arc)
+            cups.append(arc)
+        elif open_cups.pop() is not arc:
+            return None
+    return CupDiagram(d.k, tuple(cups), tuple(rays))
 
 
 def _matches(d: CupDiagram, rules: dict):
@@ -95,7 +118,7 @@ def _matches(d: CupDiagram, rules: dict):
     Every cup-cup and cup-ray pair is renumbered onto 0..3 (or 0..2),
     its arcs sorted by leftmost vertex as in ``_RULES``, and looked up in
     ``rules``; the other side of a matching rule is placed back on the
-    pair's vertices and kept if the result is a legal diagram.
+    pair's vertices and kept if :func:`_rewire` finds the result legal.
     """
     for pair in itertools.chain(
         itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
@@ -108,7 +131,7 @@ def _matches(d: CupDiagram, rules: dict):
             continue
         kind, other_side = rule
         new_arcs = [type(arc)(*map(pos.__getitem__, arc[:-1]), arc[-1]) for arc in other_side]
-        other = _rewire(d, pair, new_arcs)
+        other = _rewire(d, new_arcs)
         if other is not None:
             yield other, Move(kind, tuple(pos)), pair
 

@@ -254,12 +254,21 @@ def diagram_degree(cap: CapDiagram, weight: Weight, cup: CupDiagram) -> int:
     return half_degree(weight, cap) + half_degree(weight, cup)
 
 
-def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
-    """All orientations of the glued diagram, canonically ordered.
+class LineForcing(NamedTuple):
+    decomposition: ComponentDecomposition
+    labels: tuple  # labels[v - 1]: the symbol of vertex v on a line, None on a circle
 
-    Empty when some component is contradictory; otherwise there are
-    exactly 2^#circles orientations (two per circle, at most one per
-    line).
+
+def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
+    """The glued diagram's components and the labels its lines must carry,
+    or None when no weight orients it.
+
+    Each line takes its label from the rays at its ends, pushed along
+    the line by the class signs; the glued diagram is orientable exactly
+    when no ray vertex gets two labels, every circle is consistent and
+    every line gets one label.  This is the first step of
+    :func:`orient_circle_diagram`, for callers that need only
+    orientability or the decomposition.
     """
     dec = decompose(cap, cup)
     forced: dict = {}
@@ -267,16 +276,13 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCirc
         for r in half.rays:
             val = UP if r.dotted else DOWN
             if forced.get(r.at, val) != val:
-                return []
+                return None
             forced[r.at] = val
-
-    chars = [None] * cup.k  # line labels are the same in every orientation
-    circles = []
+    chars = [None] * cup.k
     for cl in dec.classes:
         if not cl.parity_consistent:
-            return []
+            return None
         if cl.kind == "circle":
-            circles.append(cl)
             continue
         candidates = {
             forced[v] if s == 1 else _flip(forced[v])
@@ -284,9 +290,23 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCirc
             if v in forced
         }
         if len(candidates) != 1:
-            return []
+            return None
         _label(chars, cl, candidates.pop())
-    circles.sort(key=lambda cl: cl.mx)
+    return LineForcing(dec, tuple(chars))
+
+
+def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
+    """All orientations of the glued diagram, canonically ordered.
+
+    Empty when :func:`force_lines` finds a contradiction; otherwise the
+    line labels are the same in every orientation and each circle takes
+    either symbol at its maximum, so there are exactly 2^#circles.
+    """
+    forced = force_lines(cap, cup)
+    if forced is None:
+        return []
+    dec, chars = forced.decomposition, list(forced.labels)
+    circles = sorted(dec.circles, key=lambda cl: cl.mx)
 
     # Every weight built below orients both halves, and an oriented arc
     # is clockwise exactly when its right end is down, so the degree is
@@ -323,7 +343,9 @@ def _flip(sym: str) -> str:
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
-    return bool(orient_circle_diagram(cap, cup))
+    """Whether some weight orients the glued diagram, without listing the
+    orientations."""
+    return force_lines(cap, cup) is not None
 
 
 def min_degree_element(a: CupDiagram, b: CupDiagram):

@@ -35,6 +35,7 @@ from .movegraph import total_order
 from .orientation import (
     ComponentDecomposition,
     OrientedCircleDiagram,
+    force_lines,
     orient_circle_diagram,
 )
 
@@ -177,10 +178,10 @@ def intersection_quotient(a: CupDiagram, b: CupDiagram) -> Optional[QuotientPres
     Circle classes keep their maximal vertex, every other circle vertex
     rewrites to it with the path sign; line classes die entirely.
     """
-    oriented = orient_circle_diagram(a.star(), b)
-    if not oriented:
+    forced = force_lines(a.star(), b)
+    if forced is None:
         return None
-    return _quotient_of(oriented[0].decomposition)
+    return _quotient_of(forced.decomposition)
 
 
 def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:

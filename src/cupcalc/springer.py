@@ -11,11 +11,11 @@ its dimension is 2^(k-1) for every value of t, and at t = 0 it is the
 ring above.  Every monomial multiple of a defining relation pairs a
 squarefree monomial x_a with its complement, as x_a = t^(2|a| - k)
 times the complement, so one weighted union-find over the 2^k
-squarefree monomials reduces the ideal at every t.  At t != 0 that is
-one relation per monomial; at t = 0 only the multiples that avoid one
-side of the generator act, and they kill monomials or identify the two
-sides.  The live classes at t = 0 certify the explicit basis, which
-must meet each live class exactly once.
+squarefree monomials reduces the ideal at every t, one relation per
+monomial.  At t = 0 those relations kill the monomials of more than
+half the variables and, for even k, identify each half-size monomial
+with its complement.  The live classes at t = 0 certify the explicit
+basis, which must meet each live class exactly once.
 
 Fixed points of the torus action on component intersections are
 labelled by the weights orienting the glued diagram a*b.  Those are the
@@ -38,7 +38,7 @@ from . import linalg
 from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
 from .errors import InternalCheckError, SizeError
 from .movegraph import distance
-from .orientation import DOWN, UP, Weight, orient_circle_diagram
+from .orientation import DOWN, UP, Weight, force_lines
 from .orientation import graded_orientations, orientations_of_cup
 
 
@@ -111,15 +111,14 @@ def _relation_classes(k: int, t) -> linalg.ScaledUnionFind:
     multiple x_m of the generator x_I - t^extra x_C reads
     t^e1 x_a - t^e2 x_b with a = m ^ I and b = m ^ C = full ^ a, where
     e2 - e1 = 2|a| - k whatever I is: every relation pairs a monomial
-    with its complement.  At t != 0 the ideal is therefore the 2^k
-    relations x_a = t^(2|a| - k) x_(full ^ a), each imposed once (both
-    orientations of a pair are, and the union-find checks that they
-    agree).  At t = 0, t^e vanishes for e > 0, so only the multiples
-    that avoid one side of the generator act.  Taking I over every
-    monomial of size (k + 1) // 2 (for even k, both sides of each
-    generator), each nonzero submask m of C kills m | I, and m = 0
-    identifies I with C for even k or, through the factor t, kills x_I
-    for odd k.  The live classes index a basis of the quotient.
+    with its complement, as x_a = t^(2|a| - k) x_(full ^ a).  One pass
+    over the 2^k monomials imposes each of them once.  At t != 0 each
+    is a relation of the union-find (both orientations of a pair are,
+    and the union-find checks that they agree).  At t = 0, t^e vanishes
+    for e > 0, so x_a dies when |a| > k / 2 and is identified with its
+    complement, exponent 0, when |a| = k / 2; for |a| < k / 2 the
+    relation kills the complement, which its own turn does.  The live
+    classes index a basis of the quotient.
     """
     if k < 1:
         raise SizeError("k must be positive")
@@ -127,25 +126,13 @@ def _relation_classes(k: int, t) -> linalg.ScaledUnionFind:
     n = 1 << k
     full = n - 1
     uf = linalg.ScaledUnionFind(n, 1 if t == 1 else 2 if t == -1 else 0)
-    if t:
-        relate = uf.relate
-        for a in range(n):
-            relate(a, full ^ a, 2 * a.bit_count() - k)
-        return uf
-
-    kill = uf.kill
-    for mask_i in range(n):
-        if mask_i.bit_count() != (k + 1) // 2:
-            continue
-        comp = full ^ mask_i
-        if k % 2:
-            kill(mask_i)
-        else:
-            uf.relate(mask_i, comp, 0)
-        m = comp
-        while m:
-            kill(m | mask_i)
-            m = (m - 1) & comp
+    relate, kill, deformed = uf.relate, uf.kill, t != 0
+    for a in range(n):
+        exponent = 2 * a.bit_count() - k
+        if deformed or exponent == 0:
+            relate(a, full ^ a, exponent)
+        elif exponent > 0:
+            kill(a)
     return uf
 
 
@@ -286,10 +273,10 @@ def arc_algebra_graded_dimension_closed_form(k: int) -> GradedDimension:
         diagrams = maximal_diagrams(k, parity)
         for a in diagrams:
             for b in diagrams:
-                oriented = orient_circle_diagram(a.star(), b)
-                if not oriented:
+                forced = force_lines(a.star(), b)
+                if forced is None:
                     continue
-                circles = len(oriented[0].decomposition.circles)
+                circles = len(forced.decomposition.circles)
                 d = distance(a, b)
                 for flipped in range(circles + 1):
                     coeffs[d + 2 * flipped] = (

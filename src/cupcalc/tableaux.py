@@ -216,7 +216,11 @@ def _rows(t) -> list:
 
 
 def _place(shape: Tuple[int, int], rows) -> DominoTableau:
-    """Lay domino 1, 2, ... at the first free columns of its rows."""
+    """Lay domino 1, 2, ... at the first free columns of its rows.
+
+    The callers pass row lists of standard tableaux of the shape, so the
+    tableau is built without :func:`domino_tableau`'s checks; the tests
+    run those checks on every tableau built here for n <= 10."""
     ends = [None, 0, 0]  # columns filled in rows 1 and 2
     dominoes = []
     for label, row in enumerate(rows, 1):
@@ -226,8 +230,8 @@ def _place(shape: Tuple[int, int], rows) -> DominoTableau:
             cells = ((row, ends[row] + 1), (row, ends[row] + 2))
         for cell_row, col in cells:
             ends[cell_row] = col
-        dominoes.append((label, cells))
-    return domino_tableau(shape, dominoes)
+        dominoes.append(Domino(label, cells))
+    return DominoTableau(shape, tuple(dominoes))
 
 
 def _arcs(t) -> Tuple[List[Tuple[int, int]], List[int]]:
@@ -292,7 +296,7 @@ def enumerate_signed(shape: Tuple[int, int]) -> tuple:
     for t in enumerate_adt(shape):
         v1 = [d.label for d in t.dominoes if d.kind == "V1"]
         for combo in itertools.product("+-", repeat=len(v1)):
-            out.append(signed_domino_tableau(t, zip(v1, combo)))
+            out.append(SignedDominoTableau(t, tuple(zip(v1, combo))))
     out.sort(key=SignedDominoTableau.sort_key)
     return tuple(out)
 
@@ -418,7 +422,7 @@ def from_cup(c: CupDiagram, shape: Optional[Tuple[int, int]] = None) -> SignedDo
     if c.rays:
         rows[first_ray - 1] = "V"
         signs.append((first_ray, "-" if c.rays[0].dotted else "+"))
-    return signed_domino_tableau(_place(derived, rows), signs)
+    return SignedDominoTableau(_place(derived, rows), tuple(sorted(signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +463,7 @@ def cyc_inverse(S: DominoTableau) -> SignedDominoTableau:
         elif d.kind == "V1":
             signs.append((a, "-"))
     signs.extend((v, "+") for v in still_open if S.dominoes[v - 1].kind == "V1")
-    return signed_domino_tableau(_place(S.shape, rows), signs)
+    return SignedDominoTableau(_place(S.shape, rows), tuple(sorted(signs)))
 
 
 def cl_class(t: SignedDominoTableau) -> tuple:

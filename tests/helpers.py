@@ -875,3 +875,78 @@ def oracle_distance_table(k, parity):
                 if table[i][m] + table[m][j] < table[i][j]:
                     table[i][j] = table[i][m] + table[m][j]
     return table
+
+
+def oracle_rewire(d, remove, add):
+    """A move graph rewrite decided by the whole ``validate``: the arcs of
+    d without the matched pair ``remove``, plus ``add``, or None if that
+    is not a legal diagram."""
+    removed = set(remove)
+    cups = [c for c in d.cups if c not in removed] + [a for a in add if isinstance(a, Cup)]
+    rays = [r for r in d.rays if r not in removed] + [a for a in add if isinstance(a, Ray)]
+    try:
+        return validate(d.k, cups, rays)
+    except InvalidDiagramError:
+        return None
+
+
+def oracle_matches(d, rules):
+    """``movegraph._matches`` with every rewrite checked by
+    ``oracle_rewire``: (other diagram, Move, matched pair) for every rule
+    side matched by a pair of arcs of d, in the matcher's pair order."""
+    from cupcalc.movegraph import Move
+
+    out = []
+    for pair in itertools.chain(
+        itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
+    ):
+        pos = sorted(pair[0][:-1] + pair[1][:-1])
+        key = tuple(sorted(tuple(pos.index(v) for v in arc[:-1]) + arc[-1:] for arc in pair))
+        if key not in rules:
+            continue
+        kind, other_side = rules[key]
+        add = [type(arc)(*(pos[v] for v in arc[:-1]), arc[-1]) for arc in other_side]
+        other = oracle_rewire(d, pair, add)
+        if other is not None:
+            out.append((other, Move(kind, tuple(pos)), pair))
+    return out
+
+
+def _oracle_neighbours(d, rules):
+    out = [(b, move) for b, move, _ in oracle_matches(d, rules)]
+    out.sort(key=lambda t: (encode(t[0]), t[1].kind))
+    return out
+
+
+def oracle_successors(a):
+    """``movegraph.successors`` with every rewrite checked by ``validate``."""
+    from cupcalc.movegraph import _FORWARDS
+
+    return _oracle_neighbours(a, _FORWARDS)
+
+
+def oracle_predecessors(a):
+    """``movegraph.predecessors`` with every rewrite checked by ``validate``."""
+    from cupcalc.movegraph import _BACKWARDS
+
+    return _oracle_neighbours(a, _BACKWARDS)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every cupcalc module that binds it, for the
+    rest of the test; the returned list gets one entry per call."""
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "cupcalc" or mod_name.startswith("cupcalc."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls

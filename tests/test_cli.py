@@ -527,6 +527,18 @@ def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
         assert err.startswith(f"cupcalc: cannot read --input {str(path)!r}: ") and reason in err
 
 
+def test_bijection_malformed_json_names_the_input(tmp_path, monkeypatch, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"k": 4, "cups": [')
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    for source in ("-", str(truncated)):
+        code, out, err = capture(
+            capsys, ["bijection", "--from", "cup", "--to", "dt", "--input", source]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"cupcalc: --input {source!r} is not valid JSON: "), err
+
+
 _SIDE_BY_SIDE_17 = "17: " + ";".join(f"c({i},{i + 1})" for i in range(1, 17, 2)) + ";r(17)"
 _SIDE_BY_SIDE_34 = "34: " + ";".join(f"c({i},{i + 1})" for i in range(1, 34, 2))
 

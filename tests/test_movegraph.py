@@ -6,7 +6,14 @@ import pytest
 from cupcalc import diagrams as D
 from cupcalc import movegraph as M
 from cupcalc import orientation as O
-from helpers import oracle_distance_table, oracle_peel_levels
+from helpers import (
+    count_calls,
+    oracle_distance_table,
+    oracle_matches,
+    oracle_peel_levels,
+    oracle_predecessors,
+    oracle_successors,
+)
 
 
 def enc_set(pairs):
@@ -74,6 +81,33 @@ def test_predecessors_match_brute_force(k):
         got = M.predecessors(a)
         assert len(got) == len(set(got))
         assert set(got) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_neighbours_match_validate_oracle(k):
+    """The one-walk rewrite check gives the arrows, with their moves, that
+    the whole validate gives, on every legal diagram (not only maximal)."""
+    for a in D.enumerate_diagrams(k, "any", "all"):
+        assert M.successors(a) == oracle_successors(a), a.encode()
+        assert M.predecessors(a) == oracle_predecessors(a), a.encode()
+
+
+def test_cup_forest_matches_validate_oracle(monkeypatch):
+    """Cup forests built on the one-walk check equal those built on the
+    validate-based matcher, on every maximal diagram with k <= 12."""
+    nodes = [a for k in range(1, 13) for a in D.maximal_diagrams(k)]
+    forests = [M.cup_forest(a) for a in nodes]
+    monkeypatch.setattr(M, "_matches", oracle_matches)
+    for a, forest in zip(nodes, forests):
+        assert M.cup_forest(a) == forest, a.encode()
+
+
+def test_move_graph_calls_no_validate(monkeypatch):
+    calls = count_calls(monkeypatch, D, "validate")
+    for k in range(1, 11):
+        for parity in ("even", "odd"):
+            M.move_graph.__wrapped__(k, parity)  # bypass the cache
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,26 @@ def test_epsilon_path_independence(k):
                     assert dec.epsilon(c.vertices[0], c.mx) == dec.sign_to_max(c.vertices[0])
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_force_lines_is_the_first_orientation_step(k):
+    """force_lines is None exactly when no orientation exists; otherwise it
+    holds the decomposition the orientations carry, and its line labels
+    are the labels every orientation gives those vertices."""
+    every = D.enumerate_diagrams(k, "any", "all")
+    for a, b in itertools.product(every, repeat=2):
+        forced = O.force_lines(a.star(), b)
+        oriented = O.orient_circle_diagram(a.star(), b)
+        assert (forced is None) == (oriented == []), (a.encode(), b.encode())
+        assert O.is_orientable(a.star(), b) == bool(oriented)
+        if forced is None:
+            continue
+        for o in oriented:
+            assert o.decomposition == forced.decomposition
+            assert all(sym in (None, o.weight.text[i]) for i, sym in enumerate(forced.labels))
+        on_lines = {v for cl in forced.decomposition.classes if cl.kind == "line" for v in cl.vertices}
+        assert {i + 1 for i, sym in enumerate(forced.labels) if sym} == on_lines
+
+
 def test_orient_circle_diagram_empty_and_pair():
     a = D.parse_dsl("4: c*(1,2);c(3,4)")
     b_empty = D.parse_dsl("4: c(1,2);c*(3,4)")

@@ -6,6 +6,8 @@ import pytest
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
+from cupcalc import springer as S
+from helpers import count_calls
 
 
 def elem(k, terms):
@@ -53,6 +55,16 @@ def test_quotient_dimensions(k):
                 circles = len(O.decompose(a.star(), b).circles)
                 assert q.dimension == 2 ** circles
                 assert q.dimension == len(oriented)
+
+
+def test_orientability_lists_no_orientations(monkeypatch):
+    """The centre and the closed form need only orientability and the
+    decomposition of each glued pair, never its orientations."""
+    calls = count_calls(monkeypatch, O, "orient_circle_diagram")
+    for parity in ("even", "odd"):
+        R.centre(6, parity)
+    S.arc_algebra_graded_dimension_closed_form(6)
+    assert calls == []
 
 
 def test_intersection_quotient_none_for_disjoint():

@@ -366,6 +366,29 @@ def test_bijections_match_cluster_oracles():
     assert standard == 1199
 
 
+def test_built_tableaux_pass_every_check():
+    """Every tableau that _place builds, through enumerate_dt,
+    enumerate_signed, from_cup, cyc and cyc_inverse (n, k <= 10), comes
+    back unchanged from domino_tableau and signed_domino_tableau."""
+
+    def checked(t):
+        if isinstance(t, T.SignedDominoTableau):
+            return T.signed_domino_tableau(checked(t.base), t.signs)
+        return T.domino_tableau(t.shape, t.dominoes)
+
+    built = [c for k in range(1, 11) for c in D.enumerate_diagrams(k, "any", "all")]
+    built = [T.from_cup(c) for c in built]
+    for shape in SMALL_DOMINO_SHAPES:
+        built.extend(T.enumerate_dt(shape))
+        if T.admissible_two_row(shape):
+            signed = T.enumerate_signed(shape)
+            built.extend(signed)
+            built.extend(T.cyc(t) for t in signed)
+            built.extend(T.cyc_inverse(S) for S in T.enumerate_dt(shape))
+    for t in built:
+        assert checked(t) == t, t
+
+
 def test_from_cup_matches_oracle():
     """from_cup equals the region-filling version it replaced on every
     diagram with k <= 10, and under a wrong shape raises the same error."""
