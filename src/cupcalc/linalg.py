@@ -56,12 +56,9 @@ def _eliminate(row: Dict[int, int], pivots: Dict[int, Dict[int, int]]):
     return None, None
 
 
-def rref(rows: List[Dict[int, Fraction]]) -> Dict[int, Dict[int, Fraction]]:
-    """Reduced row echelon form, returned as pivot column -> unit row.
-
-    Internally each pivot row is a primitive integer row with a positive
-    pivot entry; the unit rows are formed once, on return.
-    """
+def _pivot_rows(rows: List[Dict[int, Fraction]]) -> Dict[int, Dict[int, int]]:
+    """The echelon form behind :func:`rref`, as pivot column -> primitive
+    integer row with a positive pivot entry, in the order pivots are found."""
     pivots: Dict[int, Dict[int, int]] = {}
     for raw in rows:
         c, row = _eliminate(_integer_row(raw), pivots)
@@ -83,8 +80,17 @@ def rref(rows: List[Dict[int, Fraction]]) -> Dict[int, Dict[int, Fraction]]:
                         del prow[cc]
                 pivots[pc] = _primitive(prow) if s != 1 else prow
         pivots[c] = row
+    return pivots
+
+
+def rref(rows: List[Dict[int, Fraction]]) -> Dict[int, Dict[int, Fraction]]:
+    """Reduced row echelon form, returned as pivot column -> unit row.
+
+    The unit rows are formed once, from the integer rows of
+    :func:`_pivot_rows`.
+    """
     out: Dict[int, Dict[int, Fraction]] = {}
-    for c, row in pivots.items():
+    for c, row in _pivot_rows(rows).items():
         p = row[c]
         out[c] = {cc: Fraction(vv, p) for cc, vv in row.items()}
     return out
@@ -95,19 +101,21 @@ def rank(rows: List[Dict[int, Fraction]]) -> int:
 
 
 def kernel_basis(rows: List[Dict[int, Fraction]], ncols: int) -> List[Dict[int, Fraction]]:
-    """Echelon basis of the right kernel, one vector per free column."""
-    pivots = rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: Fraction(1)}
-        for pc, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                vec[pc] = -coeff
-        basis.append(vec)
-    return basis
+    """Echelon basis of the right kernel, one vector per free column.
+
+    The vector of a free column holds 1 there and, for each pivot row in
+    the order pivots were found, minus that row's unit entry in the free
+    column; one pass over the integer pivot rows fills them all.
+    """
+    pivots = _pivot_rows(rows)
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
+    for pc, prow in pivots.items():
+        p = prow[pc]
+        for cc, vv in prow.items():
+            vec = basis.get(cc)
+            if vec is not None:
+                vec[pc] = Fraction(-vv, p)
+    return list(basis.values())
 
 
 class ScaledUnionFind:

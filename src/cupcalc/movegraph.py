@@ -136,18 +136,22 @@ def _matches(d: CupDiagram, rules: dict):
             yield other, Move(kind, tuple(pos)), pair
 
 
+def _neighbours(a: CupDiagram, rules: dict) -> List[Tuple[str, CupDiagram, Move]]:
+    """(encoding of b, b, move) for each rule side matched in a, sorted by
+    the encoding and then the move's kind; each b is encoded once."""
+    out = [(encode(b), b, move) for b, move, _ in _matches(a, rules)]
+    out.sort(key=lambda t: (t[0], t[2].kind))
+    return out
+
+
 def successors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams one arrow a -> b away."""
-    out = [(b, move) for b, move, _ in _matches(a, _FORWARDS)]
-    out.sort(key=lambda t: (encode(t[0]), t[1].kind))
-    return out
+    return [(b, move) for _, b, move in _neighbours(a, _FORWARDS)]
 
 
 def predecessors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams b with an arrow b -> a."""
-    out = [(b, move) for b, move, _ in _matches(a, _BACKWARDS)]
-    out.sort(key=lambda t: (encode(t[0]), t[1].kind))
-    return out
+    return [(b, move) for _, b, move in _neighbours(a, _BACKWARDS)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +232,11 @@ def move_graph(k: int, parity: str) -> MoveGraph:
     index = _node_index(k, parity)
     arrows = []
     for i, a in enumerate(nodes):
-        for b, move in successors(a):
-            j = index.get(encode(b))
+        for code, _, move in _neighbours(a, _FORWARDS):
+            j = index.get(code)
             if j is None:
                 raise InternalCheckError(
-                    f"move left the maximal diagram set: {encode(a)} -> {encode(b)}"
+                    f"move left the maximal diagram set: {encode(a)} -> {code}"
                 )
             arrows.append((i, j, move))
     graph = MoveGraph(k, parity, nodes, tuple(arrows))

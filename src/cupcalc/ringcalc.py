@@ -18,8 +18,12 @@ the restriction maps are computed by re-reducing lifted monomials.
 
 The centre of the whole configuration is the equalizer of the
 restriction maps: tuples of component-ring elements agreeing on every
-pairwise intersection.  It is computed degree by degree as an exact
-kernel, with a deterministic echelon basis.
+pairwise intersection.  Its constraint rows are built from one subset
+table per diagram: each diagram's basis is listed once, in monomial
+order, as bitmasks over its kept variables, and each orientable pair's
+rules map every such subset to a sign and an image bitmask, from which
+the rows are read in that order.  It is computed degree by
+degree as an exact kernel, with a deterministic echelon basis.
 """
 
 from __future__ import annotations
@@ -265,6 +269,29 @@ class CentreBasis:
         return {2 * d: n for d, n in self.graded_dims.items()}
 
 
+def _monomial_order(n: int) -> List[int]:
+    """The subsets of n ascending variables, as bitmasks over their
+    positions, in monomial order: by size, then lexicographically."""
+    return sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
+
+
+def _subset_table(variables: tuple, rule: Dict[int, Tuple[int, int]]) -> Tuple[list, list]:
+    """Sign and image bitmask of x_J in a quotient for every subset J of
+    ``variables``, indexed by the bitmask of J's positions.
+
+    ``rule`` sends a variable to (sign, bit of its representative); a
+    variable without a rule dies.  The table doubles once per variable,
+    and the sign is 0 where x_J dies: a dead variable, or a
+    representative already in the image (x^2 = 0).
+    """
+    sign, image = [1], [0]
+    for v in variables:
+        s, m = rule.get(v, (0, 0))
+        sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
+        image += [ij | m for ij in image]
+    return sign, image
+
+
 def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     """Graded equalizer of all pairwise restriction maps on one parity.
 
@@ -274,36 +301,39 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     only reorders the unknowns and must not change any dimension.
     """
     diagrams = total_order(k, parity, tie_break)
-    quotients = [component_quotient(a) for a in diagrams]
-    var_index: Dict[Tuple[int, frozenset], int] = {}
-    vars_by_degree: Dict[int, List[Tuple[int, frozenset]]] = {}
-    for ai, q in enumerate(quotients):
-        for mono in q.basis():
-            vars_by_degree.setdefault(len(mono), []).append((ai, mono))
-    for degree in vars_by_degree:
-        for pos, key in enumerate(vars_by_degree[degree]):
-            var_index[key] = pos
+    kept = [component_quotient(a).kept for a in diagrams]
+    vars_by_degree: Dict[int, List[Tuple[int, tuple]]] = {}
+    listed = []  # per diagram: (subset bitmask, column) in monomial order
+    for ai, kept_vars in enumerate(kept):
+        entries = []
+        for j in _monomial_order(len(kept_vars)):
+            mono = tuple(v for t, v in enumerate(kept_vars) if j >> t & 1)
+            same_degree = vars_by_degree.setdefault(len(mono), [])
+            entries.append((j, len(same_degree)))
+            same_degree.append((ai, mono))
+        listed.append(entries)
 
     rows_by_degree: Dict[int, List[Dict[int, int]]] = {d: [] for d in vars_by_degree}
-    for ai in range(len(diagrams)):
+    for ai, a in enumerate(diagrams):
+        a_star = a.star()
         for bi in range(ai + 1, len(diagrams)):
-            target = intersection_quotient(diagrams[ai], diagrams[bi])
-            if target is None:
+            forced = force_lines(a_star, diagrams[bi])
+            if forced is None:
                 continue
-            constraint: Dict[frozenset, Dict[int, int]] = {}
+            # circle vertices rewrite to the class maximum; line vertices die
+            rule = {}
+            for cl in forced.decomposition.circles:
+                m = 1 << cl.mx
+                for v, s in zip(cl.vertices, cl.signs):
+                    rule[v] = (s, m)
+            constraint: Dict[int, Dict[int, int]] = {}
             for side, qi in ((1, ai), (-1, bi)):
-                for mono in quotients[qi].basis():
-                    reduced = target.reduce_monomial(mono)
-                    if reduced is None:
-                        continue
-                    sign, image = reduced
-                    row = constraint.setdefault(image, {})
-                    col = var_index[(qi, mono)]
-                    row[col] = row.get(col, 0) + side * sign
+                sign, image = _subset_table(kept[qi], rule)
+                for j, col in listed[qi]:
+                    if sign[j]:
+                        constraint.setdefault(image[j], {})[col] = side * sign[j]
             for image, row in constraint.items():
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows_by_degree[len(image)].append(row)
+                rows_by_degree[image.bit_count()].append(row)
 
     names = [encode(d) for d in diagrams]
     graded_dims = {}
@@ -317,7 +347,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
             named = {}
             for col, coeff in sorted(vec.items()):
                 ai, mono = variables[col]
-                named[(names[ai], tuple(sorted(mono)))] = coeff
+                named[(names[ai], mono)] = coeff
             vectors.append(named)
         basis[degree] = vectors
     return CentreBasis(k, parity, diagrams, graded_dims, basis)

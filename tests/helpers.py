@@ -245,6 +245,65 @@ def oracle_rref(rows):
     return pivots
 
 
+def oracle_kernel_basis(rows, ncols):
+    """``linalg.kernel_basis`` read off ``linalg.rref``: for each free
+    column, scan every unit pivot row for its entry there."""
+    from cupcalc import linalg
+
+    pivots = linalg.rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for pc, prow in pivots.items():
+            coeff = prow.get(free)
+            if coeff:
+                vec[pc] = -coeff
+        basis.append(vec)
+    return basis
+
+
+def oracle_centre_rows(k, parity, tie_break="lex"):
+    """The constraint rows of ``ringcalc.centre``, built by reducing every
+    basis monomial of both components in each pair's
+    ``intersection_quotient``.  Returns degree -> (variables, rows) in
+    ascending degree, where ``variables[col]`` is (diagram encoding,
+    sorted monomial tuple), the key of a ``CentreBasis`` vector."""
+    from cupcalc import ringcalc
+    from cupcalc.movegraph import total_order
+
+    diagrams = total_order(k, parity, tie_break)
+    quotients = [ringcalc.component_quotient(a) for a in diagrams]
+    var_index = {}
+    variables = {}
+    for ai, q in enumerate(quotients):
+        for mono in q.basis():
+            same_degree = variables.setdefault(len(mono), [])
+            var_index[(ai, mono)] = len(same_degree)
+            same_degree.append((encode(diagrams[ai]), tuple(sorted(mono))))
+    rows = {d: [] for d in variables}
+    for ai, bi in itertools.combinations(range(len(diagrams)), 2):
+        target = ringcalc.intersection_quotient(diagrams[ai], diagrams[bi])
+        if target is None:
+            continue
+        constraint = {}
+        for side, qi in ((1, ai), (-1, bi)):
+            for mono in quotients[qi].basis():
+                reduced = target.reduce_monomial(mono)
+                if reduced is None:
+                    continue
+                sign, image = reduced
+                row = constraint.setdefault(image, {})
+                col = var_index[(qi, mono)]
+                row[col] = row.get(col, 0) + side * sign
+        for image, row in constraint.items():
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows[len(image)].append(row)
+    return {d: (variables[d], rows[d]) for d in sorted(variables)}
+
+
 class OracleScaledUnionFind:
     """Union-find with Fraction edge weights ``x_e = w * x_root`` and a
     zero marker; merging incompatible scalings kills the class."""

@@ -5,7 +5,12 @@ import pytest
 
 from cupcalc import linalg
 from cupcalc import ringcalc as R
-from helpers import dense_rank, oracle_presentation_relations, oracle_rref
+from helpers import (
+    dense_rank,
+    oracle_kernel_basis,
+    oracle_presentation_relations,
+    oracle_rref,
+)
 
 
 def assert_matches_oracle(rows):
@@ -16,29 +21,31 @@ def assert_matches_oracle(rows):
     assert all(type(v) is Fraction for row in got.values() for v in row.values())
 
 
-@pytest.mark.parametrize("k", range(1, 8))
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_rref_matches_oracle_on_centre_systems(monkeypatch, k, parity):
+def assert_kernel_matches_oracle(rows, ncols):
+    got = linalg.kernel_basis(rows, ncols)
+    want = oracle_kernel_basis(rows, ncols)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]  # dict order too
+    assert all(type(c) is Fraction for v in got for c in v.values())
+
+
+def centre_systems(monkeypatch, k, parity):
+    """The (rows, ncols) that ``centre(k, parity)`` hands to ``kernel_basis``."""
     systems = []
     kernel_basis = linalg.kernel_basis
 
     def recording(rows, ncols):
-        systems.append([dict(row) for row in rows])
+        systems.append(([dict(row) for row in rows], ncols))
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(linalg, "kernel_basis", recording)
     R.centre(k, parity)
+    monkeypatch.undo()  # the caller's checks call the real kernel_basis
     assert systems
-    for rows in systems:
-        assert_matches_oracle(rows)
+    return systems
 
 
-@pytest.mark.parametrize("k", range(1, 10))
-def test_rref_matches_oracle_on_presentation_relations(k):
-    assert_matches_oracle(oracle_presentation_relations(k))
-
-
-def test_rref_matches_oracle_on_random_fraction_rows():
+def random_fraction_systems():
+    """400 seeded sparse systems (rows, ncols) with Fraction entries."""
     rng = random.Random(20240917)
     values = [Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-4, 3),
               Fraction(2), Fraction(5, 7), Fraction(-1, 6), Fraction(9)]
@@ -48,8 +55,37 @@ def test_rref_matches_oracle_on_random_fraction_rows():
         for _ in range(rng.randint(0, 16)):
             cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
             rows.append({c: rng.choice(values) for c in cols})
+        yield rows, ncols
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rref_matches_oracle_on_centre_systems(monkeypatch, k, parity):
+    for rows, _ in centre_systems(monkeypatch, k, parity):
+        assert_matches_oracle(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_kernel_basis_matches_oracle_on_centre_systems(monkeypatch, k, parity):
+    for rows, ncols in centre_systems(monkeypatch, k, parity):
+        assert_kernel_matches_oracle(rows, ncols)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_rref_matches_oracle_on_presentation_relations(k):
+    assert_matches_oracle(oracle_presentation_relations(k))
+
+
+def test_rref_matches_oracle_on_random_fraction_rows():
+    for rows, ncols in random_fraction_systems():
         assert_matches_oracle(rows)
         assert linalg.rank(rows) == dense_rank(rows, ncols)
+
+
+def test_kernel_basis_matches_oracle_on_random_fraction_rows():
+    for rows, ncols in random_fraction_systems():
+        assert_kernel_matches_oracle(rows, ncols)
 
 
 def test_union_find_compares_exponents_by_modulus():

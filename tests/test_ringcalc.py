@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cupcalc import diagrams as D
+from cupcalc import linalg
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from helpers import count_calls
+from helpers import count_calls, oracle_centre_rows
 
 
 def elem(k, terms):
@@ -190,6 +191,45 @@ def test_centre_echelon_basis_spans_kernel():
         assert len(vectors) == basis.graded_dims[degree]
         for vec in vectors:
             assert all(len(mono) == degree for (_, mono) in vec)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("tie_break", ["lex", "revlex"])
+def test_centre_rows_match_oracle(monkeypatch, k, parity, tie_break):
+    """The systems handed to ``kernel_basis`` are the rows of the
+    monomial-reducing builder: same degrees, row order and entries."""
+    systems = []
+
+    def recording(rows, ncols):
+        systems.append((ncols, [list(r.items()) for r in rows]))
+        return []
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    R.centre(k, parity, tie_break)
+    want = [
+        (len(variables), [list(r.items()) for r in rows])
+        for variables, rows in oracle_centre_rows(k, parity, tie_break).values()
+    ]
+    assert systems == want
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="rref leaves older pivot columns uncleared, so basis vectors "
+    "leave the kernel for k >= 6 (ROADMAP item 1, true RREF)",
+)
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_centre_basis_satisfies_every_constraint_row(parity):
+    k = 6
+    basis = R.centre(k, parity).basis
+    for degree, (variables, rows) in oracle_centre_rows(k, parity).items():
+        col = {name: c for c, name in enumerate(variables)}
+        for vec in basis[degree]:
+            x = {col[name]: coeff for name, coeff in vec.items()}
+            for row in rows:
+                assert sum(v * x.get(c, 0) for c, v in row.items()) == 0
 
 
 def test_centre_order_independence():
