@@ -384,7 +384,7 @@ def _cmd_bijection(args) -> int:
         raise _UsageError(f"cannot read --input {args.input!r}: {reason}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, too many digits
         raise _UsageError(f"--input {args.input!r} is not valid JSON: {exc}") from None
     cup = _load_as_cup(args.src, data, args.parity)
     _emit(json.dumps(_dump_from_cup(args.dst, cup), indent=2))

@@ -341,7 +341,16 @@ def parse_dsl(text: str) -> CupDiagram:
         idx += 1
         return tok
 
-    k = int(expect("integer", str.isdigit))
+    def integer():
+        at, tok = pos(), expect("integer", str.isdigit)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise DiagramError(
+                f"integer at position {at} has {len(tok)} digits, too many to read"
+            ) from None
+
+    k = integer()
     expect("':'", lambda t: t == ":")
     cups, rays = [], []
     while True:
@@ -351,10 +360,10 @@ def parse_dsl(text: str) -> CupDiagram:
             idx += 1
             dotted = True
         expect("'('", lambda t: t == "(")
-        first = int(expect("integer", str.isdigit))
+        first = integer()
         if kind == "c":
             expect("','", lambda t: t == ",")
-            second = int(expect("integer", str.isdigit))
+            second = integer()
             expect("')'", lambda t: t == ")")
             cups.append(Cup(first, second, dotted))
         else:
@@ -379,7 +388,10 @@ def _validate_input(k, cups: list, rays: list) -> CupDiagram:
 
 
 def from_json(data: Union[str, dict]) -> CupDiagram:
-    obj = json.loads(data) if isinstance(data, str) else data
+    try:
+        obj = json.loads(data) if isinstance(data, str) else data
+    except (ValueError, RecursionError) as exc:  # also too deep, too many digits
+        raise DiagramError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "k" not in obj:
         raise DiagramError(f"a diagram must be a JSON object with a 'k' key, got {obj!r}")
     arcs = {}

@@ -13,16 +13,18 @@ and a pair (a, b) whose glued diagram is orientable presents a further
 quotient: on each circle x_i is identified with eps(i, mx) x_mx (mx the
 class maximum, eps the undotted-cup path sign) and every line variable
 dies.  These rewrite rules are confluent, so each quotient has the
-squarefree monomials in the surviving representatives as a basis and
-the restriction maps are computed by re-reducing lifted monomials.
+squarefree monomials in the surviving representatives as a basis.  One
+table states how monomials reduce: ``QuotientPresentation.subset_table``
+maps every subset of a tuple of variables, as a bitmask over their
+positions, to a sign and an image bitmask.  A restriction map reads it
+once over the source's kept variables, in monomial order.
 
 The centre of the whole configuration is the equalizer of the
 restriction maps: tuples of component-ring elements agreeing on every
-pairwise intersection.  Its constraint rows are built from one subset
-table per diagram: each diagram's basis is listed once, in monomial
-order, as bitmasks over its kept variables, and each orientable pair's
-rules map every such subset to a sign and an image bitmask, from which
-the rows are read in that order.  It is computed degree by
+pairwise intersection.  Its constraint rows are read from the same
+table: each diagram's basis is listed once, in monomial order, and each
+orientable pair's quotient maps every such subset to a sign and an
+image, the rows following in that order.  It is computed degree by
 degree as an exact kernel, with a deterministic echelon basis.
 """
 
@@ -48,68 +50,10 @@ class NotOrientableError(ValueError):
     pass
 
 
-class SquarefreeElement:
-    """Exact-rational combination of squarefree monomials x_I."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms: Optional[Dict[frozenset, Fraction]] = None):
-        self.k = k
-        self.terms: Dict[frozenset, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[frozenset(mono)] = coeff
-
-    @classmethod
-    def variable(cls, k: int, i: int) -> "SquarefreeElement":
-        return cls(k, {frozenset((i,)): Fraction(1)})
-
-    def __add__(self, other: "SquarefreeElement") -> "SquarefreeElement":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return SquarefreeElement(self.k, out)
-
-    def __neg__(self) -> "SquarefreeElement":
-        return SquarefreeElement(self.k, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "SquarefreeElement") -> "SquarefreeElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "SquarefreeElement":
-        scalar = Fraction(scalar)
-        return SquarefreeElement(self.k, {m: c * scalar for m, c in self.terms.items()})
-
-    def homogeneous_part(self, size: int) -> "SquarefreeElement":
-        return SquarefreeElement(
-            self.k, {m: c for m, c in self.terms.items() if len(m) == size}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SquarefreeElement)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            coeff = self.terms[mono]
-            name = "1" if not mono else "*".join(f"x{i}" for i in sorted(mono))
-            bits.append(f"{coeff}*{name}")
-        return " + ".join(bits)
-
-
-def monomial_key(mono: frozenset) -> tuple:
-    return (len(mono), tuple(sorted(mono)))
+def _monomial_order(n: int) -> List[int]:
+    """The subsets of n ascending variables, as bitmasks over their
+    positions, in monomial order: by size, then lexicographically."""
+    return sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
 
 
 class QuotientPresentation:
@@ -123,18 +67,19 @@ class QuotientPresentation:
     def __init__(self, k: int, rules: Dict[int, Optional[Tuple[int, int]]]):
         self.k = k
         self.rules = dict(rules)
-        kept = [i for i in range(1, k + 1) if i not in rules]
-        self.kept = tuple(sorted(kept))
+        self.kept = tuple(i for i in range(1, k + 1) if i not in rules)
 
     @property
     def dimension(self) -> int:
         return 2 ** len(self.kept)
 
     def basis(self) -> List[frozenset]:
-        out = [frozenset()]
-        for i in self.kept:
-            out.extend([mono | {i} for mono in out])
-        return sorted(out, key=monomial_key)
+        """The surviving squarefree monomials, in monomial order."""
+        kept = self.kept
+        return [
+            frozenset(v for t, v in enumerate(kept) if j >> t & 1)
+            for j in _monomial_order(len(kept))
+        ]
 
     def reduce_monomial(self, mono) -> Optional[Tuple[int, frozenset]]:
         """Rewrite x_mono to sign * x_image, or None when it dies."""
@@ -151,15 +96,22 @@ class QuotientPresentation:
             image.add(rep)
         return sign, frozenset(image)
 
-    def reduce(self, element: SquarefreeElement) -> SquarefreeElement:
-        out: Dict[frozenset, Fraction] = {}
-        for mono, coeff in element.terms.items():
-            reduced = self.reduce_monomial(mono)
-            if reduced is None:
-                continue
-            sign, image = reduced
-            out[image] = out.get(image, Fraction(0)) + sign * coeff
-        return SquarefreeElement(element.k, out)
+    def subset_table(self, variables: tuple) -> Tuple[list, list]:
+        """Sign and image bitmask of x_J for every subset J of
+        ``variables``, indexed by the bitmask of J's positions; the image
+        has bit v set for each representative x_v.
+
+        The table doubles once per variable, and the sign is 0 where x_J
+        dies: a dead variable, or a representative already in the image
+        (x^2 = 0).
+        """
+        sign, image = [1], [0]
+        for v in variables:
+            rule = self.rules.get(v, (1, v))
+            s, m = (0, 0) if rule is None else (rule[0], 1 << rule[1])
+            sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
+            image += [ij | m for ij in image]
+        return sign, image
 
 
 def component_quotient(a: CupDiagram) -> QuotientPresentation:
@@ -211,9 +163,7 @@ class LinearMap:
         return [self.matrix[i][j] for i in range(len(self.codomain))]
 
     def rank(self) -> int:
-        rows = []
-        for i, row in enumerate(self.matrix):
-            rows.append({j: Fraction(v) for j, v in enumerate(row) if v})
+        rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in self.matrix]
         return linalg.rank(rows)
 
     def is_surjective(self) -> bool:
@@ -223,14 +173,12 @@ class LinearMap:
 def _map_between(source: QuotientPresentation, target: QuotientPresentation) -> LinearMap:
     domain = source.basis()
     codomain = target.basis()
-    index = {m: i for i, m in enumerate(codomain)}
+    row_of = {sum(1 << v for v in m): i for i, m in enumerate(codomain)}
+    sign, image = target.subset_table(source.kept)
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    for j, mono in enumerate(domain):
-        reduced = target.reduce_monomial(mono)
-        if reduced is None:
-            continue
-        sign, image = reduced
-        matrix[index[image]][j] = Fraction(sign)
+    for col, j in enumerate(_monomial_order(len(source.kept))):
+        if sign[j]:
+            matrix[row_of[image[j]]][col] = Fraction(sign[j])
     return LinearMap(domain, codomain, matrix)
 
 
@@ -269,29 +217,6 @@ class CentreBasis:
         return {2 * d: n for d, n in self.graded_dims.items()}
 
 
-def _monomial_order(n: int) -> List[int]:
-    """The subsets of n ascending variables, as bitmasks over their
-    positions, in monomial order: by size, then lexicographically."""
-    return sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
-
-
-def _subset_table(variables: tuple, rule: Dict[int, Tuple[int, int]]) -> Tuple[list, list]:
-    """Sign and image bitmask of x_J in a quotient for every subset J of
-    ``variables``, indexed by the bitmask of J's positions.
-
-    ``rule`` sends a variable to (sign, bit of its representative); a
-    variable without a rule dies.  The table doubles once per variable,
-    and the sign is 0 where x_J dies: a dead variable, or a
-    representative already in the image (x^2 = 0).
-    """
-    sign, image = [1], [0]
-    for v in variables:
-        s, m = rule.get(v, (0, 0))
-        sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
-        image += [ij | m for ij in image]
-    return sign, image
-
-
 def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     """Graded equalizer of all pairwise restriction maps on one parity.
 
@@ -301,8 +226,9 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     only reorders the unknowns and must not change any dimension.
     """
     diagrams = total_order(k, parity, tie_break)
+    names = [encode(d) for d in diagrams]
     kept = [component_quotient(a).kept for a in diagrams]
-    vars_by_degree: Dict[int, List[Tuple[int, tuple]]] = {}
+    vars_by_degree: Dict[int, List[Tuple[str, tuple]]] = {}
     listed = []  # per diagram: (subset bitmask, column) in monomial order
     for ai, kept_vars in enumerate(kept):
         entries = []
@@ -310,7 +236,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
             mono = tuple(v for t, v in enumerate(kept_vars) if j >> t & 1)
             same_degree = vars_by_degree.setdefault(len(mono), [])
             entries.append((j, len(same_degree)))
-            same_degree.append((ai, mono))
+            same_degree.append((names[ai], mono))
         listed.append(entries)
 
     rows_by_degree: Dict[int, List[Dict[int, int]]] = {d: [] for d in vars_by_degree}
@@ -320,36 +246,25 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
             forced = force_lines(a_star, diagrams[bi])
             if forced is None:
                 continue
-            # circle vertices rewrite to the class maximum; line vertices die
-            rule = {}
-            for cl in forced.decomposition.circles:
-                m = 1 << cl.mx
-                for v, s in zip(cl.vertices, cl.signs):
-                    rule[v] = (s, m)
+            target = _quotient_of(forced.decomposition)
             constraint: Dict[int, Dict[int, int]] = {}
             for side, qi in ((1, ai), (-1, bi)):
-                sign, image = _subset_table(kept[qi], rule)
+                sign, image = target.subset_table(kept[qi])
                 for j, col in listed[qi]:
                     if sign[j]:
                         constraint.setdefault(image[j], {})[col] = side * sign[j]
             for image, row in constraint.items():
                 rows_by_degree[image.bit_count()].append(row)
 
-    names = [encode(d) for d in diagrams]
     graded_dims = {}
     basis = {}
     for degree in sorted(vars_by_degree):
         variables = vars_by_degree[degree]
         kernel = linalg.kernel_basis(rows_by_degree[degree], len(variables))
         graded_dims[degree] = len(kernel)
-        vectors = []
-        for vec in kernel:
-            named = {}
-            for col, coeff in sorted(vec.items()):
-                ai, mono = variables[col]
-                named[(names[ai], mono)] = coeff
-            vectors.append(named)
-        basis[degree] = vectors
+        basis[degree] = [
+            {variables[col]: coeff for col, coeff in sorted(vec.items())} for vec in kernel
+        ]
     return CentreBasis(k, parity, diagrams, graded_dims, basis)
 
 
@@ -361,8 +276,7 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
 class BasisDictionary:
     a: CupDiagram
     b: CupDiagram
-    entries: list          # (monomial frozenset, OrientedCircleDiagram), monomial order
-    transport_signs: dict  # vertex -> eps(vertex, class maximum); 0 on lines
+    entries: list  # (monomial frozenset, OrientedCircleDiagram), monomial order
 
     def orientation_of(self, mono: frozenset) -> OrientedCircleDiagram:
         for m, oriented in self.entries:
@@ -383,12 +297,10 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
         raise NotOrientableError(
             f"{encode(a)} and {encode(b)} have empty intersection"
         )
-    dec = oriented[0].decomposition
-    target = _quotient_of(dec)
-    by_clockwise = {}
-    for o in oriented:
-        clockwise = frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise")
-        by_clockwise[clockwise] = o
+    target = _quotient_of(oriented[0].decomposition)
+    by_clockwise = {
+        frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise"): o for o in oriented
+    }
     entries = []
     for mono in target.basis():
         o = by_clockwise[mono]
@@ -398,10 +310,7 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
                 f"degree of orientation {o.weight} is {o.degree}, expected {expected}"
             )
         entries.append((mono, o))
-    signs = dict.fromkeys(range(1, a.k + 1), 0)
-    for cl in dec.circles:
-        signs.update(zip(cl.vertices, cl.signs))
-    return BasisDictionary(a, b, entries, signs)
+    return BasisDictionary(a, b, entries)
 
 
 @dataclass

@@ -264,6 +264,33 @@ def oracle_kernel_basis(rows, ncols):
     return basis
 
 
+def _oracle_basis(q):
+    """The surviving monomials of a ``QuotientPresentation``, by size and
+    then lexicographically."""
+    return [
+        frozenset(mono)
+        for size in range(len(q.kept) + 1)
+        for mono in itertools.combinations(q.kept, size)
+    ]
+
+
+def oracle_map_between(source, target):
+    """(domain, codomain, matrix) of the restriction map between two
+    ``QuotientPresentation``s, found by reducing each domain monomial
+    one at a time with ``reduce_monomial``."""
+    domain = _oracle_basis(source)
+    codomain = _oracle_basis(target)
+    index = {m: i for i, m in enumerate(codomain)}
+    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    for j, mono in enumerate(domain):
+        reduced = target.reduce_monomial(mono)
+        if reduced is None:
+            continue
+        sign, image = reduced
+        matrix[index[image]][j] = Fraction(sign)
+    return domain, codomain, matrix
+
+
 def oracle_centre_rows(k, parity, tie_break="lex"):
     """The constraint rows of ``ringcalc.centre``, built by reducing every
     basis monomial of both components in each pair's

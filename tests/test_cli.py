@@ -539,6 +539,40 @@ def test_bijection_malformed_json_names_the_input(tmp_path, monkeypatch, capsys)
         assert err.startswith(f"cupcalc: --input {source!r} is not valid JSON: "), err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['[' * 200000, '{"k": ' + '9' * 5000 + '}'],
+    ids=["too-deep", "too-many-digits"],
+)
+def test_bijection_unparsable_json_names_the_input(tmp_path, text, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = capture(
+        capsys, ["bijection", "--from", "cup", "--to", "dt", "--input", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cupcalc: --input {str(path)!r} is not valid JSON: "), err
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["render", "--diagram", f"4: c(1,2);c(3,{_LONG})"], 14),
+        (["orient", "--cup", f"{_LONG}: c(1,2)"], 0),
+        (["distance", "--a", "2: c(1,2)", "--b", f"2: r({_LONG});r(2)"], 5),
+    ],
+    ids=["render", "orient", "distance"],
+)
+def test_dsl_integer_with_too_many_digits_names_its_position(capsys, argv, position):
+    code, out, err = capture(capsys, argv)
+    assert (code, out, err) == (
+        1, "", f"cupcalc: integer at position {position} has 5000 digits, too many to read\n"
+    )
+
+
 _SIDE_BY_SIDE_17 = "17: " + ";".join(f"c({i},{i + 1})" for i in range(1, 17, 2)) + ";r(17)"
 _SIDE_BY_SIDE_34 = "34: " + ";".join(f"c({i},{i + 1})" for i in range(1, 34, 2))
 

@@ -288,6 +288,16 @@ def test_from_json_rejects_malformed_documents(obj, message):
         D.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['[' * 200000, '{"k": ' + '9' * 5000 + '}', '{"k": 2,'],
+    ids=["too-deep", "too-many-digits", "truncated"],
+)
+def test_from_json_rejects_unparsable_text(text):
+    with pytest.raises(D.DiagramError, match="^not valid JSON: "):
+        D.from_json(text)
+
+
 def _outcome(check, k, cups, rays):
     """What a validator makes of the arcs: the diagram or the error text."""
     try:
