@@ -98,7 +98,10 @@ def _cup_count(text: str):
     if text in ("max", "any"):
         return text
     if text.isdecimal():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
     raise argparse.ArgumentTypeError(f"must be 'max', 'any' or a count >= 0, got {text!r}")
 
 

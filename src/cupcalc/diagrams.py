@@ -49,6 +49,16 @@ directly, with cups sorted by left end and rays ascending as
 of a legal diagram on the same vertices and decide with one walk of
 their own whether the result is legal; the tests check that walk against
 :func:`validate` on every diagram with k <= 10.
+
+Per-diagram facts are computed once per :class:`CupDiagram` and kept on
+the instance (``functools.cached_property``): the canonical
+``encoding`` (which :func:`encode` reads), ``dot_count`` and
+``dot_parity``, the :class:`CapDiagram` returned by ``star()``, and the
+``partners`` arrays that :func:`orientation.decompose` walks (a
+:class:`CapDiagram` keeps its own).  The cache lives outside the
+fields, so ``==``, ``hash`` and ``repr`` are unchanged, and since
+:func:`maximal_diagrams` is cached too, every sweep over the same
+diagrams reuses these values.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Tuple, Union
 
 
 class DiagramError(ValueError):
@@ -110,6 +120,18 @@ class Ray(NamedTuple):
 Arc = Union[Cup, Ray]
 
 
+def _partner_arrays(k: int, cups: tuple) -> Tuple[tuple, tuple]:
+    """Partner of each vertex along its arc (0 for a ray) and the arc's
+    sign flip (-1 undotted, +1 dotted), both indexed 1..k."""
+    partner = [0] * (k + 1)
+    flip = [1] * (k + 1)
+    for c in cups:
+        partner[c.left], partner[c.right] = c.right, c.left
+        if not c.dotted:
+            flip[c.left] = flip[c.right] = -1
+    return tuple(partner), tuple(flip)
+
+
 @dataclass(frozen=True)
 class CupDiagram:
     k: int
@@ -120,20 +142,34 @@ class CupDiagram:
     def n_cups(self) -> int:
         return len(self.cups)
 
-    @property
+    @cached_property
     def dot_count(self) -> int:
         return sum(c.dotted for c in self.cups) + sum(r.dotted for r in self.rays)
 
-    @property
+    @cached_property
     def dot_parity(self) -> str:
         return "even" if self.dot_count % 2 == 0 else "odd"
 
-    def star(self) -> "CapDiagram":
-        """The cap diagram obtained by reflecting in the horizontal axis."""
+    @cached_property
+    def encoding(self) -> str:
+        """The canonical text encoding."""
+        return _encode(self)
+
+    @cached_property
+    def partners(self) -> Tuple[tuple, tuple]:
+        """(partner, flip) arrays of the cups, as :func:`_partner_arrays`."""
+        return _partner_arrays(self.k, self.cups)
+
+    @cached_property
+    def _cap(self) -> "CapDiagram":
         return CapDiagram(self.k, self.cups, self.rays)
 
+    def star(self) -> "CapDiagram":
+        """The cap diagram obtained by reflecting in the horizontal axis."""
+        return self._cap
+
     def encode(self) -> str:
-        return encode(self)
+        return self.encoding
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,7 +182,7 @@ class CupDiagram:
         }
 
     def __str__(self) -> str:
-        return self.encode()
+        return self.encoding
 
 
 @dataclass(frozen=True)
@@ -157,11 +193,16 @@ class CapDiagram:
     cups: tuple
     rays: tuple
 
+    @cached_property
+    def partners(self) -> Tuple[tuple, tuple]:
+        """(partner, flip) arrays of the caps, as :func:`_partner_arrays`."""
+        return _partner_arrays(self.k, self.cups)
+
     def star(self) -> CupDiagram:
         return CupDiagram(self.k, self.cups, self.rays)
 
     def encode(self) -> str:
-        return encode(self.star())
+        return _encode(self)
 
     def __str__(self) -> str:
         return self.encode()
@@ -294,6 +335,11 @@ def nesting(k: int, cups, rays) -> Nesting:
 
 
 def encode(d: Union[CupDiagram, CapDiagram]) -> str:
+    """The canonical encoding; a :class:`CupDiagram` computes it once."""
+    return d.encoding if isinstance(d, CupDiagram) else _encode(d)
+
+
+def _encode(d: Union[CupDiagram, CapDiagram]) -> str:
     parts = []
     for arc in sorted(d.cups + d.rays, key=_arc_key):
         star = "*" if arc.dotted else ""

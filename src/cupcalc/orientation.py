@@ -26,6 +26,7 @@ from .diagrams import CapDiagram, Cup, CupDiagram, Ray, validate
 
 UP = "^"
 DOWN = "v"
+_SORT_SYMBOLS = str.maketrans({DOWN: "0", UP: "1"})
 
 
 class OrientationError(ValueError):
@@ -60,9 +61,9 @@ class Weight:
             )
         return self.text[vertex - 1]
 
-    def sort_key(self) -> tuple:
+    def sort_key(self) -> str:
         # canonical order: down before up
-        return tuple(0 if s == DOWN else 1 for s in self.text)
+        return self.text.translate(_SORT_SYMBOLS)
 
     def flip(self, vertices: Iterable[int]) -> "Weight":
         chars = list(self.text)
@@ -106,24 +107,28 @@ def half_degree(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> int:
 
 
 def orientations_of_cup(c: CupDiagram) -> List[Weight]:
-    """All weights orienting c, in canonical order; there are 2^#cups."""
+    """All weights orienting c, in canonical order; there are 2^#cups.
+
+    The order is generated, not sorted.  Two weights orienting c first
+    differ at the left end of the leftmost cup they label differently,
+    so taking the cups by left end, each with its down-at-left choice
+    first, lists the weights in canonical order.
+    """
     slots = [None] * c.k
     for r in c.rays:
         slots[r.at - 1] = UP if r.dotted else DOWN
-    choices = []
-    for cup in c.cups:
-        if cup.dotted:
-            choices.append(((UP, UP), (DOWN, DOWN)))
-        else:
-            choices.append(((DOWN, UP), (UP, DOWN)))
+    cups = sorted(c.cups)  # by left end; the vertices are distinct
+    choices = [
+        ((DOWN, DOWN), (UP, UP)) if cup.dotted else ((DOWN, UP), (UP, DOWN))
+        for cup in cups
+    ]
     weights = []
     for combo in itertools.product(*choices):
         filled = slots[:]
-        for cup, (a, b) in zip(c.cups, combo):
+        for cup, (a, b) in zip(cups, combo):
             filled[cup.left - 1] = a
             filled[cup.right - 1] = b
         weights.append(Weight("".join(filled)))
-    weights.sort(key=Weight.sort_key)
     return weights
 
 
@@ -181,24 +186,13 @@ class ComponentDecomposition:
         return tuple(cl for cl in self.classes if cl.kind == "circle")
 
 
-def _partners(half: Union[CupDiagram, CapDiagram]) -> Tuple[list, list]:
-    """Partner of each vertex along its arc (0 for a ray) and the arc's
-    sign flip (-1 undotted, +1 dotted), both indexed 1..k."""
-    partner = [0] * (half.k + 1)
-    flip = [1] * (half.k + 1)
-    for c in half.cups:
-        partner[c.left], partner[c.right] = c.right, c.left
-        if not c.dotted:
-            flip[c.left] = flip[c.right] = -1
-    return partner, flip
-
-
 def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     """Connected components of the glued diagram cap over cup.
 
     Every vertex meets one arc of each half, so each component is a
     circle or a line.  It is traced from its least vertex by walking
-    alternately along cap and cup partners, multiplying the flips of the
+    alternately along cap and cup partners (each half's ``partners``
+    arrays, computed once per diagram), multiplying the flips of the
     arcs passed (-1 per undotted cup); a line needs a second walk from
     the same vertex in the other direction.  The sign of a vertex
     relative to the class maximum is the parity of undotted cups on the
@@ -209,7 +203,7 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     if cap.k != cup.k:
         raise OrientationError("cap and cup must have the same vertex count")
     k = cup.k
-    halves = (_partners(cap), _partners(cup))
+    halves = (cap.partners, cup.partners)
     seen = [False] * (k + 1)
     classes = []
     for start in range(1, k + 1):

@@ -515,6 +515,14 @@ def test_enumerate_rejects_bad_cup_count(capsys, cups):
     assert err.startswith("cupcalc: argument --cups: must be 'max', 'any' or a count >= 0")
 
 
+def test_enumerate_cup_count_with_too_many_digits_is_a_bad_count(capsys):
+    cups = "9" * 5000
+    code, out, err = capture(capsys, ["enumerate", "--k", "3", "--cups", cups])
+    assert (code, out, err) == (
+        1, "", f"cupcalc: argument --cups: must be 'max', 'any' or a count >= 0, got {cups!r}\n"
+    )
+
+
 def test_bijection_unreadable_input_names_the_path(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     binary = tmp_path / "binary.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -113,6 +114,36 @@ def test_maximal_diagrams_take_every_dot_filter():
     )
     with pytest.raises(D.DiagramError, match="dot filter must be one of .* got 'dotted'"):
         D.maximal_diagrams(4, "dotted")
+
+
+def _fresh_partner_arrays(k, cups):
+    partner, flip = [0] * (k + 1), [1] * (k + 1)
+    for c in cups:
+        partner[c.left], partner[c.right] = c.right, c.left
+        flip[c.left] = flip[c.right] = 1 if c.dotted else -1
+    return tuple(partner), tuple(flip)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cached_facts_leave_the_diagram_unchanged(k):
+    fields = {"k", "cups", "rays"}
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        fresh = D.CupDiagram(d.k, d.cups, d.rays)
+        assert set(vars(fresh)) == fields
+        before = (repr(fresh), hash(fresh), fresh.to_json_dict(), dataclasses.fields(fresh))
+        cap = fresh.star()
+        facts = (fresh.encode(), D.encode(fresh), fresh.dot_count, fresh.dot_parity,
+                 fresh.partners, cap.partners)
+        assert set(vars(fresh)) > fields
+        assert (repr(fresh), hash(fresh), fresh.to_json_dict(), dataclasses.fields(fresh)) == before
+        assert fresh == d and d == fresh and hash(fresh) == hash(d)
+        assert cap is fresh.star()
+        assert cap == D.CapDiagram(d.k, d.cups, d.rays)
+        dots = sum(arc.dotted for arc in d.cups + d.rays)
+        partners = _fresh_partner_arrays(d.k, d.cups)
+        assert facts == (D._encode(d), D._encode(d), dots, ("even", "odd")[dots % 2],
+                         partners, partners)
+        assert set(vars(dataclasses.replace(fresh))) == fields
 
 
 @pytest.mark.parametrize("k", range(1, 9))

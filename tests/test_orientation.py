@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,36 @@ def test_orientations_match_brute_force(k):
         assert set(got) == expected
         assert len(got) == 2 ** d.n_cups
         assert got == sorted(got, key=lambda s: [0 if ch == "v" else 1 for ch in s])
+
+
+def _symbol_tuple_key(weight):
+    """The canonical order as a tuple of symbols, down before up."""
+    return tuple(0 if s == O.DOWN else 1 for s in weight.text)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_orientations_of_cup_are_generated_in_canonical_order(k):
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        got = O.orientations_of_cup(d)
+        assert got == sorted(got, key=_symbol_tuple_key)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_orientations_of_cup_take_cups_in_any_order(k):
+    """A diagram built directly, cups not sorted by left end, gets the
+    same canonically ordered weights as its validated twin."""
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        reversed_cups = D.CupDiagram(d.k, d.cups[::-1], d.rays)
+        assert O.orientations_of_cup(reversed_cups) == O.orientations_of_cup(d)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_weight_sort_key_orders_like_the_symbol_tuple(k):
+    weights = all_weights(k)
+    random.Random(k).shuffle(weights)
+    by_key = sorted(weights, key=O.Weight.sort_key)
+    assert by_key == sorted(weights, key=_symbol_tuple_key)
+    assert len({x.sort_key() for x in weights}) == 2 ** k
 
 
 def test_decompose_mirror_doubling():

@@ -225,7 +225,7 @@ def test_table_diagonals_and_symmetry(k):
                 assert set(table.entry(i, j)) == set(table.entry(j, i))
 
 
-@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("k", [7, 8, 9])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_fixed_point_table_matches_glued_oracle(k, parity):
     assert S.fixed_point_table(k, parity).to_json_dict() == oracle_fixed_point_table(k, parity)
