@@ -47,8 +47,9 @@ directly, with cups sorted by left end and rays ascending as
 :func:`validate` returns them; the tests check those members against
 :func:`validate`.  So do the move graph's rewrites, which swap two arcs
 of a legal diagram on the same vertices and decide with one walk of
-their own whether the result is legal; the tests check that walk against
-:func:`validate` on every diagram with k <= 10.
+their own whether the result is legal (the graph itself looks each
+result up among the enumerated maximal diagrams); the tests check that
+walk against :func:`validate` on every diagram with k <= 10.
 
 Per-diagram facts are computed once per :class:`CupDiagram` and kept on
 the instance (``functools.cached_property``): the canonical

@@ -18,7 +18,18 @@ IV'   dotted ray i, cup (j,k)          plain cup (i,j), dotted ray k
 
 ``_RULES`` repeats this table row for row, and it is the only statement
 of the rewrites: read forwards it gives the successors of a diagram,
-read backwards its predecessors and the edges of its cup forest.
+read backwards its predecessors and the edges of its cup forest.  Both
+readings are keyed by the *shape* of a pair of arcs (:func:`_shape`):
+nested or side-by-side cups, or a ray left or right of a cup, with the
+dots of both arcs.
+
+Every rewrite keeps the cup count, and it keeps the dot parity (it adds
+two dots or moves one).  So a move from a maximal diagram is legal
+exactly when its result is another maximal diagram of the same parity:
+:func:`move_graph` decides each candidate by looking its arc set up
+among the nodes and builds no diagram for it.  :func:`successors`,
+:func:`predecessors` and :func:`cup_forest` take single diagrams of any
+cup count, so they decide each rewrite with :func:`_rewire` instead.
 
 Arrows a -> b generate a partial order on the maximal diagrams of each
 dot parity; the undirected graph is connected per parity.  Each diagram
@@ -72,9 +83,54 @@ _RULES = {
     "III'": ((Cup(0, 1, True), Ray(2)), (Ray(0, True), Cup(1, 2))),
     "IV'": ((Ray(0, True), Cup(1, 2)), (Cup(0, 1), Ray(2, True))),
 }
-# The table read forwards (arrow sources) and backwards (arrow targets).
-_FORWARDS = {before: (kind, after) for kind, (before, after) in _RULES.items()}
-_BACKWARDS = {after: (kind, before) for kind, (before, after) in _RULES.items()}
+
+
+def _shape(pair) -> Tuple[tuple, tuple]:
+    """(shape, vertices ascending) of a cup-cup pair, cups by left end as
+    every diagram holds them, or of a cup-ray pair, cup first.
+
+    The arcs of a legal diagram do not cross and no ray starts under a
+    cup, so cups are nested or side by side and a ray lies left or right
+    of a cup.  The shape names which, with the dots of the arcs: of the
+    outer or left cup, then of the other arc.
+    """
+    first, second = pair
+    if type(second) is Ray:
+        (left, right, dotted), (at, ray_dotted) = first, second
+        if at < left:
+            return ("ray left", dotted, ray_dotted), (at, left, right)
+        return ("ray right", dotted, ray_dotted), (left, right, at)
+    (l1, r1, d1), (l2, r2, d2) = first, second
+    if r2 < r1:
+        return ("nested", d1, d2), (l1, l2, r2, r1)
+    return ("side by side", d1, d2), (l1, r1, l2, r2)
+
+
+def _shape_table(forwards: bool) -> dict:
+    """shape -> (kind, other side) for each rule side of ``_RULES``, read
+    forwards (arrow sources) or backwards (arrow targets)."""
+    table = {}
+    for kind, sides in _RULES.items():
+        side, other = sides if forwards else sides[::-1]
+        cups_first = sorted(side, key=lambda arc: (type(arc) is Ray, arc[0]))
+        table[_shape(cups_first)[0]] = (kind, other)
+    return table
+
+
+_FORWARDS = _shape_table(True)
+_BACKWARDS = _shape_table(False)
+
+
+def _candidates(d: CupDiagram, rules: dict):
+    """(matched pair, kind, its vertices, other side) for each cup-cup and
+    cup-ray pair of d whose shape ``rules`` holds, in a fixed pair order."""
+    for pair in itertools.chain(
+        itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
+    ):
+        shape, pos = _shape(pair)
+        rule = rules.get(shape)
+        if rule is not None:
+            yield pair, rule[0], pos, rule[1]
 
 
 def _rewire(d: CupDiagram, add) -> Optional[CupDiagram]:
@@ -115,43 +171,32 @@ def _rewire(d: CupDiagram, add) -> Optional[CupDiagram]:
 def _matches(d: CupDiagram, rules: dict):
     """(other diagram, move, matched arcs) for each rule side found in d.
 
-    Every cup-cup and cup-ray pair is renumbered onto 0..3 (or 0..2),
-    its arcs sorted by leftmost vertex as in ``_RULES``, and looked up in
-    ``rules``; the other side of a matching rule is placed back on the
-    pair's vertices and kept if :func:`_rewire` finds the result legal.
+    The other side of each matching rule is placed back on the pair's
+    vertices and kept if :func:`_rewire` finds the result legal.
     """
-    for pair in itertools.chain(
-        itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
-    ):
-        # An arc's last field is its dot, the others are its vertices.
-        pos = sorted(pair[0][:-1] + pair[1][:-1])
-        key = tuple(sorted(tuple(map(pos.index, arc[:-1])) + arc[-1:] for arc in pair))
-        rule = rules.get(key)
-        if rule is None:
-            continue
-        kind, other_side = rule
+    for pair, kind, pos, other_side in _candidates(d, rules):
         new_arcs = [type(arc)(*map(pos.__getitem__, arc[:-1]), arc[-1]) for arc in other_side]
         other = _rewire(d, new_arcs)
         if other is not None:
-            yield other, Move(kind, tuple(pos)), pair
+            yield other, Move(kind, pos), pair
 
 
-def _neighbours(a: CupDiagram, rules: dict) -> List[Tuple[str, CupDiagram, Move]]:
-    """(encoding of b, b, move) for each rule side matched in a, sorted by
-    the encoding and then the move's kind; each b is encoded once."""
-    out = [(encode(b), b, move) for b, move, _ in _matches(a, rules)]
-    out.sort(key=lambda t: (t[0], t[2].kind))
+def _neighbours(a: CupDiagram, rules: dict) -> List[Tuple[CupDiagram, Move]]:
+    """(b, move) for each rule side matched in a, sorted by the encoding
+    of b and then the move's kind."""
+    out = [(b, move) for b, move, _ in _matches(a, rules)]
+    out.sort(key=lambda t: (encode(t[0]), t[1].kind))
     return out
 
 
 def successors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams one arrow a -> b away."""
-    return [(b, move) for _, b, move in _neighbours(a, _FORWARDS)]
+    return _neighbours(a, _FORWARDS)
 
 
 def predecessors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
     """All diagrams b with an arrow b -> a."""
-    return [(b, move) for _, b, move in _neighbours(a, _BACKWARDS)]
+    return _neighbours(a, _BACKWARDS)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +273,35 @@ def _node_index(k: int, parity: str) -> dict:
 
 @lru_cache(maxsize=None)
 def move_graph(k: int, parity: str) -> MoveGraph:
+    """The arrows between the maximal diagrams of one parity.
+
+    A move keeps the cup count and the dot parity, so its result is legal
+    exactly when it is a node: each candidate is looked up by its arc set
+    among the nodes.  An arc set is keyed as a bitmask, one bit per arc,
+    so a candidate's key is its source's with the bits of the matched
+    pair swapped for those of the placed arcs (an arc no node has gets a
+    bit of its own, which no node's key holds).  Nodes are in canonical
+    encoding order, so sorting a node's arrows by target index and kind
+    lists them as :func:`successors` does.
+    """
     nodes = maximal_diagrams(k, parity)
-    index = _node_index(k, parity)
+    bit: dict = {}
+    keys = [sum(bit.setdefault(arc, 1 << len(bit)) for arc in n.cups + n.rays) for n in nodes]
+    index = {key: i for i, key in enumerate(keys)}
     arrows = []
-    for i, a in enumerate(nodes):
-        for code, _, move in _neighbours(a, _FORWARDS):
-            j = index.get(code)
-            if j is None:
-                raise InternalCheckError(
-                    f"move left the maximal diagram set: {encode(a)} -> {code}"
-                )
-            arrows.append((i, j, move))
+    for i, (a, key) in enumerate(zip(nodes, keys)):
+        found = []
+        for pair, kind, pos, other_side in _candidates(a, _FORWARDS):
+            # a placed arc is a plain tuple, equal to (and hashed as) its Cup or Ray
+            new0, new1 = (tuple(map(pos.__getitem__, arc[:-1])) + arc[-1:] for arc in other_side)
+            j = index.get(
+                key - bit[pair[0]] - bit[pair[1]]
+                + bit.setdefault(new0, 1 << len(bit)) + bit.setdefault(new1, 1 << len(bit))
+            )
+            if j is not None:
+                found.append((j, kind, pos))
+        found.sort()  # a target fixes the pair, so no tie reaches pos
+        arrows.extend((i, j, Move(kind, pos)) for j, kind, pos in found)
     graph = MoveGraph(k, parity, nodes, tuple(arrows))
     if not graph.is_connected():
         raise InternalCheckError(f"move graph ({k}, {parity}) is not connected")
@@ -276,19 +339,41 @@ def distance(a: CupDiagram, b: CupDiagram):
     _require_maximal(b)
     if a.dot_parity != b.dot_parity:
         return math.inf
-    graph = move_graph(a.k, a.dot_parity)
-    d = _distance_row(a.k, a.dot_parity, graph.index(a))[graph.index(b)]
+    index = _node_index(a.k, a.dot_parity)
+    d = _distance_row(a.k, a.dot_parity, index[a.encoding])[index[b.encoding]]
     if d is None:  # unreachable: per-parity graphs are connected
         return math.inf
     return d
 
 
-@lru_cache(maxsize=None)
-def _reachability(k: int, parity: str) -> tuple:
-    """reach[i] = frozenset of nodes reachable from i along arrows."""
-    graph = move_graph(k, parity)
-    adj = graph.directed_adjacency()
-    return tuple(frozenset(_reached(adj, src)) for src in range(len(graph.nodes)))
+def _sources_first(k: int, parity: str, tie_break: str) -> list:
+    """Node indices in a topological order of the arrows, sources first.
+
+    Kahn's algorithm takes nodes with no unprocessed out-arrows, so arrow
+    sources end up later, and the order is reversed at the end.  Ties go
+    to the lowest index (``"lex"``) or the highest (``"revlex"``).
+    """
+    targets = [set(js) for js in move_graph(k, parity).directed_adjacency()]
+    sources: List[List[int]] = [[] for _ in targets]
+    for i, js in enumerate(targets):
+        for j in js:
+            sources[j].append(i)
+    remaining = [len(js) for js in targets]
+    sign = 1 if tie_break == "lex" else -1
+    heap = [sign * i for i, count in enumerate(remaining) if count == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        i = sign * heapq.heappop(heap)
+        order.append(i)
+        for p in sources[i]:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                heapq.heappush(heap, sign * p)
+    if len(order) != len(targets):
+        raise InternalCheckError("arrow relation is not acyclic")
+    order.reverse()
+    return order
 
 
 def total_order(k: int, parity: str, tie_break: str = "lex") -> tuple:
@@ -298,59 +383,45 @@ def total_order(k: int, parity: str, tie_break: str = "lex") -> tuple:
     reaches b along arrows.  Ties are broken by canonical encoding
     (``tie_break="revlex"`` reverses the tie-break; any refinement is
     equally valid and nothing computed downstream may depend on it).
+    Nodes are sorted by encoding, and no encoding is a prefix of another,
+    so comparing node indices compares encodings.
     """
-    graph = move_graph(k, parity)
-    n = len(graph.nodes)
-    out_edges = graph.directed_adjacency()
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for i, js in enumerate(out_edges):
-        for j in set(js):
-            preds[j].append(i)
-    indeg = [len(set(out_edges[i])) for i in range(n)]
-    # Kahn: repeatedly take nodes with no unprocessed out-arrows, so that
-    # arrow sources end up later; reverse at the end to put them first.
-    sign = 1 if tie_break == "lex" else -1
-    keyed = lambda i: encode(graph.nodes[i])
-    heap = []
-    remaining = indeg[:]
-    for i in range(n):
-        if remaining[i] == 0:
-            heapq.heappush(heap, (_hkey(keyed(i), sign), i))
-    order = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        order.append(i)
-        for p in set(preds[i]):
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                heapq.heappush(heap, (_hkey(keyed(p), sign), p))
-    if len(order) != n:
-        raise InternalCheckError("arrow relation is not acyclic")
-    order.reverse()
-    return tuple(graph.nodes[i] for i in order)
+    nodes = move_graph(k, parity).nodes
+    return tuple(nodes[i] for i in _sources_first(k, parity, tie_break))
 
 
-def _hkey(s: str, sign: int):
-    return s if sign == 1 else tuple(-ord(ch) for ch in s)
+@lru_cache(maxsize=None)
+def _ancestors(k: int, parity: str) -> tuple:
+    """anc[j] = bitmask of the nodes that reach node j along arrows (j
+    included), filled in one pass over the arrows, sources first."""
+    out = move_graph(k, parity).directed_adjacency()
+    anc = [1 << i for i in range(len(out))]
+    for i in _sources_first(k, parity, "lex"):
+        for j in out[i]:
+            anc[j] |= anc[i]
+    return tuple(anc)
 
 
 def geodesic_meet(a: CupDiagram, b: CupDiagram) -> CupDiagram:
-    """Some c below both a and b with d(a,b) = d(a,c) + d(c,b)."""
+    """Some c below both a and b with d(a,b) = d(a,c) + d(c,b): the first
+    such c in canonical encoding order."""
     _require_maximal(a)
     _require_maximal(b)
     if a.dot_parity != b.dot_parity or a.k != b.k:
         raise NoFiniteDistanceError("no finite-distance chain between the diagrams")
-    graph = move_graph(a.k, a.dot_parity)
-    reach = _reachability(a.k, a.dot_parity)
-    ia, ib = graph.index(a), graph.index(b)
-    from_a = _distance_row(a.k, a.dot_parity, ia)
-    from_b = _distance_row(a.k, a.dot_parity, ib)  # d(c, b) = d(b, c): undirected
-    dab = from_a[ib]
-    for ic in range(len(graph.nodes)):  # nodes are in canonical encoding order
-        if from_a[ic] + from_b[ic] != dab:
-            continue
-        if ia in reach[ic] and ib in reach[ic]:
-            return graph.nodes[ic]
+    k, parity = a.k, a.dot_parity
+    index = _node_index(k, parity)
+    ia, ib = index[a.encoding], index[b.encoding]
+    from_a = _distance_row(k, parity, ia)
+    from_b = _distance_row(k, parity, ib)  # d(c, b) = d(b, c): undirected
+    anc = _ancestors(k, parity)
+    below_both = anc[ia] & anc[ib]
+    while below_both:  # lowest index first
+        low = below_both & -below_both
+        ic = low.bit_length() - 1
+        if from_a[ic] + from_b[ic] == from_a[ib]:
+            return move_graph(k, parity).nodes[ic]
+        below_both ^= low
     raise InternalCheckError("no geodesic meet exists")  # pragma: no cover
 
 

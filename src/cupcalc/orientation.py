@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .diagrams import CapDiagram, Cup, CupDiagram, Ray, validate
+from .diagrams import CapDiagram, Cup, CupDiagram, Ray, encode, validate
+from .errors import InternalCheckError
 
 UP = "^"
 DOWN = "v"
@@ -350,12 +351,16 @@ def min_degree_element(a: CupDiagram, b: CupDiagram):
     oriented = orient_circle_diagram(a.star(), b)
     if not oriented:
         return None
+    return min_degree_of(oriented)
+
+
+def min_degree_of(oriented: List[OrientedCircleDiagram]):
+    """The minimal-degree element of a non-empty list of orientations of
+    one glued diagram and its degree; the minimum must be unique."""
     best = min(oriented, key=lambda o: o.degree)
     if sum(1 for o in oriented if o.degree == best.degree) != 1:
-        from .errors import InternalCheckError
-
         raise InternalCheckError(
-            f"minimal degree not unique for {a.encode()} / {b.encode()}"
+            f"minimal degree not unique for {encode(best.cap)} / {encode(best.cup)}"
         )
     return best, best.degree
 

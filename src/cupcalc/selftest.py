@@ -177,9 +177,9 @@ def _suite_distance_circles(k_max, rng):
                 d = movegraph.distance(a, b)
                 if d != m - circles:
                     return False, f"distance {d} != {m}-{circles} for {a.encode()},{b.encode()}"
-                mde = orientation.min_degree_element(a, b)
-                if mde[1] != d:
-                    return False, f"minimal degree {mde[1]} != distance {d}"
+                _, degree = orientation.min_degree_of(oriented)  # no second gluing
+                if degree != d:
+                    return False, f"minimal degree {degree} != distance {d}"
     return True, "distance equals cups minus circles on orientable pairs"
 
 

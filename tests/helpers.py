@@ -976,12 +976,26 @@ def oracle_rewire(d, remove, add):
         return None
 
 
+def _oracle_rule_keys(rules):
+    """A ``movegraph`` shape table (shape -> (kind, other side)) keyed
+    instead by its matched rule side from ``_RULES``, arcs sorted."""
+    from cupcalc.movegraph import _RULES
+
+    keyed = {}
+    for kind, other_side in rules.values():
+        side = next(s for s in _RULES[kind] if s != other_side)
+        keyed[tuple(sorted(side))] = (kind, other_side)
+    return keyed
+
+
 def oracle_matches(d, rules):
     """``movegraph._matches`` with every rewrite checked by
     ``oracle_rewire``: (other diagram, Move, matched pair) for every rule
-    side matched by a pair of arcs of d, in the matcher's pair order."""
+    side matched by a pair of arcs of d, in the matcher's pair order.
+    Pairs are matched by their renumbered arcs, not by their shape."""
     from cupcalc.movegraph import Move
 
+    rules = _oracle_rule_keys(rules)
     out = []
     for pair in itertools.chain(
         itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
@@ -1016,6 +1030,75 @@ def oracle_predecessors(a):
     from cupcalc.movegraph import _BACKWARDS
 
     return _oracle_neighbours(a, _BACKWARDS)
+
+
+def oracle_move_graph_arrows(k, parity):
+    """``move_graph(k, parity).arrows`` from ``movegraph.successors``, which
+    decides every move with ``_rewire``: (source index, target index, Move)
+    with nodes in encoding order."""
+    from cupcalc.diagrams import maximal_diagrams
+    from cupcalc.movegraph import successors
+
+    nodes = maximal_diagrams(k, parity)
+    index = {encode(n): i for i, n in enumerate(nodes)}
+    return tuple(
+        (i, index[encode(b)], move) for i, a in enumerate(nodes) for b, move in successors(a)
+    )
+
+
+def oracle_reachability(k, parity):
+    """reach[i] = frozenset of the nodes of ``move_graph(k, parity)``
+    reachable from node i along arrows (i included), by one depth-first
+    search per node."""
+    from cupcalc.movegraph import move_graph
+
+    graph = move_graph(k, parity)
+    out = [[] for _ in graph.nodes]
+    for i, j, _ in graph.arrows:
+        out[i].append(j)
+    reach = []
+    for src in range(len(graph.nodes)):
+        seen, stack = {src}, [src]
+        while stack:
+            for w in out[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(frozenset(seen))
+    return tuple(reach)
+
+
+def oracle_total_order(k, parity, tie_break="lex"):
+    """``movegraph.total_order`` with the heap keyed by the nodes'
+    encodings (reversed character by character for ``"revlex"``)."""
+    import heapq
+
+    from cupcalc.movegraph import move_graph
+
+    graph = move_graph(k, parity)
+    n = len(graph.nodes)
+    out_edges = [set() for _ in range(n)]
+    for i, j, _ in graph.arrows:
+        out_edges[i].add(j)
+
+    def key(i):
+        s = encode(graph.nodes[i])
+        return s if tie_break == "lex" else tuple(-ord(ch) for ch in s)
+
+    remaining = [len(js) for js in out_edges]
+    heap = [(key(i), i) for i in range(n) if remaining[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        for p in range(n):
+            if i in out_edges[p]:
+                remaining[p] -= 1
+                if remaining[p] == 0:
+                    heapq.heappush(heap, (key(p), p))
+    assert len(order) == n, "arrow relation is not acyclic"
+    return tuple(graph.nodes[i] for i in reversed(order))
 
 
 def count_calls(monkeypatch, module, name):

@@ -10,9 +10,12 @@ from helpers import (
     count_calls,
     oracle_distance_table,
     oracle_matches,
+    oracle_move_graph_arrows,
     oracle_peel_levels,
     oracle_predecessors,
+    oracle_reachability,
     oracle_successors,
+    oracle_total_order,
 )
 
 
@@ -102,6 +105,44 @@ def test_cup_forest_matches_validate_oracle(monkeypatch):
         assert M.cup_forest(a) == forest, a.encode()
 
 
+@pytest.mark.parametrize("forwards", [True, False])
+def test_shape_table_holds_each_rule_once(forwards):
+    """Read either way, the shape table has one entry per row of _RULES,
+    keyed by the shape of the matched side on vertices 0..n-1."""
+    table = M._FORWARDS if forwards else M._BACKWARDS
+    assert sorted(kind for kind, _ in table.values()) == sorted(M._RULES)
+    for shape, (kind, other_side) in table.items():
+        side, other = M._RULES[kind] if forwards else M._RULES[kind][::-1]
+        assert other_side == other
+        cups_first = sorted(side, key=lambda arc: (type(arc) is D.Ray, arc[0]))
+        n_vertices = sum(len(arc) - 1 for arc in side)  # an arc's last field is its dot
+        assert M._shape(cups_first) == (shape, tuple(range(n_vertices)))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_move_graph_arrows_match_successor_oracle(k):
+    """Legality by node lookup gives exactly the arrows, in order and
+    with their positions, that the _rewire walk gives."""
+    for parity in ("even", "odd"):
+        assert M.move_graph.__wrapped__(k, parity).arrows == oracle_move_graph_arrows(k, parity)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_ancestor_bitmasks_match_reachability_oracle(k):
+    for parity in ("even", "odd"):
+        reach = oracle_reachability(k, parity)
+        anc = M._ancestors(k, parity)
+        for j, mask in enumerate(anc):
+            assert mask == sum(1 << i for i, r in enumerate(reach) if j in r)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_total_order_matches_encoding_heap_oracle(k):
+    for parity in ("even", "odd"):
+        for tie_break in ("lex", "revlex"):
+            assert M.total_order(k, parity, tie_break) == oracle_total_order(k, parity, tie_break)
+
+
 def test_move_graph_calls_no_validate(monkeypatch):
     calls = count_calls(monkeypatch, D, "validate")
     for k in range(1, 11):
@@ -166,9 +207,7 @@ def test_geodesic_meets(k):
     for parity in ("even", "odd"):
         nodes = D.maximal_diagrams(k, parity)
         graph = M.move_graph(k, parity)
-        from cupcalc.movegraph import _reachability
-
-        reach = _reachability(k, parity)
+        reach = oracle_reachability(k, parity)
         for a, b in itertools.product(nodes, repeat=2):
             c = M.geodesic_meet(a, b)
             assert M.distance(a, c) + M.distance(c, b) == M.distance(a, b)
@@ -187,7 +226,7 @@ def test_distance_and_geodesic_meet_match_the_full_table(k):
     for parity in ("even", "odd"):
         graph = M.move_graph(k, parity)
         table = oracle_distance_table(k, parity)
-        reach = M._reachability(k, parity)
+        reach = oracle_reachability(k, parity)
         n = len(graph.nodes)
         for ia, ib in itertools.product(range(n), repeat=2):
             a, b = graph.nodes[ia], graph.nodes[ib]

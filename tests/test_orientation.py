@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
+from cupcalc.errors import InternalCheckError
 from helpers import brute_clockwise_count, brute_orientations, oracle_decompose
 
 
@@ -274,6 +275,14 @@ def test_min_degree_examples():
     q = D.parse_dsl("4: c*(1,4);c(2,3)")
     assert O.min_degree_element(p, q)[1] == 1
     assert O.min_degree_element(p, D.parse_dsl("4: c(1,2);c*(3,4)")) is None
+
+
+def test_min_degree_of_refuses_a_tied_minimum():
+    a = D.parse_dsl("4: c(1,2);c(3,4)")
+    oriented = O.orient_circle_diagram(a.star(), a)  # two circles: degrees 0, 2, 2, 4
+    assert O.min_degree_of(oriented) == O.min_degree_element(a, a)
+    with pytest.raises(InternalCheckError, match="minimal degree not unique for 4: c"):
+        O.min_degree_of([o for o in oriented if o.degree == 2])
 
 
 @pytest.mark.parametrize("k", range(2, 7))
