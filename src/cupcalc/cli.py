@@ -195,6 +195,15 @@ def _cmd_movegraph(args) -> int:
     if args.dot:
         _emit(graph.to_dot())
         return 0
+    if args.format != "json":
+        # written line by line from the graph: no payload for text output
+        nodes = graph.nodes
+        sys.stdout.writelines(f"{n.encode()}\n" for n in nodes)
+        sys.stdout.writelines(
+            f"{nodes[i].encode()}  --{move.kind}-->  {nodes[j].encode()}\n"
+            for i, j, move in graph.arrows
+        )
+        return 0
     arrows = [
         {
             "from": graph.nodes[i].encode(),
@@ -210,13 +219,7 @@ def _cmd_movegraph(args) -> int:
         "nodes": [n.encode() for n in graph.nodes],
         "arrows": arrows,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2))
-    else:
-        for n in payload["nodes"]:
-            _emit(n)
-        for a in arrows:
-            _emit(f"{a['from']}  --{a['move']}-->  {a['to']}")
+    _emit(json.dumps(payload, indent=2))
     return 0
 
 

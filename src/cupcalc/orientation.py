@@ -19,6 +19,7 @@ anticlockwise exactly when its rightmost label is up.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -191,47 +192,73 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     """Connected components of the glued diagram cap over cup.
 
     Every vertex meets one arc of each half, so each component is a
-    circle or a line.  It is traced from its least vertex by walking
-    alternately along cap and cup partners (each half's ``partners``
-    arrays, computed once per diagram), multiplying the flips of the
-    arcs passed (-1 per undotted cup); a line needs a second walk from
-    the same vertex in the other direction.  The sign of a vertex
-    relative to the class maximum is the parity of undotted cups on the
-    path between them.  A circle is consistent, and its signs
-    path-independent, exactly when the product of its flips is +1; an
-    inconsistent circle admits no orientation.
+    circle or a line.  It is traced from its least vertex along each
+    half's ``partners`` arrays (computed once per diagram), one cap step
+    and one cup step per loop turn, writing into one per-vertex array
+    the product of the flips passed (-1 per undotted cup); that array
+    also marks the vertices already reached.  A circle closes when a cup
+    step returns to its start; a line needs a second walk from the same
+    vertex, cup step first.  The sign of a vertex relative to the class
+    maximum is the parity of undotted cups on the path between them.  A
+    circle is consistent, and its signs path-independent, exactly when
+    the product of its flips is +1; an inconsistent circle admits no
+    orientation.  Classes come out in order of their least vertex.
     """
     if cap.k != cup.k:
         raise OrientationError("cap and cup must have the same vertex count")
     k = cup.k
-    halves = (cap.partners, cup.partners)
-    seen = [False] * (k + 1)
+    cap_partner, cap_flip = cap.partners
+    cup_partner, cup_flip = cup.partners
+    sign = [0] * (k + 1)  # product of flips from the walk's start; 0 until reached
     classes = []
     for start in range(1, k + 1):
-        if seen[start]:
+        if sign[start]:
             continue
-        path = {start: 1}  # vertex -> product of flips from start
-        kind, consistent = "line", True
-        for first in (0, 1):
-            v, sign, h = start, 1, first
-            while True:
-                partner, flip = halves[h]
-                w = partner[v]
-                if w == 0:
-                    break
-                sign *= flip[v]
-                if w == start:
-                    kind, consistent = "circle", sign == 1
-                    break
-                seen[w] = True
-                path[w] = sign
-                v, h = w, 1 - h
-            if kind == "circle":
+        sign[start] = s = 1
+        verts = [start]
+        v, kind = start, "line"
+        while True:  # a cap step, then a cup step
+            w = cap_partner[v]
+            if not w:
                 break
-        verts = tuple(sorted(path))
+            s *= cap_flip[v]
+            sign[w] = s
+            verts.append(w)
+            v = cup_partner[w]
+            if not v:
+                break
+            s *= cup_flip[w]
+            if v == start:
+                kind = "circle"
+                break
+            sign[v] = s
+            verts.append(v)
+        if kind == "circle":
+            consistent = s == 1
+        else:
+            consistent = True
+            v, s = start, 1
+            while True:  # the other end: a cup step, then a cap step
+                w = cup_partner[v]
+                if not w:
+                    break
+                s *= cup_flip[v]
+                sign[w] = s
+                verts.append(w)
+                v = cap_partner[w]
+                if not v:
+                    break
+                s *= cap_flip[w]
+                sign[v] = s
+                verts.append(v)
+        verts.sort()
         mx = verts[-1]
-        signs = tuple(path[v] * path[mx] for v in verts) if consistent else None
-        classes.append(ComponentClass(verts, kind, mx, signs, consistent))
+        if consistent:
+            at_mx = sign[mx]
+            signs = tuple([sign[u] * at_mx for u in verts])
+        else:
+            signs = None
+        classes.append(ComponentClass(tuple(verts), kind, mx, signs, consistent))
     return ComponentDecomposition(k, tuple(classes))
 
 
@@ -261,33 +288,104 @@ def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
     Each line takes its label from the rays at its ends, pushed along
     the line by the class signs; the glued diagram is orientable exactly
     when no ray vertex gets two labels, every circle is consistent and
-    every line gets one label.  This is the first step of
-    :func:`orient_circle_diagram`, for callers that need only
-    orientability or the decomposition.
+    every line gets one label.  One pass over a line's vertices reads
+    the label each ray end asks of the line maximum and checks that they
+    agree.  This is the first step of :func:`orient_circle_diagram`, for
+    callers that need only orientability or the decomposition.
     """
     dec = decompose(cap, cup)
-    forced: dict = {}
+    ray = [0] * (cup.k + 1)  # +1 for a ray asking up, -1 for down, 0 for none
     for half in (cap, cup):
         for r in half.rays:
-            val = UP if r.dotted else DOWN
-            if forced.get(r.at, val) != val:
+            val = 1 if r.dotted else -1
+            if ray[r.at] == -val:
                 return None
-            forced[r.at] = val
-    chars = [None] * cup.k
+            ray[r.at] = val
+    labels = [None] * cup.k
     for cl in dec.classes:
         if not cl.parity_consistent:
             return None
         if cl.kind == "circle":
             continue
-        candidates = {
-            forced[v] if s == 1 else _flip(forced[v])
-            for v, s in zip(cl.vertices, cl.signs)
-            if v in forced
-        }
-        if len(candidates) != 1:
+        at_mx = 0  # the label of the line maximum, +1 up or -1 down
+        for v, s in zip(cl.vertices, cl.signs):
+            val = ray[v] * s
+            if not val:
+                continue
+            if at_mx and at_mx != val:
+                return None
+            at_mx = val
+        if not at_mx:
             return None
-        _label(chars, cl, candidates.pop())
-    return LineForcing(dec, tuple(chars))
+        same, other = (UP, DOWN) if at_mx == 1 else (DOWN, UP)
+        for v, s in zip(cl.vertices, cl.signs):
+            labels[v - 1] = same if s == 1 else other
+    return LineForcing(dec, tuple(labels))
+
+
+# A weight as an integer: vertex v is bit k - v, set when up.  Read as a
+# binary word, vertex 1 first, that integer is the weight with down as 0
+# and up as 1, so the canonical order of weights is the order of the
+# integers; ``_weight_text`` turns one back into a weight's text.
+_BIT_SYMBOLS = str.maketrans("01", DOWN + UP)
+
+
+def _weight_text(k: int, bits: int) -> str:
+    return bin(bits | 1 << k)[3:].translate(_BIT_SYMBOLS)
+
+
+def _labellings(cap: CapDiagram, cup: CupDiagram, forced: LineForcing):
+    """The forced part of every orientation and each circle's two
+    labellings.
+
+    Returns ``(line, circles, by_maximum)``.  ``line`` is ``(bits,
+    degree, ())`` for the line labels alone.  ``circles`` holds, per
+    circle by least vertex, ``(anticlockwise, clockwise, anticlockwise
+    first)``: a labelling is ``(bits, degree part, ((mx, class),))``,
+    the pair sharing its ``(mx, class)`` tuples with every orientation,
+    and the flag says which labelling puts down at the circle's least
+    vertex.  ``by_maximum`` reorders a tuple of circle classes listed by
+    least vertex into the order of their maxima (``tuple`` when the
+    two orders agree).
+
+    An oriented arc is clockwise exactly when its right end is down, so
+    a component's degree part is the number of arc right ends on it that
+    carry down.  Every arc lies on one component, so the degree is the
+    line degree plus one part per circle.  On a circle, anticlockwise
+    (up at the maximum) puts down at the vertices of sign -1, clockwise
+    at those of sign +1; every circle vertex is the right end of 0, 1
+    or 2 of its two arcs.
+    """
+    dec, labels = forced
+    k = dec.k
+    line_bits = 0
+    for v, sym in enumerate(labels, 1):
+        if sym == UP:
+            line_bits |= 1 << (k - v)
+    line_degree = [labels[c.right - 1] for half in (cap, cup) for c in half.cups].count(DOWN)
+    cap_partner, cup_partner = cap.partners[0], cup.partners[0]
+    circles, maxima = [], []
+    for cl in dec.classes:
+        if cl.kind != "circle":
+            continue
+        plus_bits = minus_bits = plus_ends = minus_ends = 0
+        for v, s in zip(cl.vertices, cl.signs):
+            ends = (cap_partner[v] < v) + (cup_partner[v] < v)
+            if s == 1:
+                plus_bits |= 1 << (k - v)
+                plus_ends += ends
+            else:
+                minus_bits |= 1 << (k - v)
+                minus_ends += ends
+        anticlockwise = (plus_bits, minus_ends, ((cl.mx, "anticlockwise"),))
+        clockwise = (minus_bits, plus_ends, ((cl.mx, "clockwise"),))
+        circles.append((anticlockwise, clockwise, cl.signs[0] == -1))
+        maxima.append(cl.mx)
+    if maxima == sorted(maxima):
+        by_maximum = tuple
+    else:
+        by_maximum = operator.itemgetter(*sorted(range(len(maxima)), key=maxima.__getitem__))
+    return (line_bits, line_degree, ()), circles, by_maximum
 
 
 def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
@@ -295,46 +393,39 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCirc
 
     Empty when :func:`force_lines` finds a contradiction; otherwise the
     line labels are the same in every orientation and each circle takes
-    either symbol at its maximum, so there are exactly 2^#circles.
+    either of its two labellings, so there are exactly 2^#circles.
+
+    The order is generated, not sorted.  Two orientations differ on
+    whole circles, so they first differ at the least vertex of the first
+    circle, by least vertex, that they label differently.  Taking the
+    circles by least vertex, each with the labelling that puts down at
+    that vertex first, therefore lists the weights in canonical order.
+    The degree counts clockwise arcs, and whether an arc is clockwise
+    depends only on the labels of the one component it lies on, so the
+    degree of each orientation is the line degree plus the parts of the
+    chosen labellings.  Its ``circle_classes`` list the circles by
+    maximum.
     """
     forced = force_lines(cap, cup)
     if forced is None:
         return []
-    dec, chars = forced.decomposition, list(forced.labels)
-    circles = sorted(dec.circles, key=lambda cl: cl.mx)
-
-    # Every weight built below orients both halves, and an oriented arc
-    # is clockwise exactly when its right end is down, so the degree is
-    # read off the right ends without re-validating the weight.
-    right_ends = [c.right - 1 for half in (cap, cup) for c in half.cups]
-    results = []
-    for combo in itertools.product((UP, DOWN), repeat=len(circles)):
-        for cl, sym in zip(circles, combo):
-            _label(chars, cl, sym)
-        degree = [chars[r] for r in right_ends].count(DOWN)
-        circle_classes = tuple(
-            (cl.mx, "anticlockwise" if sym == UP else "clockwise")
-            for cl, sym in zip(circles, combo)
+    line, circles, by_maximum = _labellings(cap, cup, forced)
+    partial = [line]
+    for anticlockwise, clockwise, anticlockwise_first in circles:
+        pair = (anticlockwise, clockwise) if anticlockwise_first else (clockwise, anticlockwise)
+        partial = [
+            (bits + part_bits, degree + part_degree, classes + part_class)
+            for bits, degree, classes in partial
+            for part_bits, part_degree, part_class in pair
+        ]
+    dec = forced.decomposition
+    k = dec.k
+    return [
+        OrientedCircleDiagram(
+            cap, Weight(_weight_text(k, bits)), cup, degree, dec, by_maximum(classes)
         )
-        results.append(
-            OrientedCircleDiagram(
-                cap, Weight("".join(chars)), cup, degree, dec, circle_classes
-            )
-        )
-    results.sort(key=lambda o: o.weight.sort_key())
-    return results
-
-
-def _label(chars: list, cl: ComponentClass, sym: str) -> None:
-    """Give the class maximum the symbol sym and the rest of the class
-    the symbols its signs imply."""
-    other = _flip(sym)
-    for v, s in zip(cl.vertices, cl.signs):
-        chars[v - 1] = sym if s == 1 else other
-
-
-def _flip(sym: str) -> str:
-    return UP if sym == DOWN else DOWN
+        for bits, degree, classes in partial
+    ]
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
@@ -346,12 +437,24 @@ def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
 def min_degree_element(a: CupDiagram, b: CupDiagram):
     """The unique minimal-degree orientation of (a* b) and its degree, or None.
 
-    The minimum is attained when every circle is anticlockwise.
+    The minimum is attained when every circle is anticlockwise (up at
+    its maximum), so it is built from :func:`force_lines` and that one
+    labelling of each circle, without listing the other orientations.
     """
-    oriented = orient_circle_diagram(a.star(), b)
-    if not oriented:
+    cap = a.star()
+    forced = force_lines(cap, b)
+    if forced is None:
         return None
-    return min_degree_of(oriented)
+    (bits, degree, classes), circles, by_maximum = _labellings(cap, b, forced)
+    for (part_bits, part_degree, part_class), _, _ in circles:
+        bits += part_bits
+        degree += part_degree
+        classes += part_class
+    dec = forced.decomposition
+    best = OrientedCircleDiagram(
+        cap, Weight(_weight_text(dec.k, bits)), b, degree, dec, by_maximum(classes)
+    )
+    return best, degree
 
 
 def min_degree_of(oriented: List[OrientedCircleDiagram]):

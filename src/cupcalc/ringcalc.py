@@ -30,7 +30,7 @@ degree as an exact kernel, with a deterministic echelon basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -277,12 +277,13 @@ class BasisDictionary:
     a: CupDiagram
     b: CupDiagram
     entries: list  # (monomial frozenset, OrientedCircleDiagram), monomial order
+    _by_monomial: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_monomial = dict(self.entries)
 
     def orientation_of(self, mono: frozenset) -> OrientedCircleDiagram:
-        for m, oriented in self.entries:
-            if m == mono:
-                return oriented
-        raise KeyError(mono)
+        return self._by_monomial[mono]  # KeyError(mono) on a miss
 
 
 def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
@@ -301,10 +302,11 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
     by_clockwise = {
         frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise"): o for o in oriented
     }
+    base = min(x.degree for x in oriented)
     entries = []
     for mono in target.basis():
         o = by_clockwise[mono]
-        expected = min(x.degree for x in oriented) + 2 * len(mono)
+        expected = base + 2 * len(mono)
         if o.degree != expected:
             raise InternalCheckError(
                 f"degree of orientation {o.weight} is {o.degree}, expected {expected}"

@@ -3,13 +3,18 @@
 Everything here recomputes results from first principles with code
 paths disjoint from the package (no recursive interval generation, no
 partner walks, no rewrite systems) so the two sides can disagree.
+The one exception is the glued-pair kernel's previous code, kept as the
+slow path (``oracle_walk_decompose``, ``oracle_force_lines``,
+``oracle_orient_circle_diagram``) that the rewritten kernel must match.
 """
 
 import functools
 import itertools
 from fractions import Fraction
+from typing import List, Optional
 
 from cupcalc.diagrams import (
+    CapDiagram,
     Cup,
     CupDiagram,
     DiagramError,
@@ -23,6 +28,16 @@ from cupcalc.diagrams import (
 )
 from cupcalc.errors import InternalCheckError
 from cupcalc.linalg import ScaledUnionFind
+from cupcalc.orientation import (
+    DOWN,
+    UP,
+    ComponentClass,
+    ComponentDecomposition,
+    LineForcing,
+    OrientationError,
+    OrientedCircleDiagram,
+    Weight,
+)
 from cupcalc.tableaux import (
     InadmissibleShapeError,
     SignedDominoTableau,
@@ -41,8 +56,6 @@ def oracle_decompose(cap, cup):
     """Components of cap over cup by union-find over the arcs of both
     halves, with signs to the class maximum found by a search from it
     and checked over every edge."""
-    from cupcalc.orientation import ComponentClass, ComponentDecomposition
-
     k = cup.k
     parent = list(range(k + 1))
 
@@ -99,6 +112,142 @@ def oracle_decompose(cap, cup):
         classes.append(ComponentClass(verts, kind, mx, signs, consistent))
     classes.sort(key=lambda cl: cl.vertices[0])
     return ComponentDecomposition(k, tuple(classes))
+
+
+# The glued-pair kernel as it was before the one-walk rewrite: a path dict
+# per component, a candidate set per line, every orientation relabelled and
+# then sorted.  The package must return equal objects.
+
+
+def oracle_walk_decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
+    """Connected components of the glued diagram cap over cup.
+
+    Every vertex meets one arc of each half, so each component is a
+    circle or a line.  It is traced from its least vertex by walking
+    alternately along cap and cup partners (each half's ``partners``
+    arrays, computed once per diagram), multiplying the flips of the
+    arcs passed (-1 per undotted cup); a line needs a second walk from
+    the same vertex in the other direction.  The sign of a vertex
+    relative to the class maximum is the parity of undotted cups on the
+    path between them.  A circle is consistent, and its signs
+    path-independent, exactly when the product of its flips is +1; an
+    inconsistent circle admits no orientation.
+    """
+    if cap.k != cup.k:
+        raise OrientationError("cap and cup must have the same vertex count")
+    k = cup.k
+    halves = (cap.partners, cup.partners)
+    seen = [False] * (k + 1)
+    classes = []
+    for start in range(1, k + 1):
+        if seen[start]:
+            continue
+        path = {start: 1}  # vertex -> product of flips from start
+        kind, consistent = "line", True
+        for first in (0, 1):
+            v, sign, h = start, 1, first
+            while True:
+                partner, flip = halves[h]
+                w = partner[v]
+                if w == 0:
+                    break
+                sign *= flip[v]
+                if w == start:
+                    kind, consistent = "circle", sign == 1
+                    break
+                seen[w] = True
+                path[w] = sign
+                v, h = w, 1 - h
+            if kind == "circle":
+                break
+        verts = tuple(sorted(path))
+        mx = verts[-1]
+        signs = tuple(path[v] * path[mx] for v in verts) if consistent else None
+        classes.append(ComponentClass(verts, kind, mx, signs, consistent))
+    return ComponentDecomposition(k, tuple(classes))
+
+
+def oracle_force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
+    """The glued diagram's components and the labels its lines must carry,
+    or None when no weight orients it.
+
+    Each line takes its label from the rays at its ends, pushed along
+    the line by the class signs; the glued diagram is orientable exactly
+    when no ray vertex gets two labels, every circle is consistent and
+    every line gets one label.  This is the first step of
+    :func:`oracle_orient_circle_diagram`, for callers that need only
+    orientability or the decomposition.
+    """
+    dec = oracle_walk_decompose(cap, cup)
+    forced: dict = {}
+    for half in (cap, cup):
+        for r in half.rays:
+            val = UP if r.dotted else DOWN
+            if forced.get(r.at, val) != val:
+                return None
+            forced[r.at] = val
+    chars = [None] * cup.k
+    for cl in dec.classes:
+        if not cl.parity_consistent:
+            return None
+        if cl.kind == "circle":
+            continue
+        candidates = {
+            forced[v] if s == 1 else _oracle_flip(forced[v])
+            for v, s in zip(cl.vertices, cl.signs)
+            if v in forced
+        }
+        if len(candidates) != 1:
+            return None
+        _oracle_label(chars, cl, candidates.pop())
+    return LineForcing(dec, tuple(chars))
+
+
+def oracle_orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
+    """All orientations of the glued diagram, canonically ordered.
+
+    Empty when :func:`oracle_force_lines` finds a contradiction; otherwise the
+    line labels are the same in every orientation and each circle takes
+    either symbol at its maximum, so there are exactly 2^#circles.
+    """
+    forced = oracle_force_lines(cap, cup)
+    if forced is None:
+        return []
+    dec, chars = forced.decomposition, list(forced.labels)
+    circles = sorted(dec.circles, key=lambda cl: cl.mx)
+
+    # Every weight built below orients both halves, and an oriented arc
+    # is clockwise exactly when its right end is down, so the degree is
+    # read off the right ends without re-validating the weight.
+    right_ends = [c.right - 1 for half in (cap, cup) for c in half.cups]
+    results = []
+    for combo in itertools.product((UP, DOWN), repeat=len(circles)):
+        for cl, sym in zip(circles, combo):
+            _oracle_label(chars, cl, sym)
+        degree = [chars[r] for r in right_ends].count(DOWN)
+        circle_classes = tuple(
+            (cl.mx, "anticlockwise" if sym == UP else "clockwise")
+            for cl, sym in zip(circles, combo)
+        )
+        results.append(
+            OrientedCircleDiagram(
+                cap, Weight("".join(chars)), cup, degree, dec, circle_classes
+            )
+        )
+    results.sort(key=lambda o: o.weight.sort_key())
+    return results
+
+
+def _oracle_label(chars: list, cl: ComponentClass, sym: str) -> None:
+    """Give the class maximum the symbol sym and the rest of the class
+    the symbols its signs imply."""
+    other = _oracle_flip(sym)
+    for v, s in zip(cl.vertices, cl.signs):
+        chars[v - 1] = sym if s == 1 else other
+
+
+def _oracle_flip(sym: str) -> str:
+    return UP if sym == DOWN else DOWN
 
 
 def raw_arc_covers(k):

@@ -95,6 +95,20 @@ def test_movegraph_dot(capsys):
     assert sum(1 for l in lines if l.strip().endswith('";')) == 10
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_movegraph_text_is_the_json_payload_line_by_line(capsys, k, parity):
+    """Text output is written straight from the graph; it must read as
+    the JSON payload's nodes, then one line per arrow."""
+    argv = ["movegraph", "--k", str(k), "--parity", parity]
+    code, text, _ = capture(capsys, argv)
+    _, payload, _ = capture(capsys, argv + ["--format", "json"])
+    graph = json.loads(payload)
+    expected = graph["nodes"] + [f"{a['from']}  --{a['move']}-->  {a['to']}" for a in graph["arrows"]]
+    assert code == 0
+    assert text == "".join(line + "\n" for line in expected)
+
+
 def test_distance(capsys):
     code, out, _ = capture(
         capsys, ["distance", "--a", "4: c*(1,2);c(3,4)", "--b", "4: c(1,2);c*(3,4)"]

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc.errors import InternalCheckError
-from helpers import brute_clockwise_count, brute_orientations, oracle_decompose
+from helpers import (
+    brute_clockwise_count,
+    brute_orientations,
+    oracle_decompose,
+    oracle_force_lines,
+    oracle_orient_circle_diagram,
+    oracle_walk_decompose,
+)
 
 
 def w(text):
@@ -114,6 +121,27 @@ def _same_k_pairs(k):
 def test_decompose_matches_union_find_oracle(k):
     for a, b in _same_k_pairs(k):
         assert O.decompose(a.star(), b) == oracle_decompose(a.star(), b)
+
+
+def _assert_kernel_matches_previous_walk(cap, cup):
+    """Whole-object equality with the kernel's previous code: classes,
+    line labels, weights, degrees, decompositions and circle classes."""
+    assert O.decompose(cap, cup) == oracle_walk_decompose(cap, cup)
+    assert O.force_lines(cap, cup) == oracle_force_lines(cap, cup)
+    assert O.orient_circle_diagram(cap, cup) == oracle_orient_circle_diagram(cap, cup)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kernel_matches_previous_walk_on_every_pair(k):
+    for a, b in _same_k_pairs(k):
+        _assert_kernel_matches_previous_walk(a.star(), b)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_kernel_matches_previous_walk_on_maximal_pairs(k, parity):
+    for a, b in itertools.product(D.maximal_diagrams(k, parity), repeat=2):
+        _assert_kernel_matches_previous_walk(a.star(), b)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -285,8 +313,10 @@ def test_min_degree_of_refuses_a_tied_minimum():
         O.min_degree_of([o for o in oriented if o.degree == 2])
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 9))
 def test_min_degree_unique_and_formula(k):
+    """min_degree_element labels each circle once; the full list of
+    orientations is the check."""
     m = k // 2
     for parity in ("even", "odd"):
         for a, b in itertools.product(D.maximal_diagrams(k, parity), repeat=2):
@@ -295,6 +325,7 @@ def test_min_degree_unique_and_formula(k):
             if not oriented:
                 assert got is None
                 continue
+            assert got == O.min_degree_of(oriented)
             circles = len(O.decompose(a.star(), b).circles)
             assert got[1] == m - circles
             assert sum(1 for o in oriented if o.degree == got[1]) == 1

@@ -255,6 +255,9 @@ def test_dictionary_examples():
     assert all(cls == "anticlockwise" for _, cls in empty.circle_classes)
     full = bd.orientation_of(frozenset({4}))
     assert all(cls == "clockwise" for _, cls in full.circle_classes)
+    assert [bd.orientation_of(m) for m, _ in bd.entries] == [o for _, o in bd.entries]
+    with pytest.raises(KeyError):
+        bd.orientation_of(frozenset({2}))
     with pytest.raises(R.NotOrientableError):
         R.diagram_basis_dictionary(a, D.parse_dsl("4: c(1,2);c*(3,4)"))
 
