@@ -236,19 +236,17 @@ def _cmd_distance(args) -> int:
 def _cmd_orient(args) -> int:
     cup, cap = _sized_diagrams("orient", args.cup, args.cap)
     if cap is None:
-        rows = [
-            {"weight": str(w), "degree": d} for w, d in orientation.graded_orientations(cup)
-        ]
+        graded = orientation.graded_orientations(cup)
     else:
-        rows = [
-            {"weight": str(o.weight), "degree": o.degree}
-            for o in orientation.orient_circle_diagram(cap.star(), cup)
-        ]
+        graded = (
+            (o.weight, o.degree) for o in orientation.orient_circle_diagram(cap.star(), cup)
+        )
     if args.format == "json":
+        rows = [{"weight": str(w), "degree": d} for w, d in graded]
         _emit(json.dumps(rows, indent=2))
     else:
-        for row in rows:
-            _emit(f"{row['weight']}  degree {row['degree']}")
+        # written line by line from the records: no rows for text output
+        sys.stdout.writelines(f"{w}  degree {d}\n" for w, d in graded)
     return 0
 
 

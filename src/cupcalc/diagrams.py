@@ -49,7 +49,13 @@ directly, with cups sorted by left end and rays ascending as
 of a legal diagram on the same vertices and decide with one walk of
 their own whether the result is legal (the graph itself looks each
 result up among the enumerated maximal diagrams); the tests check that
-walk against :func:`validate` on every diagram with k <= 10.
+walk against :func:`validate` on every diagram with k <= 10.  Weights
+follow the same policy: ``orientation.Weight(text)`` checks its symbols
+where the text comes from a caller, :func:`springer.weight_of_index_set`
+or the selftest's brute-force oracle, while the orientation generators
+write each weight from a bit word, legal by construction, and build it
+without the check; the tests check every generated weight with k <= 10
+against the validated ``Weight`` of its text.
 
 Per-diagram facts are computed once per :class:`CupDiagram` and kept on
 the instance (``functools.cached_property``): the canonical

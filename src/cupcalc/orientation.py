@@ -14,11 +14,21 @@ rays).  An arc is *clockwise* when, read left to right, it carries
 ``(up, down)`` if undotted or ``(down, down)`` if dotted; the degree of
 an oriented diagram counts its clockwise cups and caps.  A circle is
 anticlockwise exactly when its rightmost label is up.
+
+Orientations are generated as integers ("bit words"): vertex v is bit
+k - v, set when up, so the word read in binary, vertex 1 first, is the
+weight with down as 0 and up as 1, and the canonical order of weights
+(down before up) is the order of the integers.  Only the weights that
+callers read are built from them.  ``Weight(text)`` checks its symbols:
+that is the trust boundary for weights, where text comes from a user,
+from :func:`springer.weight_of_index_set` or from the selftest's
+brute-force oracle.  A weight whose text the library writes itself from a
+bit word is legal by construction, and ``_word_weight`` builds it without
+the check.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -77,6 +87,20 @@ class Weight:
         return self.text
 
 
+_BIT_SYMBOLS = str.maketrans("01", DOWN + UP)
+
+
+def _word_weight(k: int, bits: int) -> Weight:
+    """The weight of a bit word (see the module docstring).  Its text is
+    written here from the word, so it is legal by construction and the
+    weight is built without the symbol check of ``Weight(text)``."""
+    weight = object.__new__(Weight)
+    # past the frozen __setattr__, as the dataclass's __init__ does; a write to
+    # __dict__ instead would give every weight a dict of its own (64 bytes more)
+    object.__setattr__(weight, "text", bin(bits | 1 << k)[3:].translate(_BIT_SYMBOLS))
+    return weight
+
+
 def is_oriented(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> bool:
     if len(weight) != diagram.k:
         return False
@@ -108,37 +132,46 @@ def half_degree(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> int:
     return deg
 
 
-def orientations_of_cup(c: CupDiagram) -> List[Weight]:
-    """All weights orienting c, in canonical order; there are 2^#cups.
+def _cup_words(c: CupDiagram) -> List[Tuple[int, int]]:
+    """Each orientation of c as ``(bits, half degree)``, in canonical
+    order; there are 2^#cups.
 
     The order is generated, not sorted.  Two weights orienting c first
     differ at the left end of the leftmost cup they label differently,
     so taking the cups by left end, each with its down-at-left choice
-    first, lists the weights in canonical order.
+    first, lists the weights in canonical order.  An oriented cup is
+    clockwise exactly when its right end is down, so each cup adds one
+    of two ``(bits, clockwise)`` choices: undotted down-up then up-down,
+    dotted down-down then up-up.
     """
-    slots = [None] * c.k
-    for r in c.rays:
-        slots[r.at - 1] = UP if r.dotted else DOWN
-    cups = sorted(c.cups)  # by left end; the vertices are distinct
-    choices = [
-        ((DOWN, DOWN), (UP, UP)) if cup.dotted else ((DOWN, UP), (UP, DOWN))
-        for cup in cups
-    ]
-    weights = []
-    for combo in itertools.product(*choices):
-        filled = slots[:]
-        for cup, (a, b) in zip(cups, combo):
-            filled[cup.left - 1] = a
-            filled[cup.right - 1] = b
-        weights.append(Weight("".join(filled)))
-    return weights
+    k = c.k
+    words = [(sum(1 << (k - r.at) for r in c.rays if r.dotted), 0)]
+    for cup in sorted(c.cups):  # by left end; the vertices are distinct
+        left, right = 1 << (k - cup.left), 1 << (k - cup.right)
+        choices = ((0, 1), (left | right, 0)) if cup.dotted else ((right, 0), (left, 1))
+        words = [
+            (bits + more_bits, degree + more_degree)
+            for bits, degree in words
+            for more_bits, more_degree in choices
+        ]
+    return words
+
+
+def orientations_of_cup(c: CupDiagram) -> List[Weight]:
+    """All weights orienting c, in canonical order; there are 2^#cups.
+
+    They are read from the bit words of ``_cup_words`` and built without
+    re-checking their symbols.
+    """
+    k = c.k
+    return [_word_weight(k, bits) for bits, _ in _cup_words(c)]
 
 
 def graded_orientations(c: CupDiagram) -> List[Tuple[Weight, int]]:
-    """Each weight orienting c, in canonical order, with its half degree:
-    an oriented arc is clockwise exactly when its right end is down."""
-    right_ends = [cup.right - 1 for cup in c.cups]
-    return [(w, [w.text[r] for r in right_ends].count(DOWN)) for w in orientations_of_cup(c)]
+    """Each weight orienting c, in canonical order, with its half degree,
+    both read from the bit words of ``_cup_words``."""
+    k = c.k
+    return [(_word_weight(k, bits), degree) for bits, degree in _cup_words(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +187,7 @@ class ComponentClass(NamedTuple):
     parity_consistent: bool
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     k: int
     classes: tuple
 
@@ -262,8 +294,7 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     return ComponentDecomposition(k, tuple(classes))
 
 
-@dataclass(frozen=True)
-class OrientedCircleDiagram:
+class OrientedCircleDiagram(NamedTuple):
     cap: CapDiagram
     weight: Weight
     cup: CupDiagram
@@ -321,17 +352,6 @@ def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
         for v, s in zip(cl.vertices, cl.signs):
             labels[v - 1] = same if s == 1 else other
     return LineForcing(dec, tuple(labels))
-
-
-# A weight as an integer: vertex v is bit k - v, set when up.  Read as a
-# binary word, vertex 1 first, that integer is the weight with down as 0
-# and up as 1, so the canonical order of weights is the order of the
-# integers; ``_weight_text`` turns one back into a weight's text.
-_BIT_SYMBOLS = str.maketrans("01", DOWN + UP)
-
-
-def _weight_text(k: int, bits: int) -> str:
-    return bin(bits | 1 << k)[3:].translate(_BIT_SYMBOLS)
 
 
 def _labellings(cap: CapDiagram, cup: CupDiagram, forced: LineForcing):
@@ -421,9 +441,7 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCirc
     dec = forced.decomposition
     k = dec.k
     return [
-        OrientedCircleDiagram(
-            cap, Weight(_weight_text(k, bits)), cup, degree, dec, by_maximum(classes)
-        )
+        OrientedCircleDiagram(cap, _word_weight(k, bits), cup, degree, dec, by_maximum(classes))
         for bits, degree, classes in partial
     ]
 
@@ -452,7 +470,7 @@ def min_degree_element(a: CupDiagram, b: CupDiagram):
         classes += part_class
     dec = forced.decomposition
     best = OrientedCircleDiagram(
-        cap, Weight(_weight_text(dec.k, bits)), b, degree, dec, by_maximum(classes)
+        cap, _word_weight(dec.k, bits), b, degree, dec, by_maximum(classes)
     )
     return best, degree
 

@@ -89,12 +89,9 @@ def _suite_orientation_counts(k_max, rng):
             weights = orientation.orientations_of_cup(c)
             if len(weights) != 2 ** c.n_cups:
                 return False, f"orientation count wrong for {c.encode()}"
-            brute = [
-                w
-                for w in _all_weights(k)
-                if orientation.is_oriented(w, c)
-            ]
-            if sorted(str(w) for w in brute) != sorted(str(w) for w in weights):
+            brute = [w for w in _all_weights(k) if orientation.is_oriented(w, c)]
+            # the generated order must be the canonical one, not only the set
+            if weights != sorted(brute, key=orientation.Weight.sort_key):
                 return False, f"orientation oracle mismatch for {c.encode()}"
     return True, "orientations match the brute-force oracle"
 

@@ -42,7 +42,7 @@ from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
 from .errors import InternalCheckError, SizeError
 from .movegraph import distance
 from .orientation import DOWN, UP, Weight, force_lines
-from .orientation import graded_orientations, orientations_of_cup
+from .orientation import _cup_words, _word_weight
 
 
 class MalformedIndexSetError(ValueError):
@@ -231,10 +231,13 @@ def fixed_point_table(k: int, parity: str, shape: Optional[Tuple[int, int]] = No
     Cell (a, b) lists the weights orienting both a and b, in a's
     canonical order.  A weight orienting n_lambda of the diagrams lies
     in exactly n_lambda^2 cells, so the table is filled per weight: an
-    index from each weight to the diagrams it orients is built once,
-    and row a walks a's orientations in canonical order, appending each
-    to the cells of the diagrams holding it.  That is sum over lambda of
-    n_lambda^2 appends in all.
+    index from each weight's bit word (see :mod:`orientation`) to the
+    diagrams it orients is built once, and row a walks a's bit words in
+    canonical order, appending the weight to the cells of the diagrams
+    holding it.  That is sum over lambda of n_lambda^2 appends in all.
+    One :class:`Weight` is built per distinct weight, without
+    re-checking its symbols, and every cell holding that weight shares
+    it.
 
     Only the equal-row case is meaningful; a ``shape`` other than (k, k)
     is refused rather than extrapolated.
@@ -244,16 +247,18 @@ def fixed_point_table(k: int, parity: str, shape: Optional[Tuple[int, int]] = No
             f"fixed-point tables require equal rows, got shape {tuple(shape)}"
         )
     diagrams = maximal_diagrams(k, parity)
-    weights = [orientations_of_cup(d) for d in diagrams]
-    holders: Dict[str, List[int]] = {}  # weight text -> indices of the diagrams it orients
-    for i, ws in enumerate(weights):
-        for w in ws:
-            holders.setdefault(w.text, []).append(i)
+    words = [[bits for bits, _ in _cup_words(d)] for d in diagrams]
+    holders: Dict[int, List[int]] = {}  # bit word -> indices of the diagrams it orients
+    for i, ws in enumerate(words):
+        for bits in ws:
+            holders.setdefault(bits, []).append(i)
+    weights = {bits: _word_weight(k, bits) for bits in holders}
     entries = []
-    for ws in weights:
+    for ws in words:
         row: List[list] = [[] for _ in diagrams]
-        for w in ws:
-            for j in holders[w.text]:
+        for bits in ws:
+            w = weights[bits]
+            for j in holders[bits]:
                 row[j].append(w)
         entries.append(tuple(map(tuple, row)))
     return FixedPointTable(k, parity, diagrams, tuple(entries))
@@ -273,14 +278,16 @@ def arc_algebra_graded_dimension(k: int) -> GradedDimension:
     the sum is, per parity, the sum over lambda of
     (sum over the diagrams a oriented by lambda of q^deg(a lambda))^2:
     the half degrees are grouped by weight and added over the n_lambda^2
-    pairs within each group, counted by half degree.
+    pairs within each group, counted by half degree.  The groups are
+    keyed by each weight's bit word (see :mod:`orientation`), so no
+    :class:`Weight` is built at all.
     """
     coeffs: Dict[int, int] = {}
     for parity in ("even", "odd"):
-        by_weight: Dict[str, Dict[int, int]] = {}  # weight text -> half degree -> diagrams
+        by_weight: Dict[int, Dict[int, int]] = {}  # bit word -> half degree -> diagrams
         for c in maximal_diagrams(k, parity):
-            for w, d in graded_orientations(c):
-                counts = by_weight.setdefault(w.text, {})
+            for bits, d in _cup_words(c):
+                counts = by_weight.setdefault(bits, {})
                 counts[d] = counts.get(d, 0) + 1
         for counts in by_weight.values():
             for da, na in counts.items():

@@ -10,6 +10,7 @@ slow path (``oracle_walk_decompose``, ``oracle_force_lines``,
 
 import functools
 import itertools
+from dataclasses import make_dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -238,6 +239,41 @@ def oracle_orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[Orien
     return results
 
 
+# The orientation records as the frozen dataclasses they were before they
+# became NamedTuples, under the same class names: the reference for their
+# equality, hash and repr.
+DataclassComponentDecomposition = make_dataclass(
+    "ComponentDecomposition", [("k", int), ("classes", tuple)], frozen=True
+)
+DataclassOrientedCircleDiagram = make_dataclass(
+    "OrientedCircleDiagram",
+    [
+        ("cap", CapDiagram),
+        ("weight", Weight),
+        ("cup", CupDiagram),
+        ("degree", int),
+        ("decomposition", DataclassComponentDecomposition),
+        ("circle_classes", tuple),
+    ],
+    frozen=True,
+)
+
+
+def as_dataclass_record(record):
+    """A ComponentDecomposition or OrientedCircleDiagram as its frozen
+    dataclass reference, field by field."""
+    if isinstance(record, ComponentDecomposition):
+        return DataclassComponentDecomposition(record.k, record.classes)
+    return DataclassOrientedCircleDiagram(
+        record.cap,
+        record.weight,
+        record.cup,
+        record.degree,
+        as_dataclass_record(record.decomposition),
+        record.circle_classes,
+    )
+
+
 def _oracle_label(chars: list, cl: ComponentClass, sym: str) -> None:
     """Give the class maximum the symbol sym and the rest of the class
     the symbols its signs imply."""
@@ -297,7 +333,8 @@ def brute_crossingless_matchings(k):
 
 
 def brute_orientations(k, arcs):
-    """Weights satisfying the arc rules, checked symbol by symbol.
+    """Weights satisfying the arc rules, checked symbol by symbol, in
+    canonical order (down before up, vertex 1 first).
 
     ``arcs`` is a list of ('cup'|'ray', data, dotted) entries.
     """
@@ -305,18 +342,17 @@ def brute_orientations(k, arcs):
 
     out = []
     for combo in itertools.product("v^", repeat=k):
-        ok = True
         for kind, data, dotted in arcs:
             if kind == "cup":
                 l, r = data
                 same = combo[l - 1] == combo[r - 1]
                 if dotted != same:
-                    ok = False
+                    break
             else:
                 want = "^" if dotted else "v"
                 if combo[data - 1] != want:
-                    ok = False
-        if ok:
+                    break
+        else:
             out.append(Weight("".join(combo)))
     return out
 

@@ -9,6 +9,7 @@ from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from cupcalc.errors import InternalCheckError
 from helpers import (
+    as_dataclass_record,
     brute_clockwise_count,
     brute_orientations,
     oracle_decompose,
@@ -43,17 +44,37 @@ def test_orientations_of_cup_examples():
     assert all(x[5] == O.UP for x in ups_at_5)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+def _arcs(*halves):
+    """The arc rules of some diagrams, as ``brute_orientations`` reads them."""
+    return [("cup", (c.left, c.right), c.dotted) for d in halves for c in d.cups] + [
+        ("ray", r.at, r.dotted) for d in halves for r in d.rays
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
 def test_orientations_match_brute_force(k):
+    """The weights read from the bit words are the brute-force weights, in
+    the same (canonical) order."""
     for d in D.enumerate_diagrams(k, "any", "all"):
-        arcs = [("cup", (c.left, c.right), c.dotted) for c in d.cups] + [
-            ("ray", r.at, r.dotted) for r in d.rays
-        ]
-        expected = {str(x) for x in brute_orientations(k, arcs)}
-        got = [str(x) for x in O.orientations_of_cup(d)]
-        assert set(got) == expected
+        got = O.orientations_of_cup(d)
+        assert got == brute_orientations(k, _arcs(d))
         assert len(got) == 2 ** d.n_cups
-        assert got == sorted(got, key=lambda s: [0 if ch == "v" else 1 for ch in s])
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_generated_weights_equal_validated_weights(k):
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        for weight in O.orientations_of_cup(d):
+            checked = O.Weight(weight.text)
+            assert type(weight) is O.Weight
+            assert weight == checked and hash(weight) == hash(checked)
+            assert vars(weight) == vars(checked)
+
+
+def test_weight_constructor_still_checks_symbols():
+    for text in ("^x", "v^ ", "V"):
+        with pytest.raises(O.OrientationError):
+            O.Weight(text)
 
 
 def _symbol_tuple_key(weight):
@@ -145,14 +166,31 @@ def test_kernel_matches_previous_walk_on_maximal_pairs(k, parity):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
+def test_records_keep_the_dataclass_semantics(k):
+    """The NamedTuple records equal the oracle's, and hash and print as
+    the frozen dataclasses they replaced."""
+    for a, b in _same_k_pairs(k):
+        cap = a.star()
+        dec = O.decompose(cap, b)
+        assert dec == oracle_decompose(cap, b)
+        oriented = O.orient_circle_diagram(cap, b)
+        assert oriented == oracle_orient_circle_diagram(cap, b)
+        records = [dec, *oriented]
+        best = O.min_degree_element(a, b)
+        if best is not None:
+            records.append(best[0])
+        for record in records:
+            reference = as_dataclass_record(record)
+            assert hash(record) == hash(reference)
+            assert repr(record) == repr(reference)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
 def test_orient_circle_diagram_matches_brute_force(k):
     for a, b in _same_k_pairs(k):
-        arcs = [
-            ("cup", (c.left, c.right), c.dotted) for half in (a, b) for c in half.cups
-        ] + [("ray", r.at, r.dotted) for half in (a, b) for r in half.rays]
         oriented = O.orient_circle_diagram(a.star(), b)
         # brute_orientations lists weights in canonical order
-        assert [o.weight for o in oriented] == brute_orientations(k, arcs)
+        assert [o.weight for o in oriented] == brute_orientations(k, _arcs(a, b))
         for o in oriented:
             assert o.degree == brute_clockwise_count(o.weight, a) + brute_clockwise_count(
                 o.weight, b
@@ -170,11 +208,11 @@ def test_glued_orientations_are_intersected_halves(k):
         assert [(o.weight, o.degree) for o in glued] == expected
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 11))
 def test_graded_orientations_match_half_degree(k):
     for c in D.enumerate_diagrams(k, "any", "all"):
         graded = O.graded_orientations(c)
-        assert [w for w, _ in graded] == O.orientations_of_cup(c)
+        assert [w for w, _ in graded] == brute_orientations(k, _arcs(c))
         for weight, degree in graded:
             assert degree == O.half_degree(weight, c)
 

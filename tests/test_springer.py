@@ -231,6 +231,22 @@ def test_fixed_point_table_matches_glued_oracle(k, parity):
     assert S.fixed_point_table(k, parity).to_json_dict() == oracle_fixed_point_table(k, parity)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_fixed_point_table_shares_one_weight_per_weight(k, parity):
+    """Every cell holding a weight holds the same Weight object, one
+    that equals the validated Weight of its text."""
+    shared = {}
+    for row in S.fixed_point_table(k, parity).entries:
+        for cell in row:
+            for weight in cell:
+                assert shared.setdefault(weight.text, weight) is weight
+    for text, weight in shared.items():
+        assert weight == O.Weight(text)
+    oriented = {w.text for d in D.maximal_diagrams(k, parity) for w in O.orientations_of_cup(d)}
+    assert set(shared) == oriented
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_table_empty_iff_quotient_missing(k):
     for parity in ("even", "odd"):
