@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -174,13 +175,27 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
+def _write(chunks) -> None:
+    """Write an iterable of strings, joined a few thousand at a time: one
+    write per string costs more than the joins, and one write in all would
+    hold the whole text."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+
+
+def _emit_json(payload) -> None:
+    """``_emit(json.dumps(payload, indent=2))``, written from the encoder's
+    chunks (the same pure-Python encoder, so the same bytes)."""
+    _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",)))
+
+
 def _cmd_enumerate(args) -> int:
-    out = diagrams.enumerate_diagrams(args.k, args.cups, args.parity)
+    encodings = diagrams.enumerate_encodings(args.k, args.cups, args.parity)
     if args.format == "json":
-        _emit(json.dumps([d.encode() for d in out.members], indent=2))
+        _emit_json(encodings)
     else:
-        for d in out.members:
-            _emit(d.encode())
+        _write(f"{text}\n" for text in encodings)
     return 0
 
 
@@ -219,7 +234,7 @@ def _cmd_movegraph(args) -> int:
         "nodes": [n.encode() for n in graph.nodes],
         "arrows": arrows,
     }
-    _emit(json.dumps(payload, indent=2))
+    _emit_json(payload)
     return 0
 
 
@@ -242,8 +257,7 @@ def _cmd_orient(args) -> int:
             (o.weight, o.degree) for o in orientation.orient_circle_diagram(cap.star(), cup)
         )
     if args.format == "json":
-        rows = [{"weight": str(w), "degree": d} for w, d in graded]
-        _emit(json.dumps(rows, indent=2))
+        _emit_json([{"weight": str(w), "degree": d} for w, d in graded])
     else:
         # written line by line from the records: no rows for text output
         sys.stdout.writelines(f"{w}  degree {d}\n" for w, d in graded)
@@ -295,7 +309,7 @@ def _cmd_cohomology(args) -> int:
             "total_dimension": halves["even"]["dimension"] + halves["odd"]["dimension"],
         }
         if args.format == "json":
-            _emit(json.dumps(payload, indent=2))
+            _emit_json(payload)
         else:
             for parity in ("even", "odd"):
                 graded = ", ".join(
@@ -325,7 +339,7 @@ def _cmd_cohomology(args) -> int:
         "basis": [sorted(m) for m in ring.basis],
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2))
+        _emit_json(payload)
     else:
         graded = ", ".join(f"q^{g['degree']}: {g['dim']}" for g in payload["graded"])
         _emit(f"dimension {ring.dimension} ({graded})")
@@ -336,7 +350,7 @@ def _cmd_cohomology(args) -> int:
 def _cmd_intersect(args) -> int:
     payload = springer.fixed_point_table(args.k, args.parity).to_json_dict()
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2))
+        _emit_json(payload)
     else:
         for enc, row in zip(payload["diagrams"], payload["table"]):
             cells = ["{" + ",".join(cell) + "}" for cell in row]
@@ -391,14 +405,14 @@ def _cmd_bijection(args) -> int:
     except (ValueError, RecursionError) as exc:  # also too deep, too many digits
         raise _UsageError(f"--input {args.input!r} is not valid JSON: {exc}") from None
     cup = _load_as_cup(args.src, data, args.parity)
-    _emit(json.dumps(_dump_from_cup(args.dst, cup), indent=2))
+    _emit_json(_dump_from_cup(args.dst, cup))
     return 0
 
 
 def _cmd_selftest(args) -> int:
     report = selftest(args.k_max, args.seed)
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2))
+        _emit_json(report.to_json_dict())
     else:
         for s in report.suites:
             _emit(f"{'ok  ' if s.ok else 'FAIL'} {s.name}: {s.detail}")

@@ -15,6 +15,9 @@ Vertices are numbered 1..k from the left.  Every diagram has a unique
 canonical text encoding, ``k: arc;arc;...`` with arcs sorted by leftmost
 vertex, e.g. ``4: c*(1,4);c(2,3)`` (the ``*`` marks a dot).  The same
 grammar doubles as the input DSL, which is whitespace-insensitive.
+:func:`parse_dsl` reads well-formed text with one match of the whole
+grammar and one scan for its arcs; text that does not match goes to the
+token parser, which alone reports syntax errors, with their positions.
 
 Nesting is decided in one place, :func:`nesting`: a walk over the
 vertices from left to right that keeps the open cups on a stack.  A
@@ -56,6 +59,13 @@ or the selftest's brute-force oracle, while the orientation generators
 write each weight from a bit word, legal by construction, and build it
 without the check; the tests check every generated weight with k <= 10
 against the validated ``Weight`` of its text.
+
+Enumeration has one generator.  It yields each structure's arcs in
+left-end order with its dot choices, and writes each diagram's encoding
+from those arcs in the same pass, so only the encodings are sorted:
+:func:`enumerate_encodings` (what ``cupcalc enumerate`` prints) builds
+no diagram, and :func:`enumerate_diagrams` hands each member the
+encoding it was generated with.
 
 Per-diagram facts are computed once per :class:`CupDiagram` and kept on
 the instance (``functools.cached_property``): the canonical
@@ -359,6 +369,14 @@ def _encode(d: Union[CupDiagram, CapDiagram]) -> str:
 
 _TOKEN = re.compile(r"\d+|[cr:;,()*]")
 
+# The grammar of well-formed text as one pattern, and one arc of it with
+# its parts as groups.  Kept as strings: ``re`` compiles each on its first
+# use and caches it, where compiling here would cost every import.
+_CUP = r"c\s*\*?\s*\(\s*\d+\s*,\s*\d+\s*\)"
+_RAY = r"r\s*\*?\s*\(\s*\d+\s*\)"
+_DSL = rf"\s*(\d+)\s*:\s*(?:{_CUP}|{_RAY})(?:\s*;\s*(?:{_CUP}|{_RAY}))*\s*"
+_ARC = r"([cr])\s*(\*?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)"
+
 
 def _tokenize(text: str):
     tokens = []
@@ -376,7 +394,32 @@ def _tokenize(text: str):
 
 
 def parse_dsl(text: str) -> CupDiagram:
-    """Parse ``k: c*(i,j);r(n);...`` into a validated diagram."""
+    """Parse ``k: c*(i,j);r(n);...`` into a validated diagram.
+
+    Well-formed text is read with one match of the whole grammar and one
+    scan for its arcs.  Any other text, or an integer too long for ``int()``,
+    goes to :func:`_parse_tokens`, which alone reports syntax errors.
+    """
+    m = re.fullmatch(_DSL, text)
+    if m is not None:
+        cups, rays = [], []
+        try:
+            k = int(m.group(1))
+            for kind, star, first, second in re.findall(_ARC, text):
+                if kind == "c":
+                    cups.append(Cup(int(first), int(second), star == "*"))
+                else:
+                    rays.append(Ray(int(first), star == "*"))
+        except ValueError:  # more digits than int() converts: the token parser names it
+            pass
+        else:
+            return _validate_input(k, cups, rays)
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> CupDiagram:
+    """:func:`parse_dsl` token by token, raising :class:`DiagramSyntaxError`
+    at the first token out of place."""
     tokens = _tokenize(text)
     idx = 0
 
@@ -526,36 +569,65 @@ def render(d: CupDiagram, fmt: str) -> str:
 # Enumeration
 
 
-def _matchings(lo: int, hi: int, rays_ok: bool):
-    """All crossingless cup/ray structures on vertices lo..hi.
+def _matchings(lo: int, hi: int, rays):
+    """All crossingless cup/ray structures on vertices lo..hi with ``rays``
+    rays (None: any number), each as its arcs sorted by left end:
+    ``(left, right)`` for a cup, ``(at, 0)`` for a ray.
 
-    Rays are forbidden inside a cup, hence the flag is dropped when we
-    recurse under one.  Cups come sorted by left end and rays ascending,
-    the order :func:`validate` gives them.
+    Rays are forbidden inside a cup, hence none are asked for when we
+    recurse under one; a count that the vertices cannot hold ends the
+    branch at once.
     """
-    if lo > hi:
-        yield (), ()
+    size = hi - lo + 1
+    if rays is not None and not (0 <= rays <= size and (size - rays) % 2 == 0):
         return
-    if rays_ok:
-        for cups, rays in _matchings(lo + 1, hi, True):
-            yield cups, (lo,) + rays
+    if size == 0:
+        yield ()
+        return
+    if rays != 0:
+        for rest in _matchings(lo + 1, hi, None if rays is None else rays - 1):
+            yield ((lo, 0),) + rest
     for m in range(lo + 1, hi + 1, 2):
-        for inner, _ in _matchings(lo + 1, m - 1, False):
-            for outer, outer_rays in _matchings(m + 1, hi, rays_ok):
-                yield ((lo, m),) + inner + outer, outer_rays
+        for inner in _matchings(lo + 1, m - 1, 0):
+            for outer in _matchings(m + 1, hi, rays):
+                yield ((lo, m),) + inner + outer
 
 
-def _dottable(cup_pairs, ray_positions):
-    """Arcs of an undecorated structure that may legally carry a dot."""
-    arcs = []
-    leftmost_ray = min(ray_positions, default=None)
-    for (l, r) in cup_pairs:
-        nested = any(a < l and r < b for (a, b) in cup_pairs)
-        if not nested and (leftmost_ray is None or l < leftmost_ray):
-            arcs.append(("cup", (l, r)))
-    if leftmost_ray is not None:
-        arcs.append(("ray", leftmost_ray))
-    return arcs
+def _decorated(k: int, cups: Union[int, str], dots: str):
+    """The diagrams of :func:`enumerate_diagrams`, by structure: for each,
+    its arcs from :func:`_matchings` and a list of (dotted, encoding), one
+    per dot choice the filter keeps.  ``dotted`` holds the positions in
+    ``arcs`` of the dotted arcs; the encoding is written from the arcs,
+    which come sorted by left end as the encoding lists them.
+
+    An arc may carry a dot iff it is outermost and no ray lies to its left:
+    in left-end order, the outermost cups up to the first ray, and that ray.
+    """
+    keeps = dot_count_filter(k, dots)
+    if cups == "max":
+        rays = k % 2
+    elif cups == "any":
+        rays = None
+    else:
+        rays = k - 2 * int(cups)
+    head = f"{k}: "
+    for arcs in _matchings(1, k, rays):
+        texts, dottable, reach = [], [], 0  # reach: right end of the last outermost cup
+        for i, (l, r) in enumerate(arcs):
+            texts.append(f"c({l},{r})" if r else f"r({l})")
+            if l > reach:
+                dottable.append(i)
+                reach = r or k  # no dot right of the first ray
+        decorations = []
+        for n_dots in range(len(dottable) + 1):
+            if not keeps(n_dots):
+                continue
+            for dotted in itertools.combinations(dottable, n_dots):
+                marked = texts.copy()
+                for i in dotted:
+                    marked[i] = f"{marked[i][0]}*{marked[i][1:]}"
+                decorations.append((dotted, head + ";".join(marked)))
+        yield arcs, decorations
 
 
 @dataclass(frozen=True)
@@ -590,35 +662,36 @@ def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all")
 
     ``cups`` is an exact cup count, ``"max"`` (= floor(k/2)) or ``"any"``;
     ``dots`` filters by dot count: ``"all"``, ``"even"``, ``"odd"`` or
-    ``"none"`` (undecorated only).
+    ``"none"`` (undecorated only).  Each member's ``encoding`` is the text
+    :func:`_decorated` wrote for it.
     """
-    keeps = dot_count_filter(k, dots)
-    if cups == "max":
-        target = k // 2
-    elif cups == "any":
-        target = None
-    else:
-        target = int(cups)
-
     members = []
-    for cup_pairs, ray_positions in _matchings(1, k, True):
-        if target is not None and len(cup_pairs) != target:
-            continue
-        dottable = _dottable(cup_pairs, ray_positions)
-        for n_dots in range(len(dottable) + 1):
-            if not keeps(n_dots):
-                continue
-            for chosen in itertools.combinations(dottable, n_dots):
-                chosen_set = set(chosen)
-                cup_arcs = tuple(
-                    Cup(l, r, ("cup", (l, r)) in chosen_set) for (l, r) in cup_pairs
-                )
-                ray_arcs = tuple(
-                    Ray(at, ("ray", at) in chosen_set) for at in ray_positions
-                )
-                members.append(CupDiagram(k, cup_arcs, ray_arcs))
-    members.sort(key=encode)
-    return DiagramSet(k, cups, dots, tuple(members))
+    for arcs, decorations in _decorated(k, cups, dots):
+        plain_cups = [Cup(l, r) for l, r in arcs if r]
+        plain_rays = tuple(Ray(l) for l, r in arcs if not r)
+        for dotted, text in decorations:
+            cup_arcs, ray_arcs = plain_cups, plain_rays
+            if dotted:
+                # dotted arcs lie left of every other ray, so a dotted cup's
+                # position in arcs is its position among the cups
+                cup_arcs = cup_arcs.copy()
+                for i in dotted:
+                    l, r = arcs[i]
+                    if r:
+                        cup_arcs[i] = Cup(l, r, True)
+                    else:
+                        ray_arcs = (Ray(l, True),) + ray_arcs[1:]
+            d = CupDiagram(k, tuple(cup_arcs), ray_arcs)
+            object.__setattr__(d, "encoding", text)  # fills the cached_property
+            members.append((text, d))
+    members.sort()
+    return DiagramSet(k, cups, dots, tuple(d for _, d in members))
+
+
+def enumerate_encodings(k: int, cups: Union[int, str] = "max", dots: str = "all") -> list:
+    """The encodings of ``enumerate_diagrams(k, cups, dots)``, in the same
+    order, without building a diagram."""
+    return sorted(text for _, decorations in _decorated(k, cups, dots) for _, text in decorations)
 
 
 @lru_cache(maxsize=None)

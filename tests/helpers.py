@@ -3,9 +3,11 @@
 Everything here recomputes results from first principles with code
 paths disjoint from the package (no recursive interval generation, no
 partner walks, no rewrite systems) so the two sides can disagree.
-The one exception is the glued-pair kernel's previous code, kept as the
-slow path (``oracle_walk_decompose``, ``oracle_force_lines``,
-``oracle_orient_circle_diagram``) that the rewritten kernel must match.
+The exceptions are previous code kept as the slow path that a rewrite
+must match: the glued-pair kernel's (``oracle_walk_decompose``,
+``oracle_force_lines``, ``oracle_orient_circle_diagram``) and the
+enumeration that built and sorted every diagram
+(``oracle_enumerate_diagrams``).
 """
 
 import functools
@@ -19,9 +21,11 @@ from cupcalc.diagrams import (
     Cup,
     CupDiagram,
     DiagramError,
+    DiagramSet,
     InvalidDiagramError,
     Ray,
     Violation,
+    dot_count_filter,
     encode,
     enumerate_diagrams,
     nesting,
@@ -986,6 +990,70 @@ def oracle_cup_of_bitableau(bt, k, dots="all"):
     if len(matches) > 1:
         raise TableauError(f"{bt} is ambiguous on {k} vertices; fix a dot parity")
     return matches[0]
+
+
+def _oracle_matchings(lo: int, hi: int, rays_ok: bool):
+    """All crossingless cup/ray structures on vertices lo..hi.
+
+    Rays are forbidden inside a cup, hence the flag is dropped when we
+    recurse under one.  Cups come sorted by left end and rays ascending,
+    the order :func:`validate` gives them.
+    """
+    if lo > hi:
+        yield (), ()
+        return
+    if rays_ok:
+        for cups, rays in _oracle_matchings(lo + 1, hi, True):
+            yield cups, (lo,) + rays
+    for m in range(lo + 1, hi + 1, 2):
+        for inner, _ in _oracle_matchings(lo + 1, m - 1, False):
+            for outer, outer_rays in _oracle_matchings(m + 1, hi, rays_ok):
+                yield ((lo, m),) + inner + outer, outer_rays
+
+
+def _oracle_dottable(cup_pairs, ray_positions):
+    """Arcs of an undecorated structure that may legally carry a dot."""
+    arcs = []
+    leftmost_ray = min(ray_positions, default=None)
+    for (l, r) in cup_pairs:
+        nested = any(a < l and r < b for (a, b) in cup_pairs)
+        if not nested and (leftmost_ray is None or l < leftmost_ray):
+            arcs.append(("cup", (l, r)))
+    if leftmost_ray is not None:
+        arcs.append(("ray", leftmost_ray))
+    return arcs
+
+
+def oracle_enumerate_diagrams(k, cups="max", dots="all") -> DiagramSet:
+    """``diagrams.enumerate_diagrams`` as it was before it generated the
+    encodings: every diagram built, then sorted by ``encode``."""
+    keeps = dot_count_filter(k, dots)
+    if cups == "max":
+        target = k // 2
+    elif cups == "any":
+        target = None
+    else:
+        target = int(cups)
+
+    members = []
+    for cup_pairs, ray_positions in _oracle_matchings(1, k, True):
+        if target is not None and len(cup_pairs) != target:
+            continue
+        dottable = _oracle_dottable(cup_pairs, ray_positions)
+        for n_dots in range(len(dottable) + 1):
+            if not keeps(n_dots):
+                continue
+            for chosen in itertools.combinations(dottable, n_dots):
+                chosen_set = set(chosen)
+                cup_arcs = tuple(
+                    Cup(l, r, ("cup", (l, r)) in chosen_set) for (l, r) in cup_pairs
+                )
+                ray_arcs = tuple(
+                    Ray(at, ("ray", at) in chosen_set) for at in ray_positions
+                )
+                members.append(CupDiagram(k, cup_arcs, ray_arcs))
+    members.sort(key=encode)
+    return DiagramSet(k, cups, dots, tuple(members))
 
 
 def oracle_validate(k, cups, rays):

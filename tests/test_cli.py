@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from cupcalc import cli
 from cupcalc import diagrams as D
+from cupcalc import orientation as O
+from cupcalc import springer as S
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
+from helpers import oracle_enumerate_diagrams
 
 
 def capture(capsys, argv):
@@ -59,6 +62,58 @@ def test_enumerate_json_and_determinism(capsys):
     assert len(json.loads(first)) == 6
     _, second, _ = capture(capsys, ["enumerate", "--k", "4", "--format", "json"])
     assert first == second
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_enumerate_stdout_matches_the_oracle(capsys, k):
+    """Both formats print, byte for byte, what printing the members of the
+    old build-and-sort enumeration gives, for every dot filter and cup
+    count."""
+    for cups in ["max", "any", *range(k // 2 + 1)]:
+        for parity in ("all", "even", "odd", "none"):
+            encodings = [d.encode() for d in oracle_enumerate_diagrams(k, cups, parity)]
+            argv = ["enumerate", "--k", str(k), "--parity", parity, "--cups", str(cups)]
+            assert capture(capsys, argv) == (0, "".join(f"{e}\n" for e in encodings), "")
+            assert capture(capsys, argv + ["--format", "json"]) == (
+                0, json.dumps(encodings, indent=2) + "\n", ""
+            )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        "text",
+        [{"weight": "^v" * 20, "degree": d, "nested": [[None, True, 1.5], {}]} for d in range(5000)],
+    ],
+    ids=["empty-list", "empty-dict", "string", "many-batches"],
+)
+def test_emit_json_writes_what_json_dumps_gives(capsys, payload):
+    cli._emit_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_intersect_json_is_json_dumps_of_the_table(capsys, k):
+    for parity in ("even", "odd"):
+        want = json.dumps(S.fixed_point_table(k, parity).to_json_dict(), indent=2) + "\n"
+        argv = ["intersect", "--k", str(k), "--parity", parity, "--format", "json"]
+        assert capture(capsys, argv) == (0, want, "")
+
+
+def test_orient_json_is_json_dumps_of_the_rows(capsys):
+    cup = D.parse_dsl("12: c(1,2);c(3,6);c(4,5);c(7,12);c(8,11);c(9,10)")
+    cap = D.parse_dsl("12: c(1,4);c(2,3);c(5,6);c(7,8);c(9,10);c(11,12)")
+    for argv, graded in (
+        (["--cup", cup.encode()], O.graded_orientations(cup)),
+        (["--cup", cup.encode(), "--cap", cap.encode()],
+         [(o.weight, o.degree) for o in O.orient_circle_diagram(cap.star(), cup)]),
+    ):
+        rows = [{"weight": str(w), "degree": d} for w, d in graded]
+        assert len(rows) > 1
+        want = json.dumps(rows, indent=2) + "\n"
+        assert capture(capsys, ["orient", *argv, "--format", "json"]) == (0, want, "")
 
 
 def test_enumerate_invalid_input(capsys):

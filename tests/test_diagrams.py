@@ -3,13 +3,19 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
-from helpers import brute_crossingless_matchings, oracle_validate, raw_arc_covers
+from helpers import (
+    brute_crossingless_matchings,
+    oracle_enumerate_diagrams,
+    oracle_validate,
+    raw_arc_covers,
+)
 
 # the six maximal diagrams on three vertices, in canonical order
 B3 = [
@@ -181,6 +187,22 @@ def test_enumeration_is_canonically_ordered():
         assert members == sorted(members)
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_enumerate_diagrams_matches_the_oracle(k):
+    """Members equal the old build-and-sort enumeration's: fields, the
+    encoding written by the generator, and repr (a dot given as 0 or 1
+    instead of a bool would compare equal but print differently)."""
+    for cups in ["max", "any", *range(k // 2 + 2)]:
+        for dots in ("all", "even", "odd", "none"):
+            want = oracle_enumerate_diagrams(k, cups, dots)
+            got = D.enumerate_diagrams(k, cups, dots)
+            assert (got.k, got.cup_filter, got.dot_filter) == (k, cups, dots)
+            assert got.members == want.members
+            assert [d.encoding for d in got] == [d.encoding for d in want]
+            assert [repr(d) for d in got] == [repr(d) for d in want]
+            assert D.enumerate_encodings(k, cups, dots) == [d.encoding for d in want]
+
+
 def test_parse_examples():
     assert D.parse_dsl("4: c*(1,4); c(2,3)").encode() == "4: c*(1,4);c(2,3)"
     assert D.parse_dsl("1: r(1)").encode() == "1: r(1)"
@@ -222,6 +244,97 @@ def test_parse_is_whitespace_insensitive(data):
         pieces.append(data.draw(st.sampled_from(["", " ", "  ", "\t"])))
         pieces.append(ch)
     assert D.parse_dsl("".join(pieces)) == d
+
+
+def _parse_outcome(parse, text):
+    try:
+        d = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d, repr(d), d.encoding
+
+
+_WHITESPACE = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85"]
+# Arabic-Indic, Devanagari, fullwidth and mathematical bold digits: all
+# decimal, so int() reads them
+_DIGITS = {str(i): [chr(base + i) for base in (0x660, 0x966, 0xFF10, 0x1D7CE)] for i in range(10)}
+# also characters the grammar refuses: a zero-width space (not whitespace),
+# a superscript two (a digit but not decimal) and a Roman numeral
+_ALPHABET = list("cr:;,()*0123456789x") + _WHITESPACE + ["\u200b", "\u00b2", "\u2167", "\uff13"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_dsl_agrees_with_the_token_parser(seed):
+    """The one-match reader and the token parser give the same diagram, or
+    the same error type and message, on valid text spaced and written
+    with Unicode whitespace and digits, and on mutations of it."""
+    rng = random.Random(seed)
+    pool = [d.encoding for k in range(1, 9) for d in D.enumerate_diagrams(k, "any", "all")]
+    parsed = 0
+    for _ in range(2500):
+        chars = []
+        for ch in rng.choice(pool):
+            if rng.random() < 0.2:
+                chars.append(rng.choice(_WHITESPACE))
+            if ch in _DIGITS and rng.random() < 0.2:
+                ch = rng.choice(_DIGITS[ch])
+            chars.append(ch)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            at = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                chars.insert(at, rng.choice(_ALPHABET))
+            elif op == 1:
+                del chars[min(at, len(chars) - 1)]
+            else:
+                chars[min(at, len(chars) - 1)] = rng.choice(_ALPHABET)
+        text = "".join(chars)
+        got = _parse_outcome(D.parse_dsl, text)
+        assert got == _parse_outcome(D._parse_tokens, text), text
+        parsed += not isinstance(got[0], type)
+    assert 1000 < parsed < 2400  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("digit", ["9", "\u0669"])
+def test_parse_dsl_names_an_integer_too_long_to_read(digit):
+    long = digit * 5000
+    for text, position in ((f"4: c(1,2);c(3,{long})", 14), (f"{long}: r(1)", 0)):
+        with pytest.raises(D.DiagramError) as exc:
+            D.parse_dsl(text)
+        assert type(exc.value) is D.DiagramError
+        assert str(exc.value) == (
+            f"integer at position {position} has 5000 digits, too many to read"
+        )
+
+
+_LONG_VALID = "16000: " + ";".join(f"c({i},{i + 1})" for i in range(1, 16000, 2))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_LONG_VALID, None),
+        (_LONG_VALID.replace(";", " ; "), None),
+        (_LONG_VALID[:-1], D.DiagramSyntaxError),
+        (_LONG_VALID + ";", D.DiagramSyntaxError),
+        (_LONG_VALID + " x", D.DiagramSyntaxError),
+        ("1: r(1)" + " " * 100_000 + "x", D.DiagramSyntaxError),
+        ("1: r(1)" + " ;" * 50_000, D.DiagramSyntaxError),
+    ],
+    ids=["valid", "spaced", "unclosed", "trailing-semicolon", "trailing-garbage",
+         "long-space-run", "empty-arcs"],
+)
+def test_parse_dsl_reads_long_text_in_linear_time(text, error):
+    """At 100k characters a pattern that backtracks badly would take
+    minutes; the match, the scan and the token parser take well under 1 s."""
+    assert len(text) >= 100_000
+    start = time.perf_counter()
+    if error is None:
+        assert D.parse_dsl(text).n_cups == 8000
+    else:
+        with pytest.raises(error):
+            D.parse_dsl(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ascii_render():
