@@ -278,6 +278,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_cohomology(args) -> int:
+    # a flag the chosen ring would ignore is refused, not dropped
+    if args.which == "centre" and args.t is not None:
+        raise _UsageError("--t is for cohomology springer only")
+    if args.which == "springer" and args.basis:
+        raise _UsageError("--basis is for cohomology centre only")
     t = None if args.t is None else _rational(args.t)
     if args.which == "centre":
         halves = {}

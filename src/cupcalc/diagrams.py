@@ -105,7 +105,7 @@ class InvalidDiagramError(DiagramError):
         self.violations = tuple(violations)
 
     def __str__(self) -> str:
-        # built on demand: the move graph discards most of these errors
+        # built on demand: tableaux.cup_of_bitableau catches and discards these errors
         summary = "; ".join(f"{v.code} {list(v.arcs)}" for v in self.violations)
         return f"illegal diagram: {summary}"
 

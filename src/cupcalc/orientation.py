@@ -15,6 +15,19 @@ rays).  An arc is *clockwise* when, read left to right, it carries
 an oriented diagram counts its clockwise cups and caps.  A circle is
 anticlockwise exactly when its rightmost label is up.
 
+Every orientation of a glued diagram is its all-anticlockwise one with
+some circles flipped.  The line labels are forced by the rays, an
+anticlockwise circle is up at its vertices of sign +1 (relative to its
+maximum), and a flip complements one circle's labels, turns it
+clockwise and adds exactly 2 to the degree.  So the all-anticlockwise
+orientation is the unique one of least degree
+(:func:`min_degree_element`), and :func:`orient_circle_diagram` lists
+the rest by flipping its circles.  The +2 law is checked apart from this
+construction by the selftest's ``degree-convention`` suite, which
+recomputes each flipped degree from the two halves, and by the tests'
+``oracle_orient_circle_diagram``, which labels each circle both ways
+and counts the clockwise arcs.
+
 Orientations are generated as integers ("bit words"): vertex v is bit
 k - v, set when up, so the word read in binary, vertex 1 first, is the
 weight with down as 0 and up as 1, and the canonical order of weights
@@ -33,8 +46,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .diagrams import CapDiagram, Cup, CupDiagram, Ray, encode, validate
-from .errors import InternalCheckError
+from .diagrams import CapDiagram, Cup, CupDiagram, Ray, validate
 
 UP = "^"
 DOWN = "v"
@@ -354,92 +366,75 @@ def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
     return LineForcing(dec, tuple(labels))
 
 
-def _labellings(cap: CapDiagram, cup: CupDiagram, forced: LineForcing):
-    """The forced part of every orientation and each circle's two
-    labellings.
+def _anticlockwise(cap: CapDiagram, cup: CupDiagram):
+    """The glued diagram's all-anticlockwise orientation as
+    ``(decomposition, bits, degree)``, or None when no weight orients it.
 
-    Returns ``(line, circles, by_maximum)``.  ``line`` is ``(bits,
-    degree, ())`` for the line labels alone.  ``circles`` holds, per
-    circle by least vertex, ``(anticlockwise, clockwise, anticlockwise
-    first)``: a labelling is ``(bits, degree part, ((mx, class),))``,
-    the pair sharing its ``(mx, class)`` tuples with every orientation,
-    and the flag says which labelling puts down at the circle's least
-    vertex.  ``by_maximum`` reorders a tuple of circle classes listed by
-    least vertex into the order of their maxima (``tuple`` when the
-    two orders agree).
-
-    An oriented arc is clockwise exactly when its right end is down, so
-    a component's degree part is the number of arc right ends on it that
-    carry down.  Every arc lies on one component, so the degree is the
-    line degree plus one part per circle.  On a circle, anticlockwise
-    (up at the maximum) puts down at the vertices of sign -1, clockwise
-    at those of sign +1; every circle vertex is the right end of 0, 1
-    or 2 of its two arcs.
+    Lines carry the labels that :func:`force_lines` gives them, and each
+    circle puts up at its vertices of sign +1, so at its maximum.  An
+    oriented arc is clockwise exactly when its right end is down, so the
+    degree counts the arc right ends, in both halves, that carry down.
     """
+    forced = force_lines(cap, cup)
+    if forced is None:
+        return None
     dec, labels = forced
     k = dec.k
-    line_bits = 0
+    bits = 0
     for v, sym in enumerate(labels, 1):
         if sym == UP:
-            line_bits |= 1 << (k - v)
-    line_degree = [labels[c.right - 1] for half in (cap, cup) for c in half.cups].count(DOWN)
-    cap_partner, cup_partner = cap.partners[0], cup.partners[0]
-    circles, maxima = [], []
+            bits |= 1 << (k - v)
     for cl in dec.classes:
-        if cl.kind != "circle":
-            continue
-        plus_bits = minus_bits = plus_ends = minus_ends = 0
-        for v, s in zip(cl.vertices, cl.signs):
-            ends = (cap_partner[v] < v) + (cup_partner[v] < v)
-            if s == 1:
-                plus_bits |= 1 << (k - v)
-                plus_ends += ends
-            else:
-                minus_bits |= 1 << (k - v)
-                minus_ends += ends
-        anticlockwise = (plus_bits, minus_ends, ((cl.mx, "anticlockwise"),))
-        clockwise = (minus_bits, plus_ends, ((cl.mx, "clockwise"),))
-        circles.append((anticlockwise, clockwise, cl.signs[0] == -1))
-        maxima.append(cl.mx)
-    if maxima == sorted(maxima):
-        by_maximum = tuple
-    else:
-        by_maximum = operator.itemgetter(*sorted(range(len(maxima)), key=maxima.__getitem__))
-    return (line_bits, line_degree, ()), circles, by_maximum
+        if cl.kind == "circle":
+            for v, s in zip(cl.vertices, cl.signs):
+                if s == 1:
+                    bits |= 1 << (k - v)
+    degree = [bits >> (k - c.right) & 1 for half in (cap, cup) for c in half.cups].count(0)
+    return dec, bits, degree
 
 
 def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
     """All orientations of the glued diagram, canonically ordered.
 
-    Empty when :func:`force_lines` finds a contradiction; otherwise the
-    line labels are the same in every orientation and each circle takes
-    either of its two labellings, so there are exactly 2^#circles.
+    Empty when :func:`force_lines` finds a contradiction.  Otherwise each
+    orientation is the all-anticlockwise one with some circles flipped,
+    each flip adding 2 to the degree, so there are exactly 2^#circles.
 
     The order is generated, not sorted.  Two orientations differ on
     whole circles, so they first differ at the least vertex of the first
     circle, by least vertex, that they label differently.  Taking the
-    circles by least vertex, each with the labelling that puts down at
-    that vertex first, therefore lists the weights in canonical order.
-    The degree counts clockwise arcs, and whether an arc is clockwise
-    depends only on the labels of the one component it lies on, so the
-    degree of each orientation is the line degree plus the parts of the
-    chosen labellings.  Its ``circle_classes`` list the circles by
+    circles by least vertex, each with the choice (keep or flip) that
+    puts down at that vertex first, therefore lists the weights in
+    canonical order.  Their ``circle_classes`` list the circles by
     maximum.
     """
-    forced = force_lines(cap, cup)
-    if forced is None:
+    found = _anticlockwise(cap, cup)
+    if found is None:
         return []
-    line, circles, by_maximum = _labellings(cap, cup, forced)
-    partial = [line]
-    for anticlockwise, clockwise, anticlockwise_first in circles:
-        pair = (anticlockwise, clockwise) if anticlockwise_first else (clockwise, anticlockwise)
-        partial = [
-            (bits + part_bits, degree + part_degree, classes + part_class)
-            for bits, degree, classes in partial
-            for part_bits, part_degree, part_class in pair
-        ]
-    dec = forced.decomposition
+    dec, bits, degree = found
     k = dec.k
+    partial = [(bits, degree, ())]
+    maxima = []
+    for cl in dec.classes:
+        if cl.kind != "circle":
+            continue
+        mask = 0
+        for v in cl.vertices:
+            mask |= 1 << (k - v)
+        keep = (0, 0, ((cl.mx, "anticlockwise"),))
+        flip = (mask, 2, ((cl.mx, "clockwise"),))
+        # keep first when anticlockwise is down at the least vertex (sign -1)
+        choices = (keep, flip) if cl.signs[0] == -1 else (flip, keep)
+        partial = [
+            (bits ^ flipped, degree + added, classes + circle_class)
+            for bits, degree, classes in partial
+            for flipped, added, circle_class in choices
+        ]
+        maxima.append(cl.mx)
+    if maxima == sorted(maxima):
+        by_maximum = tuple
+    else:
+        by_maximum = operator.itemgetter(*sorted(range(len(maxima)), key=maxima.__getitem__))
     return [
         OrientedCircleDiagram(cap, _word_weight(k, bits), cup, degree, dec, by_maximum(classes))
         for bits, degree, classes in partial
@@ -455,35 +450,18 @@ def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
 def min_degree_element(a: CupDiagram, b: CupDiagram):
     """The unique minimal-degree orientation of (a* b) and its degree, or None.
 
-    The minimum is attained when every circle is anticlockwise (up at
-    its maximum), so it is built from :func:`force_lines` and that one
-    labelling of each circle, without listing the other orientations.
+    Every other orientation flips some circles of the all-anticlockwise
+    one, each flip adding 2 to the degree, so the minimum is that one
+    orientation, built without listing the others.
     """
     cap = a.star()
-    forced = force_lines(cap, b)
-    if forced is None:
+    found = _anticlockwise(cap, b)
+    if found is None:
         return None
-    (bits, degree, classes), circles, by_maximum = _labellings(cap, b, forced)
-    for (part_bits, part_degree, part_class), _, _ in circles:
-        bits += part_bits
-        degree += part_degree
-        classes += part_class
-    dec = forced.decomposition
-    best = OrientedCircleDiagram(
-        cap, _word_weight(dec.k, bits), b, degree, dec, by_maximum(classes)
-    )
+    dec, bits, degree = found
+    circle_classes = tuple((mx, "anticlockwise") for mx in sorted(cl.mx for cl in dec.circles))
+    best = OrientedCircleDiagram(cap, _word_weight(dec.k, bits), b, degree, dec, circle_classes)
     return best, degree
-
-
-def min_degree_of(oriented: List[OrientedCircleDiagram]):
-    """The minimal-degree element of a non-empty list of orientations of
-    one glued diagram and its degree; the minimum must be unique."""
-    best = min(oriented, key=lambda o: o.degree)
-    if sum(1 for o in oriented if o.degree == best.degree) != 1:
-        raise InternalCheckError(
-            f"minimal degree not unique for {encode(best.cap)} / {encode(best.cup)}"
-        )
-    return best, best.degree
 
 
 def cup_of_weight(weight: Weight) -> CupDiagram:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
-from .diagrams import CupDiagram, enumerate_diagrams, maximal_diagrams
+from .diagrams import CupDiagram, enumerate_encodings, maximal_diagrams
 from .errors import InternalCheckError, SizeError
 from .movegraph import distance
 from .orientation import DOWN, UP, Weight, force_lines
@@ -148,13 +148,11 @@ def equivariant_specialization(k: int, t) -> int:
 # Weights versus signed index sets
 
 
-def _check_index_set(indices, k: Optional[int] = None) -> Tuple[int, frozenset]:
+def _check_index_set(indices) -> Tuple[int, frozenset]:
     iset = frozenset(indices)
     if not iset or any(not isinstance(i, int) or i == 0 for i in iset):
         raise MalformedIndexSetError(f"index set must contain signed nonzero integers: {sorted(iset)}")
     size = max(abs(i) for i in iset)
-    if k is not None:
-        size = k
     for i in range(1, size + 1):
         if (i in iset) == (-i in iset):
             raise MalformedIndexSetError(
@@ -320,10 +318,11 @@ def arc_algebra_graded_dimension_closed_form(k: int) -> GradedDimension:
 def filtration_census(k: int) -> List[Tuple[int, int]]:
     """Number of legal diagrams on k vertices with j cups, j = 0..floor(k/2).
 
-    The level counts always total 2^k.
+    The level counts, read from the encodings without building a
+    diagram, always total 2^k.
     """
     census = [
-        (j, len(enumerate_diagrams(k, cups=j, dots="all")))
+        (j, len(enumerate_encodings(k, cups=j, dots="all")))
         for j in range(k // 2 + 1)
     ]
     if sum(c for _, c in census) != 2 ** k:

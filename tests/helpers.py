@@ -5,7 +5,8 @@ paths disjoint from the package (no recursive interval generation, no
 partner walks, no rewrite systems) so the two sides can disagree.
 The exceptions are previous code kept as the slow path that a rewrite
 must match: the glued-pair kernel's (``oracle_walk_decompose``,
-``oracle_force_lines``, ``oracle_orient_circle_diagram``) and the
+``oracle_force_lines``, ``oracle_orient_circle_diagram``), the minimum
+read from the full list of orientations (``min_degree_of``) and the
 enumeration that built and sorted every diagram
 (``oracle_enumerate_diagrams``).
 """
@@ -241,6 +242,17 @@ def oracle_orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[Orien
         )
     results.sort(key=lambda o: o.weight.sort_key())
     return results
+
+
+def min_degree_of(oriented: List[OrientedCircleDiagram]):
+    """The minimal-degree element of a non-empty list of orientations of
+    one glued diagram and its degree; the minimum must be unique."""
+    best = min(oriented, key=lambda o: o.degree)
+    if sum(1 for o in oriented if o.degree == best.degree) != 1:
+        raise InternalCheckError(
+            f"minimal degree not unique for {encode(best.cap)} / {encode(best.cup)}"
+        )
+    return best, best.degree
 
 
 # The orientation records as the frozen dataclasses they were before they

@@ -267,6 +267,24 @@ def test_cohomology_springer_rejects_bad_rational(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", "centre", "--k", "3", "--t", "2"], "--t is for cohomology springer only"),
+        (["cohomology", "springer", "--k", "3", "--basis"], "--basis is for cohomology centre only"),
+    ],
+)
+def test_cohomology_refuses_a_flag_it_would_ignore(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("refused flags are checked before any work")
+
+    monkeypatch.setattr(cli.ringcalc, "centre", no_work)
+    for name in ("presentation_ring", "equivariant_specialization"):
+        monkeypatch.setattr(cli.springer, name, no_work)
+    code, out, err = capture(capsys, argv)
+    assert (code, out, err) == (1, "", f"cupcalc: {message}\n")
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_cohomology_springer_deformed_rejects_nonpositive_k(capsys, k):
     code, out, err = capture(capsys, ["cohomology", "springer", "--k", k, "--t", "2"])

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
-from cupcalc.errors import InternalCheckError
 from helpers import (
     as_dataclass_record,
     brute_clockwise_count,
     brute_orientations,
+    min_degree_of,
     oracle_decompose,
     oracle_force_lines,
     oracle_orient_circle_diagram,
@@ -343,18 +343,19 @@ def test_min_degree_examples():
     assert O.min_degree_element(p, D.parse_dsl("4: c(1,2);c*(3,4)")) is None
 
 
-def test_min_degree_of_refuses_a_tied_minimum():
-    a = D.parse_dsl("4: c(1,2);c(3,4)")
-    oriented = O.orient_circle_diagram(a.star(), a)  # two circles: degrees 0, 2, 2, 4
-    assert O.min_degree_of(oriented) == O.min_degree_element(a, a)
-    with pytest.raises(InternalCheckError, match="minimal degree not unique for 4: c"):
-        O.min_degree_of([o for o in oriented if o.degree == 2])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_min_degree_element_matches_oracle_on_every_pair(k):
+    """Every pair on k vertices, lines included: the all-anticlockwise
+    orientation is the unique minimum of the oracle's full list."""
+    for a, b in _same_k_pairs(k):
+        oriented = oracle_orient_circle_diagram(a.star(), b)
+        assert O.min_degree_element(a, b) == (min_degree_of(oriented) if oriented else None)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_min_degree_unique_and_formula(k):
-    """min_degree_element labels each circle once; the full list of
-    orientations is the check."""
+    """min_degree_element builds one orientation; the minimum of the full
+    list of orientations is the check."""
     m = k // 2
     for parity in ("even", "odd"):
         for a, b in itertools.product(D.maximal_diagrams(k, parity), repeat=2):
@@ -363,7 +364,7 @@ def test_min_degree_unique_and_formula(k):
             if not oriented:
                 assert got is None
                 continue
-            assert got == O.min_degree_of(oriented)
+            assert got == min_degree_of(oriented)
             circles = len(O.decompose(a.star(), b).circles)
             assert got[1] == m - circles
             assert sum(1 for o in oriented if o.degree == got[1]) == 1
