@@ -21,12 +21,22 @@ anticlockwise circle is up at its vertices of sign +1 (relative to its
 maximum), and a flip complements one circle's labels, turns it
 clockwise and adds exactly 2 to the degree.  So the all-anticlockwise
 orientation is the unique one of least degree
-(:func:`min_degree_element`), and :func:`orient_circle_diagram` lists
+(:func:`min_degree_element`), and :func:`orient_circle_diagram` reaches
 the rest by flipping its circles.  The +2 law is checked apart from this
 construction by the selftest's ``degree-convention`` suite, which
 recomputes each flipped degree from the two halves, and by the tests'
 ``oracle_orient_circle_diagram``, which labels each circle both ways
 and counts the clockwise arcs.
+
+The orientations of a glued diagram are a lazy sequence
+(:class:`Orientations`): it holds the all-anticlockwise orientation and
+two choices per circle, and builds a record only when one is read.
+Record i flips the circles named by the binary digits of i, the first
+circle (by least vertex) the most significant digit, and that is the
+canonical order.  Its length is 2^#circles, or 0 when no weight orients
+the diagram, so testing orientability builds no record.
+:func:`decompose` keeps its last result in one slot, so orienting a
+pair and then decomposing the same two objects walks the pair once.
 
 Orientations are generated as integers ("bit words"): vertex v is bit
 k - v, set when up, so the word read in binary, vertex 1 first, is the
@@ -42,7 +52,9 @@ the check.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -232,6 +244,10 @@ class ComponentDecomposition(NamedTuple):
         return tuple(cl for cl in self.classes if cl.kind == "circle")
 
 
+# (cap, cup, decomposition) of the last decompose call: one pair, never more
+_last_glued = (None, None, None)
+
+
 def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     """Connected components of the glued diagram cap over cup.
 
@@ -247,7 +263,16 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     circle is consistent, and its signs path-independent, exactly when
     the product of its flips is +1; an inconsistent circle admits no
     orientation.  Classes come out in order of their least vertex.
+
+    The last result is kept in one slot and returned again when the
+    same two objects (``is``, not ``==``) come back at once, as when a
+    caller orients a pair and then decomposes it.  Only that one pair is
+    held, so a sweep over many pairs keeps nothing per pair.
     """
+    global _last_glued
+    last_cap, last_cup, last = _last_glued
+    if cap is last_cap and cup is last_cup:
+        return last
     if cap.k != cup.k:
         raise OrientationError("cap and cup must have the same vertex count")
     k = cup.k
@@ -303,7 +328,9 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
         else:
             signs = None
         classes.append(ComponentClass(tuple(verts), kind, mx, signs, consistent))
-    return ComponentDecomposition(k, tuple(classes))
+    dec = ComponentDecomposition(k, tuple(classes))
+    _last_glued = (cap, cup, dec)
+    return dec
 
 
 class OrientedCircleDiagram(NamedTuple):
@@ -393,52 +420,148 @@ def _anticlockwise(cap: CapDiagram, cup: CupDiagram):
     return dec, bits, degree
 
 
-def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> List[OrientedCircleDiagram]:
-    """All orientations of the glued diagram, canonically ordered.
+# The last circles whose flips Orientations.__iter__ tabulates: at most
+# 2^8 partial words are held, however many circles there are.
+_TABULATED_CIRCLES = 8
 
-    Empty when :func:`force_lines` finds a contradiction.  Otherwise each
-    orientation is the all-anticlockwise one with some circles flipped,
-    each flip adding 2 to the degree, so there are exactly 2^#circles.
 
-    The order is generated, not sorted.  Two orientations differ on
-    whole circles, so they first differ at the least vertex of the first
-    circle, by least vertex, that they label differently.  Taking the
-    circles by least vertex, each with the choice (keep or flip) that
-    puts down at that vertex first, therefore lists the weights in
-    canonical order.  Their ``circle_classes`` list the circles by
-    maximum.
+class Orientations(Sequence):
+    """All orientations of one glued diagram, in canonical order, each
+    built only when it is read.
+
+    It holds the pair, the all-anticlockwise orientation
+    (``_anticlockwise``'s ``(decomposition, bits, degree)``, or None when
+    no weight orients the pair) and, per circle by least vertex, two
+    ``(xor mask, degree delta, circle class)`` choices, the one that puts
+    down at the least vertex first: keep ``(0, 0, anticlockwise)`` or
+    flip ``(circle mask, 2, clockwise)``.  Record i takes circle j's
+    choice from binary digit j of i, the first circle the most
+    significant digit.  Two orientations differ on whole circles, so
+    they first differ at the least vertex of the first circle they label
+    differently, and that order is the canonical order of the weights.
+
+    ``len`` is 2^#circles, or 0 when not orientable, so a truth test
+    builds no record.  Indices may be negative and slices give lists.
+    Iteration carries the bits and degree of the leading circles' choices
+    along and reads the last few circles' from a table of at most
+    2^8 entries, so it never holds a record per orientation.  It equals
+    a list (or another ``Orientations``) with equal records in the same
+    order, and is unhashable, as a list is.
     """
-    found = _anticlockwise(cap, cup)
-    if found is None:
-        return []
-    dec, bits, degree = found
-    k = dec.k
-    partial = [(bits, degree, ())]
-    maxima = []
-    for cl in dec.classes:
-        if cl.kind != "circle":
-            continue
-        mask = 0
-        for v in cl.vertices:
-            mask |= 1 << (k - v)
-        keep = (0, 0, ((cl.mx, "anticlockwise"),))
-        flip = (mask, 2, ((cl.mx, "clockwise"),))
-        # keep first when anticlockwise is down at the least vertex (sign -1)
-        choices = (keep, flip) if cl.signs[0] == -1 else (flip, keep)
-        partial = [
-            (bits ^ flipped, degree + added, classes + circle_class)
-            for bits, degree, classes in partial
-            for flipped, added, circle_class in choices
-        ]
-        maxima.append(cl.mx)
-    if maxima == sorted(maxima):
-        by_maximum = tuple
-    else:
-        by_maximum = operator.itemgetter(*sorted(range(len(maxima)), key=maxima.__getitem__))
-    return [
-        OrientedCircleDiagram(cap, _word_weight(k, bits), cup, degree, dec, by_maximum(classes))
-        for bits, degree, classes in partial
-    ]
+
+    __slots__ = ("_cap", "_cup", "_anticlockwise", "_choices", "_by_maximum", "_len")
+    __hash__ = None
+
+    def __init__(self, cap: CapDiagram, cup: CupDiagram, anticlockwise):
+        self._cap, self._cup, self._anticlockwise = cap, cup, anticlockwise
+        choices, maxima = [], []
+        if anticlockwise is not None:
+            dec = anticlockwise[0]
+            k = dec.k
+            for cl in dec.classes:
+                if cl.kind != "circle":
+                    continue
+                mask = 0
+                for v in cl.vertices:
+                    mask |= 1 << (k - v)
+                keep = (0, 0, (cl.mx, "anticlockwise"))
+                flip = (mask, 2, (cl.mx, "clockwise"))
+                # keep first when anticlockwise is down at the least vertex (sign -1)
+                choices.append((keep, flip) if cl.signs[0] == -1 else (flip, keep))
+                maxima.append(cl.mx)
+        self._choices = tuple(choices)
+        # a record's circle_classes list the circles by maximum
+        if maxima == sorted(maxima):
+            self._by_maximum = tuple
+        else:
+            self._by_maximum = operator.itemgetter(
+                *sorted(range(len(maxima)), key=maxima.__getitem__)
+            )
+        self._len = 0 if anticlockwise is None else 1 << len(choices)
+
+    @property
+    def anticlockwise(self) -> Optional[OrientedCircleDiagram]:
+        """The all-anticlockwise record, the unique one of least degree;
+        None when no weight orients the pair."""
+        if self._anticlockwise is None:
+            return None
+        dec, bits, degree = self._anticlockwise
+        circle_classes = tuple((mx, "anticlockwise") for mx in sorted(cl.mx for cl in dec.circles))
+        return self._record(bits, degree, circle_classes)
+
+    def _record(self, bits: int, degree: int, circle_classes: tuple) -> OrientedCircleDiagram:
+        dec = self._anticlockwise[0]
+        return OrientedCircleDiagram(
+            self._cap, _word_weight(dec.k, bits), self._cup, degree, dec, circle_classes
+        )
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"orientation index out of range for {self._len} orientations")
+        _, bits, degree = self._anticlockwise
+        last = len(self._choices) - 1
+        classes = []
+        for j, choice in enumerate(self._choices):
+            mask, added, circle_class = choice[i >> (last - j) & 1]
+            bits ^= mask
+            degree += added
+            classes.append(circle_class)
+        return self._record(bits, degree, self._by_maximum(tuple(classes)))
+
+    def __iter__(self):
+        if not self._len:
+            return
+        _, bits, degree = self._anticlockwise
+        head = self._choices[:-_TABULATED_CIRCLES]
+        tail = self._choices[-_TABULATED_CIRCLES:]
+        words = [(0, 0, ())]
+        for choice in tail:
+            words = [
+                (tail_bits ^ mask, tail_degree + added, classes + (circle_class,))
+                for tail_bits, tail_degree, classes in words
+                for mask, added, circle_class in choice
+            ]
+        record, by_maximum = self._record, self._by_maximum
+        for picks in itertools.product(*head):
+            head_bits, head_degree, head_classes = bits, degree, ()
+            for mask, added, circle_class in picks:
+                head_bits ^= mask
+                head_degree += added
+                head_classes += (circle_class,)
+            for tail_bits, tail_degree, classes in words:
+                yield record(
+                    head_bits ^ tail_bits, head_degree + tail_degree,
+                    by_maximum(head_classes + classes),
+                )
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Orientations)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> Orientations:
+    """All orientations of the glued diagram as a lazy :class:`Orientations`
+    sequence in canonical order: record i flips, of the all-anticlockwise
+    orientation, the circles named by the binary digits of i, the first
+    circle by least vertex the most significant digit.
+
+    Empty when :func:`force_lines` finds a contradiction; otherwise each
+    flip adds 2 to the degree and there are exactly 2^#circles records,
+    each built when it is read.  The pair's decomposition stays in
+    :func:`decompose`'s one slot, so a ``decompose`` of the same two
+    objects right after this call does not walk the pair again.  Each
+    record's ``circle_classes`` list the circles by maximum.
+    """
+    return Orientations(cap, cup, _anticlockwise(cap, cup))
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
@@ -452,16 +575,10 @@ def min_degree_element(a: CupDiagram, b: CupDiagram):
 
     Every other orientation flips some circles of the all-anticlockwise
     one, each flip adding 2 to the degree, so the minimum is that one
-    orientation, built without listing the others.
+    orientation, built without the others.
     """
-    cap = a.star()
-    found = _anticlockwise(cap, b)
-    if found is None:
-        return None
-    dec, bits, degree = found
-    circle_classes = tuple((mx, "anticlockwise") for mx in sorted(cl.mx for cl in dec.circles))
-    best = OrientedCircleDiagram(cap, _word_weight(dec.k, bits), b, degree, dec, circle_classes)
-    return best, degree
+    best = orient_circle_diagram(a.star(), b).anticlockwise
+    return None if best is None else (best, best.degree)
 
 
 def cup_of_weight(weight: Weight) -> CupDiagram:

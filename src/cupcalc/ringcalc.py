@@ -298,11 +298,12 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
         raise NotOrientableError(
             f"{encode(a)} and {encode(b)} have empty intersection"
         )
-    target = _quotient_of(oriented[0].decomposition)
+    unit = oriented.anticlockwise  # the empty monomial, of least degree
+    target = _quotient_of(unit.decomposition)
     by_clockwise = {
         frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise"): o for o in oriented
     }
-    base = min(x.degree for x in oriented)
+    base = unit.degree
     entries = []
     for mono in target.basis():
         o = by_clockwise[mono]

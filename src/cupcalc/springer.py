@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import linalg
 from .diagrams import CupDiagram, enumerate_encodings, maximal_diagrams
 from .errors import InternalCheckError, SizeError
-from .movegraph import distance
+from .movegraph import _distance_row
 from .orientation import DOWN, UP, Weight, force_lines
 from .orientation import _cup_words, _word_weight
 
@@ -297,21 +297,26 @@ def arc_algebra_graded_dimension(k: int) -> GradedDimension:
 def arc_algebra_graded_dimension_closed_form(k: int) -> GradedDimension:
     """The same polynomial via q^d(a,b) (1+q^2)^circles per orientable pair,
     with d(a,b) taken from the move graph.  It glues every pair, so it
-    stays an independent check on the per-weight sum above."""
-    coeffs: Dict[int, int] = {}
+    stays an independent check on the per-weight sum above.  The move
+    graph's nodes are the maximal diagrams in this order, so a's
+    distances are one BFS row, read once per a.  Pairs are counted by
+    (distance, circles) first, and each count is expanded once."""
+    pairs: Dict[Tuple[int, int], int] = {}
     for parity in ("even", "odd"):
         diagrams = maximal_diagrams(k, parity)
-        for a in diagrams:
-            for b in diagrams:
-                forced = force_lines(a.star(), b)
+        for ia, a in enumerate(diagrams):
+            cap = a.star()
+            row = _distance_row(k, parity, ia)
+            for b, d in zip(diagrams, row):
+                forced = force_lines(cap, b)
                 if forced is None:
                     continue
-                circles = len(forced.decomposition.circles)
-                d = distance(a, b)
-                for flipped in range(circles + 1):
-                    coeffs[d + 2 * flipped] = (
-                        coeffs.get(d + 2 * flipped, 0) + math.comb(circles, flipped)
-                    )
+                key = (d, len(forced.decomposition.circles))
+                pairs[key] = pairs.get(key, 0) + 1
+    coeffs: Dict[int, int] = {}
+    for (d, circles), n in pairs.items():
+        for flipped in range(circles + 1):
+            coeffs[d + 2 * flipped] = coeffs.get(d + 2 * flipped, 0) + n * math.comb(circles, flipped)
     return GradedDimension(dict(sorted(coeffs.items())), sum(coeffs.values()))
 
 

@@ -165,6 +165,130 @@ def test_kernel_matches_previous_walk_on_maximal_pairs(k, parity):
         _assert_kernel_matches_previous_walk(a.star(), b)
 
 
+def _maximal_pairs(k):
+    """Every ordered pair of maximal diagrams on k vertices, both parities
+    and across them."""
+    return itertools.product(D.maximal_diagrams(k), repeat=2)
+
+
+def _k32(blocks):
+    """A k = 32 diagram: the DSL arcs ``blocks(i)`` for i = 1, 5, ..., 29."""
+    return D.parse_dsl("32: " + ";".join(blocks(i) for i in range(1, 32, 4)))
+
+
+K32_SIDE = _k32(lambda i: f"c({i},{i + 1});c({i + 2},{i + 3})")
+K32_NESTED = _k32(lambda i: f"c({i},{i + 3});c({i + 1},{i + 2})")
+K32_DOTTED = _k32(lambda i: f"c*({i},{i + 1});c({i + 2},{i + 3})")
+# (cap side, cup): 16 circles whose maxima are out of least-vertex order,
+# 8 circles of four vertices each way round, and two with no orientation
+K32_PAIRS = [
+    (K32_NESTED, K32_NESTED),
+    (K32_SIDE, K32_NESTED),
+    (K32_NESTED, K32_SIDE),
+    (K32_SIDE, K32_DOTTED),
+    (K32_DOTTED, K32_NESTED),
+]
+
+
+def _assert_sequence_matches_oracle(cap, cup):
+    """Length, truth, iteration, every index (negative too), slices,
+    out-of-range indices and == in both directions, against the oracle's
+    list."""
+    got = O.orient_circle_diagram(cap, cup)
+    want = oracle_orient_circle_diagram(cap, cup)
+    n = len(want)
+    assert len(got) == n
+    assert bool(got) == bool(want)
+    assert list(got) == want
+    assert [got[i] for i in range(-n, n)] == want + want
+    for i in (n, -n - 1, n + 5):
+        with pytest.raises(IndexError):
+            got[i]
+    for s in (slice(None, 3), slice(1, 9), slice(-3, None, 2), slice(None, None, -5), slice(n, None)):
+        assert got[s] == want[s]
+    assert got == want and want == got
+    assert not got != want and not want != got
+    assert (got == []) == ([] == got) == (n == 0)
+    if n:
+        assert got != want[:-1] and want[:-1] != got
+    if n > 1:
+        assert got != want[::-1] and want[::-1] != got
+    assert got == O.orient_circle_diagram(cap, cup)
+    if n:  # the records of the swapped pair name the halves the other way round
+        assert (got == O.orient_circle_diagram(cup.star(), cap.star())) == (cap == cup.star())
+    assert got.anticlockwise == (min_degree_of(want)[0] if want else None)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_orientations_sequence_matches_oracle(k):
+    for a, b in _maximal_pairs(k):
+        _assert_sequence_matches_oracle(a.star(), b)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orientations_sequence_matches_oracle_with_lines(k):
+    for a, b in _same_k_pairs(k):
+        _assert_sequence_matches_oracle(a.star(), b)
+
+
+@pytest.mark.parametrize("pair", range(len(K32_PAIRS)))
+def test_orientations_sequence_matches_oracle_k32(pair):
+    a, b = K32_PAIRS[pair]
+    _assert_sequence_matches_oracle(a.star(), b)
+
+
+def test_orientations_sequence_is_immutable_and_unhashable():
+    a = K32_SIDE
+    got = O.orient_circle_diagram(a.star(), a)
+    with pytest.raises(TypeError):
+        hash(got)
+    for name in ("anticlockwise", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(got, name, None)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_orientability_test_builds_no_record(monkeypatch, k):
+    """Truth and length read the circle count: no weight is written."""
+    words = []
+    word_weight = O._word_weight
+
+    def counted(*args):
+        words.append(args)
+        return word_weight(*args)
+
+    monkeypatch.setattr(O, "_word_weight", counted)
+    orientable = []
+    for a, b in _maximal_pairs(k):
+        oriented = O.orient_circle_diagram(a.star(), b)
+        if oriented:
+            orientable.append(oriented)
+            assert len(oriented) >= 1
+    assert orientable and words == []
+    orientable[-1][-1]
+    assert len(words) == 1  # the counter sees a record when one is read
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_decompose_one_slot_over_interleaved_pairs(k):
+    """decompose over pairs p, q, p always equals the union-find oracle:
+    the slot holds only the last pair, and a hit needs the same objects."""
+    pairs = [(a.star(), b) for a, b in _maximal_pairs(k)]
+    for p, q in zip(pairs, pairs[1:] + pairs[:1]):
+        for cap, cup in (p, q, p):
+            assert O.decompose(cap, cup) == oracle_decompose(cap, cup)
+    for cap, cup in pairs:
+        oriented = O.orient_circle_diagram(cap, cup)
+        dec = O.decompose(cap, cup)
+        assert dec == oracle_decompose(cap, cup)
+        if oriented:  # orient-then-decompose walks the pair once
+            assert dec is oriented[0].decomposition
+        # equal but not identical halves are walked again, with the same result
+        copy = D.CapDiagram(cap.k, cap.cups, cap.rays)
+        assert O.decompose(copy, cup) == dec
+        assert O.decompose(copy, cup) is not dec
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_records_keep_the_dataclass_semantics(k):
     """The NamedTuple records equal the oracle's, and hash and print as
