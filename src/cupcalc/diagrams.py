@@ -72,10 +72,14 @@ the instance (``functools.cached_property``): the canonical
 ``encoding`` (which :func:`encode` reads), ``dot_count`` and
 ``dot_parity``, the :class:`CapDiagram` returned by ``star()``, and the
 ``partners`` arrays that :func:`orientation.decompose` walks (a
-:class:`CapDiagram` keeps its own).  The cache lives outside the
-fields, so ``==``, ``hash`` and ``repr`` are unchanged, and since
-:func:`maximal_diagrams` is cached too, every sweep over the same
-diagrams reuses these values.
+:class:`CapDiagram` keeps its own).  They live in the instance
+``__dict__`` next to the three fields ``k``, ``cups`` and ``rays``,
+which is why the diagram classes are plain classes and not tuples.
+``==``, ``hash`` and ``repr`` read the fields alone, so reading a fact
+changes none of them, and since :func:`maximal_diagrams` is cached too,
+every sweep over the same diagrams reuses these values.  The diagram
+classes refuse assignment and deletion; the library fills a fact
+directly only where it already knows it (the encoding at enumeration).
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Tuple, Union
 
@@ -149,12 +152,36 @@ def _partner_arrays(k: int, cups: tuple) -> Tuple[tuple, tuple]:
     return tuple(partner), tuple(flip)
 
 
-@dataclass(frozen=True)
-class CupDiagram:
-    k: int
-    cups: tuple
-    rays: tuple
+def _refuse_assignment(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
+
+class _ArcDiagram:
+    """The fields ``k``, ``cups`` and ``rays`` shared by cup and cap
+    diagrams, with equality, hash and repr over them in that order.  The
+    fields and the cached facts live in the instance ``__dict__``; only
+    diagrams of the same class compare equal."""
+
+    def __init__(self, k: int, cups: tuple, rays: tuple):
+        fields = self.__dict__
+        fields["k"], fields["cups"], fields["rays"] = k, cups, rays
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.cups, self.rays) == (other.k, other.cups, other.rays)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.cups, self.rays))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.k!r}, cups={self.cups!r}, rays={self.rays!r})"
+
+
+class CupDiagram(_ArcDiagram):
     @property
     def n_cups(self) -> int:
         return len(self.cups)
@@ -202,13 +229,8 @@ class CupDiagram:
         return self.encoding
 
 
-@dataclass(frozen=True)
-class CapDiagram:
+class CapDiagram(_ArcDiagram):
     """Mirror image of a cup diagram; same data, drawn upwards."""
-
-    k: int
-    cups: tuple
-    rays: tuple
 
     @cached_property
     def partners(self) -> Tuple[tuple, tuple]:
@@ -630,12 +652,32 @@ def _decorated(k: int, cups: Union[int, str], dots: str):
         yield arcs, decorations
 
 
-@dataclass(frozen=True)
 class DiagramSet:
-    k: int
-    cup_filter: Union[int, str]
-    dot_filter: str
-    members: tuple
+    """The members of one enumeration, with the filters that chose them."""
+
+    def __init__(self, k: int, cup_filter: Union[int, str], dot_filter: str, members: tuple):
+        fields = self.__dict__
+        fields["k"], fields["cup_filter"], fields["dot_filter"] = k, cup_filter, dot_filter
+        fields["members"] = members
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def _values(self) -> tuple:
+        return (self.k, self.cup_filter, self.dot_filter, self.members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"DiagramSet(k={self.k!r}, cup_filter={self.cup_filter!r}, "
+            f"dot_filter={self.dot_filter!r}, members={self.members!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -682,7 +724,7 @@ def enumerate_diagrams(k: int, cups: Union[int, str] = "max", dots: str = "all")
                     else:
                         ray_arcs = (Ray(l, True),) + ray_arcs[1:]
             d = CupDiagram(k, tuple(cup_arcs), ray_arcs)
-            object.__setattr__(d, "encoding", text)  # fills the cached_property
+            d.__dict__["encoding"] = text  # fills the cached_property
             members.append((text, d))
     members.sort()
     return DiagramSet(k, cups, dots, tuple(d for _, d in members))

@@ -43,7 +43,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -203,8 +202,7 @@ def predecessors(a: CupDiagram) -> List[Tuple[CupDiagram, Move]]:
 # The arrow graph per parity
 
 
-@dataclass(frozen=True)
-class MoveGraph:
+class MoveGraph(NamedTuple):
     k: int
     parity: str
     nodes: tuple                 # canonical encoding order
@@ -474,8 +472,7 @@ def _nesting_census(a: CupDiagram, backward: list) -> NestingCensus:
     return NestingCensus(degrees, outer, special)
 
 
-@dataclass(frozen=True)
-class CupForest:
+class CupForest(NamedTuple):
     base: CupDiagram
     vertices: tuple             # the cups
     edges: tuple                # (shallower cup, deeper cup)

@@ -55,10 +55,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .diagrams import CapDiagram, Cup, CupDiagram, Ray, validate
+from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _refuse_assignment, validate
 
 UP = "^"
 DOWN = "v"
@@ -73,14 +72,35 @@ class InconsistentOrientationError(OrientationError):
     pass
 
 
-@dataclass(frozen=True, order=False)
 class Weight:
-    text: str
+    """A word in the symbols ``^`` and ``v``, one per vertex.  Immutable;
+    equal weights have equal text, and the hash is that of ``(text,)``."""
 
-    def __post_init__(self):
-        bad = set(self.text) - {UP, DOWN}
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        bad = set(text) - {UP, DOWN}
         if bad:
             raise OrientationError(f"weight symbols must be '{UP}' or '{DOWN}', got {bad}")
+        object.__setattr__(self, "text", text)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.text == other.text
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __repr__(self) -> str:
+        return f"Weight(text={self.text!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default sets each
+        # slot by setattr, which the refusing __setattr__ would stop
+        return Weight, (self.text,)
 
     @property
     def k(self) -> int:
@@ -119,8 +139,7 @@ def _word_weight(k: int, bits: int) -> Weight:
     written here from the word, so it is legal by construction and the
     weight is built without the symbol check of ``Weight(text)``."""
     weight = object.__new__(Weight)
-    # past the frozen __setattr__, as the dataclass's __init__ does; a write to
-    # __dict__ instead would give every weight a dict of its own (64 bytes more)
+    # into the one slot, past the refusing __setattr__ as Weight.__init__ does
     object.__setattr__(weight, "text", bin(bits | 1 << k)[3:].translate(_BIT_SYMBOLS))
     return weight
 
@@ -156,7 +175,7 @@ def half_degree(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> int:
     return deg
 
 
-def _cup_words(c: CupDiagram) -> List[Tuple[int, int]]:
+def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int]]:
     """Each orientation of c as ``(bits, half degree)``, in canonical
     order; there are 2^#cups.
 
@@ -167,16 +186,35 @@ def _cup_words(c: CupDiagram) -> List[Tuple[int, int]]:
     clockwise exactly when its right end is down, so each cup adds one
     of two ``(bits, clockwise)`` choices: undotted down-up then up-down,
     dotted down-down then up-up.
+
+    The words are yielded as they are made: each is a word of the first
+    half of the cups plus one of the rest, the first half the more
+    significant, so only the words of the two halves are held (2^8 each
+    for the 16 cups of ``orient``'s ceiling), never all 2^#cups.
     """
     k = c.k
-    words = [(sum(1 << (k - r.at) for r in c.rays if r.dotted), 0)]
+    choices = []
     for cup in sorted(c.cups):  # by left end; the vertices are distinct
         left, right = 1 << (k - cup.left), 1 << (k - cup.right)
-        choices = ((0, 1), (left | right, 0)) if cup.dotted else ((right, 0), (left, 1))
+        choices.append(((0, 1), (left | right, 0)) if cup.dotted else ((right, 0), (left, 1)))
+    half = len(choices) // 2
+    rays = sum(1 << (k - r.at) for r in c.rays if r.dotted)
+    tails = _words(choices[half:], 0)
+    for bits, degree in _words(choices[:half], rays):
+        for more_bits, more_degree in tails:
+            yield bits + more_bits, degree + more_degree
+
+
+def _words(choices: list, start: int) -> List[Tuple[int, int]]:
+    """``(start + the chosen bits, clockwise count)`` for every way of
+    taking one of each pair of ``choices``, the first pair the most
+    significant."""
+    words = [(start, 0)]
+    for pair in choices:
         words = [
             (bits + more_bits, degree + more_degree)
             for bits, degree in words
-            for more_bits, more_degree in choices
+            for more_bits, more_degree in pair
         ]
     return words
 
@@ -191,11 +229,13 @@ def orientations_of_cup(c: CupDiagram) -> List[Weight]:
     return [_word_weight(k, bits) for bits, _ in _cup_words(c)]
 
 
-def graded_orientations(c: CupDiagram) -> List[Tuple[Weight, int]]:
+def graded_orientations(c: CupDiagram) -> Iterator[Tuple[Weight, int]]:
     """Each weight orienting c, in canonical order, with its half degree,
-    both read from the bit words of ``_cup_words``."""
+    both read from the bit words of ``_cup_words``.  An iterator: each
+    weight is built as it is read, so ``cupcalc orient --cup`` holds one
+    row at a time."""
     k = c.k
-    return [(_word_weight(k, bits), degree) for bits, degree in _cup_words(c)]
+    return ((_word_weight(k, bits), degree) for bits, degree in _cup_words(c))
 
 
 # ---------------------------------------------------------------------------

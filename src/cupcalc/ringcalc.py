@@ -30,12 +30,11 @@ degree as an exact kernel, with a deterministic echelon basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
-from .diagrams import CupDiagram, encode
+from .diagrams import CupDiagram, _refuse_assignment, encode
 from .errors import InternalCheckError
 from .movegraph import total_order
 from .orientation import (
@@ -153,8 +152,7 @@ def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:
     return QuotientPresentation(dec.k, rules)
 
 
-@dataclass
-class LinearMap:
+class LinearMap(NamedTuple):
     domain: list      # basis monomials (frozensets)
     codomain: list
     matrix: list      # matrix[row][col]; columns are images of domain basis vectors
@@ -200,8 +198,7 @@ def restriction_maps(a: CupDiagram, b: CupDiagram) -> Tuple[LinearMap, LinearMap
 # The centre as an equalizer
 
 
-@dataclass
-class CentreBasis:
+class CentreBasis(NamedTuple):
     k: int
     parity: str
     diagrams: tuple
@@ -272,15 +269,25 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
 # Dictionary between quotient bases and oriented diagrams
 
 
-@dataclass
 class BasisDictionary:
-    a: CupDiagram
-    b: CupDiagram
-    entries: list  # (monomial frozenset, OrientedCircleDiagram), monomial order
-    _by_monomial: dict = field(init=False, repr=False, compare=False)
+    """``entries``, the pairs (monomial frozenset, OrientedCircleDiagram) in
+    monomial order, looked up by monomial.  Equality and repr read ``a``,
+    ``b`` and ``entries``; like the list it holds, it has no hash."""
 
-    def __post_init__(self):
-        self._by_monomial = dict(self.entries)
+    def __init__(self, a: CupDiagram, b: CupDiagram, entries: list):
+        fields = self.__dict__
+        fields["a"], fields["b"], fields["entries"] = a, b, entries
+        fields["_by_monomial"] = dict(entries)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.entries) == (other.a, other.b, other.entries)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BasisDictionary(a={self.a!r}, b={self.b!r}, entries={self.entries!r})"
 
     def orientation_of(self, mono: frozenset) -> OrientedCircleDiagram:
         return self._by_monomial[mono]  # KeyError(mono) on a miss
@@ -316,8 +323,7 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
     return BasisDictionary(a, b, entries)
 
 
-@dataclass
-class GammaMap:
+class GammaMap(NamedTuple):
     source: CupDiagram
     other: CupDiagram
     degree_shift: int

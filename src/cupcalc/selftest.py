@@ -12,23 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import diagrams, linalg, movegraph, orientation, ringcalc, springer, tableaux
 from .errors import SizeError
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     k_max: int
     seed: int
     suites: List[SuiteResult]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -57,8 +56,7 @@ class UnequalRowShapeError(ValueError):
 # Presentation rings
 
 
-@dataclass(frozen=True)
-class PresentationRing:
+class PresentationRing(NamedTuple):
     k: int
     basis: tuple          # monomials as frozensets, by (size, lex)
     graded_dims: tuple    # graded_dims[d] = number of basis monomials of size d
@@ -199,8 +197,7 @@ def index_set_of_weight(weight: Weight, convention: str = "stable") -> frozenset
 # Fixed-point tables and graded dimensions
 
 
-@dataclass(frozen=True)
-class FixedPointTable:
+class FixedPointTable(NamedTuple):
     k: int
     parity: str
     diagrams: tuple

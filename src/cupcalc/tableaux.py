@@ -36,7 +36,6 @@ The bijections implemented here, composable through cup diagrams:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -92,8 +91,7 @@ class Domino(NamedTuple):
         return self.cells[0][0]
 
 
-@dataclass(frozen=True)
-class DominoTableau:
+class DominoTableau(NamedTuple):
     shape: tuple
     dominoes: tuple  # sorted by label
 
@@ -112,8 +110,7 @@ class DominoTableau:
         return tuple(d.cells for d in self.dominoes)
 
 
-@dataclass(frozen=True)
-class SignedDominoTableau:
+class SignedDominoTableau(NamedTuple):
     base: DominoTableau
     signs: tuple  # ((label, '+'|'-'), ...) for the odd-column verticals
 
@@ -484,8 +481,7 @@ def cl_class(t: SignedDominoTableau) -> tuple:
 # Bitableaux
 
 
-@dataclass(frozen=True)
-class Bitableau:
+class Bitableau(NamedTuple):
     marked: tuple
     unmarked: tuple
 
@@ -550,8 +546,7 @@ def cup_of_bitableau(bt: Bitableau, k: int, dots: str = "all") -> CupDiagram:
 # Skew-symmetric two-column tables
 
 
-@dataclass(frozen=True)
-class STable:
+class STable(NamedTuple):
     k: int
     col1: tuple
     col2: tuple

@@ -13,7 +13,7 @@ enumeration that built and sorted every diagram
 
 import functools
 import itertools
-from dataclasses import make_dataclass
+from dataclasses import fields, make_dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -34,6 +34,7 @@ from cupcalc.diagrams import (
 )
 from cupcalc.errors import InternalCheckError
 from cupcalc.linalg import ScaledUnionFind
+from cupcalc.movegraph import CupForest, MoveGraph
 from cupcalc.orientation import (
     DOWN,
     UP,
@@ -44,10 +45,16 @@ from cupcalc.orientation import (
     OrientedCircleDiagram,
     Weight,
 )
+from cupcalc.ringcalc import BasisDictionary, CentreBasis, GammaMap, LinearMap
+from cupcalc.selftest import SelfTestReport, SuiteResult
+from cupcalc.springer import FixedPointTable, PresentationRing
 from cupcalc.tableaux import (
+    Bitableau,
+    DominoTableau,
     InadmissibleShapeError,
     SignedDominoTableau,
     ShapeMismatchError,
+    STable,
     TableauError,
     admissible_two_row,
     bitableau_of_cup,
@@ -288,6 +295,48 @@ def as_dataclass_record(record):
         as_dataclass_record(record.decomposition),
         record.circle_classes,
     )
+
+
+# The classes that were dataclasses until the package stopped importing
+# ``dataclasses``, each as that dataclass under the same name and with the
+# same fields in the same order: the reference for the equality, hash, repr
+# and str of the class that replaced it.  The frozen ones were hashable,
+# the rest had no hash.  BasisDictionary's lookup table took no part in
+# equality or repr and is left out.  The NamedTuples are also tuples: they
+# equal a plain tuple of their fields, and iterate and order as tuples do.
+DATACLASS_REFERENCES = {
+    cls: make_dataclass(cls.__name__, names.split(), frozen=frozen)
+    for cls, frozen, names in (
+        (CupDiagram, True, "k cups rays"),
+        (CapDiagram, True, "k cups rays"),
+        (DiagramSet, True, "k cup_filter dot_filter members"),
+        (Weight, True, "text"),
+        (PresentationRing, True, "k basis graded_dims relation_rank"),
+        (FixedPointTable, True, "k parity diagrams entries"),
+        (DominoTableau, True, "shape dominoes"),
+        (SignedDominoTableau, True, "base signs"),
+        (Bitableau, True, "marked unmarked"),
+        (STable, True, "k col1 col2"),
+        (MoveGraph, True, "k parity nodes arrows"),
+        (CupForest, True, "base vertices edges roots special_roots"),
+        (LinearMap, False, "domain codomain matrix"),
+        (CentreBasis, False, "k parity diagrams graded_dims basis"),
+        (BasisDictionary, False, "a b entries"),
+        (GammaMap, False, "source other degree_shift mapping"),
+        (SuiteResult, False, "name ok detail"),
+        (SelfTestReport, False, "k_max seed suites"),
+    )
+}
+
+
+def reference_fields(obj) -> tuple:
+    """The field values of obj, in the order of its dataclass reference."""
+    return tuple(getattr(obj, f.name) for f in fields(DATACLASS_REFERENCES[type(obj)]))
+
+
+def as_dataclass(obj):
+    """obj as the dataclass its class was, field by field."""
+    return DATACLASS_REFERENCES[type(obj)](*reference_fields(obj))
 
 
 def _oracle_label(chars: list, cl: ComponentClass, sym: str) -> None:

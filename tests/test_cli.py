@@ -728,3 +728,29 @@ def test_python_m_runs_the_cli(capsys, module):
     done = _python_m(module, ["intersect", "--k", "4"])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("cupcalc: the following arguments are required: --parity")
+
+
+def test_start_up_imports_no_dataclasses_or_inspect():
+    """A fresh interpreter's ``import cupcalc.cli`` adds neither
+    ``dataclasses`` nor ``inspect`` to what a bare interpreter loads, and
+    ``import cupcalc`` loads every module of the package but the entry
+    points ``cli`` and ``__main__``."""
+    script = (
+        "import json, sys\n"
+        "bare = set(sys.modules)\n"
+        "import cupcalc\n"
+        "loaded = set(sys.modules)\n"
+        "import cupcalc.cli\n"
+        "added = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare))\n"
+        "import pkgutil\n"  # its iter_modules imports inspect
+        "names = {f'cupcalc.{m.name}' for m in pkgutil.iter_modules(cupcalc.__path__)}\n"
+        "unloaded = sorted(names - {'cupcalc.cli', 'cupcalc.__main__'} - loaded)\n"
+        "print(json.dumps([len(names), unloaded, added]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=_checkout_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    n_modules, unloaded, added = json.loads(done.stdout)
+    assert n_modules > 2 and unloaded == [] and added == []

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -136,12 +135,12 @@ def test_cached_facts_leave_the_diagram_unchanged(k):
     for d in D.enumerate_diagrams(k, "any", "all"):
         fresh = D.CupDiagram(d.k, d.cups, d.rays)
         assert set(vars(fresh)) == fields
-        before = (repr(fresh), hash(fresh), fresh.to_json_dict(), dataclasses.fields(fresh))
+        before = (repr(fresh), hash(fresh), fresh.to_json_dict())
         cap = fresh.star()
         facts = (fresh.encode(), D.encode(fresh), fresh.dot_count, fresh.dot_parity,
                  fresh.partners, cap.partners)
         assert set(vars(fresh)) > fields
-        assert (repr(fresh), hash(fresh), fresh.to_json_dict(), dataclasses.fields(fresh)) == before
+        assert (repr(fresh), hash(fresh), fresh.to_json_dict()) == before
         assert fresh == d and d == fresh and hash(fresh) == hash(d)
         assert cap is fresh.star()
         assert cap == D.CapDiagram(d.k, d.cups, d.rays)
@@ -149,7 +148,7 @@ def test_cached_facts_leave_the_diagram_unchanged(k):
         partners = _fresh_partner_arrays(d.k, d.cups)
         assert facts == (D._encode(d), D._encode(d), dots, ("even", "odd")[dots % 2],
                          partners, partners)
-        assert set(vars(dataclasses.replace(fresh))) == fields
+        assert set(vars(D.CupDiagram(fresh.k, fresh.cups, fresh.rays))) == fields
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +69,9 @@ def test_generated_weights_equal_validated_weights(k):
             checked = O.Weight(weight.text)
             assert type(weight) is O.Weight
             assert weight == checked and hash(weight) == hash(checked)
-            assert vars(weight) == vars(checked)
+            # one slot each, no __dict__: the same state as the checked weight
+            assert (weight.text, repr(weight)) == (checked.text, repr(checked))
+            assert not hasattr(weight, "__dict__")
 
 
 def test_weight_constructor_still_checks_symbols():
@@ -335,10 +338,26 @@ def test_glued_orientations_are_intersected_halves(k):
 @pytest.mark.parametrize("k", range(1, 11))
 def test_graded_orientations_match_half_degree(k):
     for c in D.enumerate_diagrams(k, "any", "all"):
-        graded = O.graded_orientations(c)
+        graded = list(O.graded_orientations(c))
         assert [w for w, _ in graded] == brute_orientations(k, _arcs(c))
         for weight, degree in graded:
             assert degree == O.half_degree(weight, c)
+
+
+def test_graded_orientations_are_built_as_read():
+    """The 2^16 orientations of 16 side-by-side cups are read one at a
+    time: the first costs the two halves' 2^8 words each, not the list."""
+    c = D.parse_dsl("32: " + ";".join(f"c({i},{i + 1})" for i in range(1, 32, 2)))
+    tracemalloc.start()
+    try:
+        rows = O.graded_orientations(c)
+        first = next(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (O.Weight("v^" * 16), 0)
+    assert peak < 500_000
+    assert 1 + sum(1 for _ in rows) == 2 ** 16
 
 
 @pytest.mark.parametrize("k", range(2, 7))
