@@ -190,6 +190,21 @@ def _emit_json(payload) -> None:
     _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",)))
 
 
+def _emit_json_rows(rows) -> None:
+    """``_emit_json(list(rows))`` with at most 1024 rows held at a time:
+    an indented list is ``[``, its items' lines, ``]``, so each batch is
+    encoded as a list and written without its brackets, the batches
+    joined by commas.  One encode per batch, not per row: the encoder's
+    set-up for each row would take longer than the row itself."""
+    encode = json.JSONEncoder(indent=2).encode
+    rows = iter(rows)
+    sep = "["
+    while batch := list(itertools.islice(rows, 1024)):
+        sys.stdout.write(sep + encode(batch)[1:-2])  # less "[" and "\n]"
+        sep = ","
+    sys.stdout.write("[]\n" if sep == "[" else "\n]\n")
+
+
 def _cmd_enumerate(args) -> int:
     encodings = diagrams.enumerate_encodings(args.k, args.cups, args.parity)
     if args.format == "json":
@@ -257,7 +272,7 @@ def _cmd_orient(args) -> int:
             (o.weight, o.degree) for o in orientation.orient_circle_diagram(cap.star(), cup)
         )
     if args.format == "json":
-        _emit_json([{"weight": str(w), "degree": d} for w, d in graded])
+        _emit_json_rows({"weight": str(w), "degree": d} for w, d in graded)
     else:
         # written line by line from the records: no rows for text output
         sys.stdout.writelines(f"{w}  degree {d}\n" for w, d in graded)

@@ -28,31 +28,33 @@ recomputes each flipped degree from the two halves, and by the tests'
 ``oracle_orient_circle_diagram``, which labels each circle both ways
 and counts the clockwise arcs.
 
-The orientations of a glued diagram are a lazy sequence
-(:class:`Orientations`): it holds the all-anticlockwise orientation and
-two choices per circle, and builds a record only when one is read.
-Record i flips the circles named by the binary digits of i, the first
-circle (by least vertex) the most significant digit, and that is the
-canonical order.  Its length is 2^#circles, or 0 when no weight orients
-the diagram, so testing orientability builds no record.
-:func:`decompose` keeps its last result in one slot, so orienting a
-pair and then decomposing the same two objects walks the pair once.
-
 Orientations are generated as integers ("bit words"): vertex v is bit
 k - v, set when up, so the word read in binary, vertex 1 first, is the
 weight with down as 0 and up as 1, and the canonical order of weights
-(down before up) is the order of the integers.  Only the weights that
-callers read are built from them.  ``Weight(text)`` checks its symbols:
-that is the trust boundary for weights, where text comes from a user,
-from :func:`springer.weight_of_index_set` or from the selftest's
-brute-force oracle.  A weight whose text the library writes itself from a
-bit word is legal by construction, and ``_word_weight`` builds it without
-the check.
+(down before up) is the order of the integers.  A cup diagram's
+orientations and a glued diagram's come from one generator,
+``_choice_sums``: a start word plus one of two choices per cup or per
+circle, the first the most significant digit.  A circle keeps its
+anticlockwise labels or flips them; circles are disjoint, so a flip
+adds a fixed integer to the word, whatever the other circles do, and 2
+to the degree.  Only the weights that callers read are built from the
+words.  ``Weight(text)`` checks its symbols: that is the trust boundary
+for weights, where text comes from a user, from
+:func:`springer.weight_of_index_set` or from the selftest's brute-force
+oracle.  A weight whose text the library writes itself from a bit word
+is legal by construction, and ``_word_weight`` builds it without the
+check.
+
+The orientations of a glued diagram are a lazy sequence
+(:class:`Orientations`) over that product, which builds a record only
+when one is read.  Its length is 2^#circles, or 0 when no weight
+orients the diagram, so testing orientability builds no record.
+:func:`decompose` keeps its last result in one slot, so orienting a
+pair and then decomposing the same two objects walks the pair once.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Sequence
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -175,48 +177,58 @@ def half_degree(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> int:
     return deg
 
 
-def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int]]:
-    """Each orientation of c as ``(bits, half degree)``, in canonical
+def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int, tuple]]:
+    """Each orientation of c as ``(bits, half degree, ())``, in canonical
     order; there are 2^#cups.
 
     The order is generated, not sorted.  Two weights orienting c first
     differ at the left end of the leftmost cup they label differently,
     so taking the cups by left end, each with its down-at-left choice
     first, lists the weights in canonical order.  An oriented cup is
-    clockwise exactly when its right end is down, so each cup adds one
-    of two ``(bits, clockwise)`` choices: undotted down-up then up-down,
-    dotted down-down then up-up.
-
-    The words are yielded as they are made: each is a word of the first
-    half of the cups plus one of the rest, the first half the more
-    significant, so only the words of the two halves are held (2^8 each
-    for the 16 cups of ``orient``'s ceiling), never all 2^#cups.
+    clockwise exactly when its right end is down, so each cup is one
+    pair of ``(bits, clockwise, ())`` choices for :func:`_choice_sums`:
+    undotted down-up then up-down, dotted down-down then up-up.
     """
     k = c.k
     choices = []
     for cup in sorted(c.cups):  # by left end; the vertices are distinct
         left, right = 1 << (k - cup.left), 1 << (k - cup.right)
-        choices.append(((0, 1), (left | right, 0)) if cup.dotted else ((right, 0), (left, 1)))
-    half = len(choices) // 2
+        if cup.dotted:
+            choices.append(((0, 1, ()), (left | right, 0, ())))
+        else:
+            choices.append(((right, 0, ()), (left, 1, ())))
     rays = sum(1 << (k - r.at) for r in c.rays if r.dotted)
-    tails = _words(choices[half:], 0)
-    for bits, degree in _words(choices[:half], rays):
-        for more_bits, more_degree in tails:
-            yield bits + more_bits, degree + more_degree
+    return _choice_sums(choices, (rays, 0, ()))
 
 
-def _words(choices: list, start: int) -> List[Tuple[int, int]]:
-    """``(start + the chosen bits, clockwise count)`` for every way of
-    taking one of each pair of ``choices``, the first pair the most
-    significant."""
-    words = [(start, 0)]
+def _choice_sums(choices: Sequence, start: tuple) -> Iterator[tuple]:
+    """``start`` plus one ``(bits, degree, labels)`` triple from each pair
+    of ``choices``, for every way of choosing, the first pair the most
+    significant: bits and degrees add and label tuples concatenate.
+
+    The sums are yielded as they are made: each is a sum over the first
+    half of the pairs plus one over the rest, the first half the more
+    significant, so only the partial sums of the two halves are held
+    (2^8 each for the 16 pairs of ``orient``'s ceiling), never all
+    2^#pairs.
+    """
+    half = len(choices) // 2
+    tails = _sums(choices[half:], (0, 0, ()))
+    for bits, degree, labels in _sums(choices[:half], start):
+        for more_bits, more_degree, more_labels in tails:
+            yield bits + more_bits, degree + more_degree, labels + more_labels
+
+
+def _sums(choices: Sequence, start: tuple) -> List[tuple]:
+    """The list of :func:`_choice_sums`, every sum held at once."""
+    sums = [start]
     for pair in choices:
-        words = [
-            (bits + more_bits, degree + more_degree)
-            for bits, degree in words
-            for more_bits, more_degree in pair
+        sums = [
+            (bits + more_bits, degree + more_degree, labels + more_labels)
+            for bits, degree, labels in sums
+            for more_bits, more_degree, more_labels in pair
         ]
-    return words
+    return sums
 
 
 def orientations_of_cup(c: CupDiagram) -> List[Weight]:
@@ -226,7 +238,7 @@ def orientations_of_cup(c: CupDiagram) -> List[Weight]:
     re-checking their symbols.
     """
     k = c.k
-    return [_word_weight(k, bits) for bits, _ in _cup_words(c)]
+    return [_word_weight(k, bits) for bits, _, _ in _cup_words(c)]
 
 
 def graded_orientations(c: CupDiagram) -> Iterator[Tuple[Weight, int]]:
@@ -235,7 +247,7 @@ def graded_orientations(c: CupDiagram) -> Iterator[Tuple[Weight, int]]:
     weight is built as it is read, so ``cupcalc orient --cup`` holds one
     row at a time."""
     k = c.k
-    return ((_word_weight(k, bits), degree) for bits, degree in _cup_words(c))
+    return ((_word_weight(k, bits), degree) for bits, degree, _ in _cup_words(c))
 
 
 # ---------------------------------------------------------------------------
@@ -433,83 +445,59 @@ def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
     return LineForcing(dec, tuple(labels))
 
 
-def _anticlockwise(cap: CapDiagram, cup: CupDiagram):
-    """The glued diagram's all-anticlockwise orientation as
-    ``(decomposition, bits, degree)``, or None when no weight orients it.
-
-    Lines carry the labels that :func:`force_lines` gives them, and each
-    circle puts up at its vertices of sign +1, so at its maximum.  An
-    oriented arc is clockwise exactly when its right end is down, so the
-    degree counts the arc right ends, in both halves, that carry down.
-    """
-    forced = force_lines(cap, cup)
-    if forced is None:
-        return None
-    dec, labels = forced
-    k = dec.k
-    bits = 0
-    for v, sym in enumerate(labels, 1):
-        if sym == UP:
-            bits |= 1 << (k - v)
-    for cl in dec.classes:
-        if cl.kind == "circle":
-            for v, s in zip(cl.vertices, cl.signs):
-                if s == 1:
-                    bits |= 1 << (k - v)
-    degree = [bits >> (k - c.right) & 1 for half in (cap, cup) for c in half.cups].count(0)
-    return dec, bits, degree
-
-
-# The last circles whose flips Orientations.__iter__ tabulates: at most
-# 2^8 partial words are held, however many circles there are.
-_TABULATED_CIRCLES = 8
-
-
 class Orientations(Sequence):
     """All orientations of one glued diagram, in canonical order, each
     built only when it is read.
 
-    It holds the pair, the all-anticlockwise orientation
-    (``_anticlockwise``'s ``(decomposition, bits, degree)``, or None when
-    no weight orients the pair) and, per circle by least vertex, two
-    ``(xor mask, degree delta, circle class)`` choices, the one that puts
-    down at the least vertex first: keep ``(0, 0, anticlockwise)`` or
-    flip ``(circle mask, 2, clockwise)``.  Record i takes circle j's
-    choice from binary digit j of i, the first circle the most
-    significant digit.  Two orientations differ on whole circles, so
-    they first differ at the least vertex of the first circle they label
-    differently, and that order is the canonical order of the weights.
+    It holds the pair, its decomposition, the all-anticlockwise orientation
+    as the ``(bits, degree, ())`` start of ``_choice_sums`` and, per circle
+    by least vertex, two choices, the one that puts down at the least
+    vertex first: keep ``(0, 0, ((mx, "anticlockwise"),))`` or flip
+    ``(delta, 2, ((mx, "clockwise"),))``, delta being the circle's down
+    bits less its up bits in the all-anticlockwise word.  Record i takes
+    circle j's choice from binary digit j of i, the first circle the most
+    significant.  Orientations differ on whole circles, so two first differ
+    at the least vertex of the first circle they label differently: that
+    order is the canonical order of the weights.
 
     ``len`` is 2^#circles, or 0 when not orientable, so a truth test
     builds no record.  Indices may be negative and slices give lists.
-    Iteration carries the bits and degree of the leading circles' choices
-    along and reads the last few circles' from a table of at most
-    2^8 entries, so it never holds a record per orientation.  It equals
-    a list (or another ``Orientations``) with equal records in the same
-    order, and is unhashable, as a list is.
+    Iteration reads the sums one at a time, so it never holds a record
+    per orientation.  It equals a list (or another ``Orientations``) with
+    equal records in the same order, and is unhashable, as a list is.
     """
 
-    __slots__ = ("_cap", "_cup", "_anticlockwise", "_choices", "_by_maximum", "_len")
+    __slots__ = ("_cap", "_cup", "_dec", "_start", "_choices", "_by_maximum", "_len")
     __hash__ = None
 
-    def __init__(self, cap: CapDiagram, cup: CupDiagram, anticlockwise):
-        self._cap, self._cup, self._anticlockwise = cap, cup, anticlockwise
+    def __init__(self, cap: CapDiagram, cup: CupDiagram):
+        self._cap, self._cup, self._len = cap, cup, 0
+        forced = force_lines(cap, cup)
+        if forced is None:
+            return  # no other slot is read when the length is 0
+        # The all-anticlockwise orientation: lines carry the labels that
+        # force_lines gives them, and each circle puts up at its vertices
+        # of sign +1, so at its maximum.
+        dec, labels = forced
+        k = dec.k
+        bits = sum(1 << (k - v) for v, sym in enumerate(labels, 1) if sym == UP)
         choices, maxima = [], []
-        if anticlockwise is not None:
-            dec = anticlockwise[0]
-            k = dec.k
-            for cl in dec.classes:
-                if cl.kind != "circle":
-                    continue
-                mask = 0
-                for v in cl.vertices:
-                    mask |= 1 << (k - v)
-                keep = (0, 0, (cl.mx, "anticlockwise"))
-                flip = (mask, 2, (cl.mx, "clockwise"))
-                # keep first when anticlockwise is down at the least vertex (sign -1)
-                choices.append((keep, flip) if cl.signs[0] == -1 else (flip, keep))
-                maxima.append(cl.mx)
-        self._choices = tuple(choices)
+        for cl in dec.circles:
+            mask = up = 0
+            for v, s in zip(cl.vertices, cl.signs):
+                mask |= 1 << (k - v)
+                if s == 1:
+                    up |= 1 << (k - v)
+            bits |= up
+            keep = (0, 0, ((cl.mx, "anticlockwise"),))
+            flip = ((mask - up) - up, 2, ((cl.mx, "clockwise"),))
+            # keep first when anticlockwise is down at the least vertex (sign -1)
+            choices.append((keep, flip) if cl.signs[0] == -1 else (flip, keep))
+            maxima.append(cl.mx)
+        # An oriented arc is clockwise exactly when its right end is down, so
+        # the degree counts the arc right ends, in both halves, that carry down.
+        degree = [bits >> (k - c.right) & 1 for half in (cap, cup) for c in half.cups].count(0)
+        self._dec, self._start, self._choices = dec, (bits, degree, ()), tuple(choices)
         # a record's circle_classes list the circles by maximum
         if maxima == sorted(maxima):
             self._by_maximum = tuple
@@ -517,22 +505,23 @@ class Orientations(Sequence):
             self._by_maximum = operator.itemgetter(
                 *sorted(range(len(maxima)), key=maxima.__getitem__)
             )
-        self._len = 0 if anticlockwise is None else 1 << len(choices)
+        self._len = 1 << len(choices)
 
     @property
     def anticlockwise(self) -> Optional[OrientedCircleDiagram]:
         """The all-anticlockwise record, the unique one of least degree;
         None when no weight orients the pair."""
-        if self._anticlockwise is None:
+        if not self._len:
             return None
-        dec, bits, degree = self._anticlockwise
-        circle_classes = tuple((mx, "anticlockwise") for mx in sorted(cl.mx for cl in dec.circles))
-        return self._record(bits, degree, circle_classes)
+        bits, degree, _ = self._start
+        labels = tuple((cl.mx, "anticlockwise") for cl in self._dec.circles)
+        return self._record(bits, degree, labels)
 
-    def _record(self, bits: int, degree: int, circle_classes: tuple) -> OrientedCircleDiagram:
-        dec = self._anticlockwise[0]
+    def _record(self, bits: int, degree: int, labels: tuple) -> OrientedCircleDiagram:
+        """The record of a sum of choices, its circle classes by maximum."""
+        dec = self._dec
         return OrientedCircleDiagram(
-            self._cap, _word_weight(dec.k, bits), self._cup, degree, dec, circle_classes
+            self._cap, _word_weight(dec.k, bits), self._cup, degree, dec, self._by_maximum(labels)
         )
 
     def __len__(self) -> int:
@@ -546,41 +535,17 @@ class Orientations(Sequence):
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError(f"orientation index out of range for {self._len} orientations")
-        _, bits, degree = self._anticlockwise
+        bits, degree, labels = self._start
         last = len(self._choices) - 1
-        classes = []
-        for j, choice in enumerate(self._choices):
-            mask, added, circle_class = choice[i >> (last - j) & 1]
-            bits ^= mask
-            degree += added
-            classes.append(circle_class)
-        return self._record(bits, degree, self._by_maximum(tuple(classes)))
+        for j, pair in enumerate(self._choices):
+            more_bits, more_degree, more_labels = pair[i >> (last - j) & 1]
+            bits, degree, labels = bits + more_bits, degree + more_degree, labels + more_labels
+        return self._record(bits, degree, labels)
 
     def __iter__(self):
-        if not self._len:
-            return
-        _, bits, degree = self._anticlockwise
-        head = self._choices[:-_TABULATED_CIRCLES]
-        tail = self._choices[-_TABULATED_CIRCLES:]
-        words = [(0, 0, ())]
-        for choice in tail:
-            words = [
-                (tail_bits ^ mask, tail_degree + added, classes + (circle_class,))
-                for tail_bits, tail_degree, classes in words
-                for mask, added, circle_class in choice
-            ]
-        record, by_maximum = self._record, self._by_maximum
-        for picks in itertools.product(*head):
-            head_bits, head_degree, head_classes = bits, degree, ()
-            for mask, added, circle_class in picks:
-                head_bits ^= mask
-                head_degree += added
-                head_classes += (circle_class,)
-            for tail_bits, tail_degree, classes in words:
-                yield record(
-                    head_bits ^ tail_bits, head_degree + tail_degree,
-                    by_maximum(head_classes + classes),
-                )
+        if self._len:
+            for bits, degree, labels in _choice_sums(self._choices, self._start):
+                yield self._record(bits, degree, labels)
 
     def __eq__(self, other):
         if not isinstance(other, (list, Orientations)):
@@ -601,7 +566,7 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> Orientations:
     objects right after this call does not walk the pair again.  Each
     record's ``circle_classes`` list the circles by maximum.
     """
-    return Orientations(cap, cup, _anticlockwise(cap, cup))
+    return Orientations(cap, cup)
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:

@@ -17,7 +17,7 @@ from cupcalc import orientation as O
 from cupcalc import springer as S
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
-from helpers import oracle_enumerate_diagrams
+from helpers import oracle_enumerate_diagrams, oracle_orient_circle_diagram
 
 
 def capture(capsys, argv):
@@ -85,13 +85,18 @@ def test_enumerate_stdout_matches_the_oracle(capsys, k):
         [],
         {},
         "text",
+        [{"weight": "^v", "degree": 0}],
         [{"weight": "^v" * 20, "degree": d, "nested": [[None, True, 1.5], {}]} for d in range(5000)],
     ],
-    ids=["empty-list", "empty-dict", "string", "many-batches"],
+    ids=["empty-list", "empty-dict", "string", "one-row", "many-batches"],
 )
 def test_emit_json_writes_what_json_dumps_gives(capsys, payload):
+    want = json.dumps(payload, indent=2) + "\n"
     cli._emit_json(payload)
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert capsys.readouterr().out == want
+    if isinstance(payload, list):  # and a list's rows streamed in batches
+        cli._emit_json_rows(iter(payload))
+        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -114,6 +119,50 @@ def test_orient_json_is_json_dumps_of_the_rows(capsys):
         assert len(rows) > 1
         want = json.dumps(rows, indent=2) + "\n"
         assert capture(capsys, ["orient", *argv, "--format", "json"]) == (0, want, "")
+
+
+def _side_by_side(cups):
+    return f"{2 * cups}: " + ";".join(f"c({i},{i + 1})" for i in range(1, 2 * cups, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--cup", "2: c(1,2)", "--cap", "2: c*(1,2)"], 0),
+        (["--cup", "1: r(1)", "--cap", "1: r*(1)"], 0),
+        (["--cup", "1: r(1)", "--cap", "1: r(1)"], 1),
+        (["--cup", _side_by_side(10)], 1024),
+        (["--cup", _side_by_side(11)], 2048),
+        (["--cup", _side_by_side(10), "--cap", _side_by_side(10)], 1024),
+    ],
+    ids=[
+        "inconsistent-circle", "clashing-rays", "one-record", "cup-1024", "cup-2048", "pair-1024",
+    ],
+)
+def test_orient_json_is_written_as_json_dumps(capsys, argv, count):
+    """The streamed rows are the bytes of ``json.dumps(rows, indent=2)``:
+    no rows, one row, and whole batches of rows."""
+    cup = D.parse_dsl(argv[1])
+    if len(argv) == 2:
+        graded = O.graded_orientations(cup)
+    else:
+        cap = D.parse_dsl(argv[3])
+        graded = [(o.weight, o.degree) for o in O.orient_circle_diagram(cap.star(), cup)]
+    rows = [{"weight": str(w), "degree": d} for w, d in graded]
+    assert len(rows) == count
+    want = json.dumps(rows, indent=2) + "\n"
+    assert capture(capsys, ["orient", *argv, "--format", "json"]) == (0, want, "")
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_orient_json_of_every_maximal_pair_is_json_dumps(capsys, k):
+    for a in D.maximal_diagrams(k):
+        for b in D.maximal_diagrams(k):
+            oriented = oracle_orient_circle_diagram(b.star(), a)
+            rows = [{"weight": str(o.weight), "degree": o.degree} for o in oriented]
+            want = json.dumps(rows, indent=2) + "\n"
+            argv = ["orient", "--cup", a.encode(), "--cap", b.encode(), "--format", "json"]
+            assert capture(capsys, argv) == (0, want, "")
 
 
 def test_enumerate_invalid_input(capsys):

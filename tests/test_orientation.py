@@ -344,6 +344,41 @@ def test_graded_orientations_match_half_degree(k):
             assert degree == O.half_degree(weight, c)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_choice_sums_match_brute_force_product(monkeypatch, n):
+    """start plus one triple from each pair, summed over itertools.product
+    in the same order, with at most 2^ceil(n/2) partial sums held per half."""
+    rng = random.Random(n)
+
+    def triple():
+        labels = tuple(rng.choices(["a", "b", (1, "c")], k=rng.randrange(3)))
+        return rng.randrange(-(2 ** 40), 2 ** 40), rng.randrange(-9, 10), labels
+
+    held = []
+    sums = O._sums
+
+    def counted(choices, start):
+        result = sums(choices, start)
+        held.append(len(result))
+        return result
+
+    monkeypatch.setattr(O, "_sums", counted)
+    for _ in range(3):
+        choices = [(triple(), triple()) for _ in range(n)]
+        start = triple()
+        want = [
+            (
+                start[0] + sum(bits for bits, _, _ in picks),
+                start[1] + sum(degree for _, degree, _ in picks),
+                start[2] + sum((labels for _, _, labels in picks), ()),
+            )
+            for picks in itertools.product(*choices)
+        ]
+        held.clear()
+        assert list(O._choice_sums(choices, start)) == want
+        assert len(held) == 2 and max(held) <= 2 ** ((n + 1) // 2)
+
+
 def test_graded_orientations_are_built_as_read():
     """The 2^16 orientations of 16 side-by-side cups are read one at a
     time: the first costs the two halves' 2^8 words each, not the list."""
