@@ -226,10 +226,10 @@ def _cmd_movegraph(args) -> int:
         _emit(graph.to_dot())
         return 0
     if args.format != "json":
-        # written line by line from the graph: no payload for text output
+        # written from the graph in batches of lines: no payload for text output
         nodes = graph.nodes
-        sys.stdout.writelines(f"{n.encode()}\n" for n in nodes)
-        sys.stdout.writelines(
+        _write(f"{n.encode()}\n" for n in nodes)
+        _write(
             f"{nodes[i].encode()}  --{move.kind}-->  {nodes[j].encode()}\n"
             for i, j, move in graph.arrows
         )
@@ -274,8 +274,8 @@ def _cmd_orient(args) -> int:
     if args.format == "json":
         _emit_json_rows({"weight": str(w), "degree": d} for w, d in graded)
     else:
-        # written line by line from the records: no rows for text output
-        sys.stdout.writelines(f"{w}  degree {d}\n" for w, d in graded)
+        # written from the records in batches of lines: no rows for text output
+        _write(f"{w}  degree {d}\n" for w, d in graded)
     return 0
 
 
@@ -305,8 +305,8 @@ def _cmd_cohomology(args) -> int:
             basis = ringcalc.centre(args.k, parity)
             entry = {
                 "graded": [
-                    {"degree": 2 * d, "dim": n}
-                    for d, n in sorted(basis.graded_dims.items())
+                    {"degree": d, "dim": n}
+                    for d, n in sorted(basis.graded_dims_cohomological().items())
                 ],
                 "dimension": basis.dimension,
             }
@@ -352,9 +352,7 @@ def _cmd_cohomology(args) -> int:
         "k": args.k,
         "dimension": ring.dimension,
         "graded": [
-            {"degree": 2 * d, "dim": n}
-            for d, n in enumerate(ring.graded_dims)
-            if n
+            {"degree": d, "dim": n} for d, n in ring.graded_dims_cohomological().items()
         ],
         "basis": [sorted(m) for m in ring.basis],
     }

@@ -96,10 +96,6 @@ def rref(rows: List[Dict[int, Fraction]]) -> Dict[int, Dict[int, Fraction]]:
     return out
 
 
-def rank(rows: List[Dict[int, Fraction]]) -> int:
-    return len(rref(rows))
-
-
 def kernel_basis(rows: List[Dict[int, Fraction]], ncols: int) -> List[Dict[int, Fraction]]:
     """Echelon basis of the right kernel, one vector per free column.
 

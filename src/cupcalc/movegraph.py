@@ -228,7 +228,7 @@ class MoveGraph(NamedTuple):
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
-        return len(_reached(self.undirected_adjacency(), 0)) == len(self.nodes)
+        return None not in _bfs(self.undirected_adjacency(), 0)
 
     def to_dot(self) -> str:
         lines = ["digraph moves {"]
@@ -241,19 +241,6 @@ class MoveGraph(NamedTuple):
             )
         lines.append("}")
         return "\n".join(lines)
-
-
-def _reached(adj: List[List[int]], src: int) -> set:
-    """Nodes reachable from src along adj (src included), by stack search."""
-    seen = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _require_maximal(d: CupDiagram) -> None:
@@ -311,10 +298,8 @@ def _undirected_adjacency(k: int, parity: str) -> List[List[int]]:
     return move_graph(k, parity).undirected_adjacency()
 
 
-@lru_cache(maxsize=None)
-def _distance_row(k: int, parity: str, src: int) -> tuple:
-    """Undirected arrow distance from node src to every node, by BFS."""
-    adj = _undirected_adjacency(k, parity)
+def _bfs(adj: List[List[int]], src: int) -> list:
+    """Distance from src along adj to every node, None where unreached."""
     dist = [None] * len(adj)
     dist[src] = 0
     queue = [src]
@@ -326,7 +311,14 @@ def _distance_row(k: int, parity: str, src: int) -> tuple:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
         queue = nxt
-    return tuple(dist)
+    return dist
+
+
+@lru_cache(maxsize=None)
+def _distance_row(k: int, parity: str, src: int) -> tuple:
+    """Undirected arrow distance from node src to every node: every node
+    is reached, as :func:`move_graph` checks that the graph is connected."""
+    return tuple(_bfs(_undirected_adjacency(k, parity), src))
 
 
 def distance(a: CupDiagram, b: CupDiagram):
@@ -338,10 +330,7 @@ def distance(a: CupDiagram, b: CupDiagram):
     if a.dot_parity != b.dot_parity:
         return math.inf
     index = _node_index(a.k, a.dot_parity)
-    d = _distance_row(a.k, a.dot_parity, index[a.encoding])[index[b.encoding]]
-    if d is None:  # unreachable: per-parity graphs are connected
-        return math.inf
-    return d
+    return _distance_row(a.k, a.dot_parity, index[a.encoding])[index[b.encoding]]
 
 
 def _sources_first(k: int, parity: str, tie_break: str) -> list:

@@ -177,8 +177,8 @@ def half_degree(weight: Weight, diagram: Union[CupDiagram, CapDiagram]) -> int:
     return deg
 
 
-def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int, tuple]]:
-    """Each orientation of c as ``(bits, half degree, ())``, in canonical
+def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int]]:
+    """Each orientation of c as ``(bits, half degree)``, in canonical
     order; there are 2^#cups.
 
     The order is generated, not sorted.  Two weights orienting c first
@@ -186,7 +186,7 @@ def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int, tuple]]:
     so taking the cups by left end, each with its down-at-left choice
     first, lists the weights in canonical order.  An oriented cup is
     clockwise exactly when its right end is down, so each cup is one
-    pair of ``(bits, clockwise, ())`` choices for :func:`_choice_sums`:
+    pair of ``(bits, clockwise)`` choices for :func:`_choice_sums`:
     undotted down-up then up-down, dotted down-down then up-up.
     """
     k = c.k
@@ -194,17 +194,18 @@ def _cup_words(c: CupDiagram) -> Iterator[Tuple[int, int, tuple]]:
     for cup in sorted(c.cups):  # by left end; the vertices are distinct
         left, right = 1 << (k - cup.left), 1 << (k - cup.right)
         if cup.dotted:
-            choices.append(((0, 1, ()), (left | right, 0, ())))
+            choices.append(((0, 1), (left | right, 0)))
         else:
-            choices.append(((right, 0, ()), (left, 1, ())))
+            choices.append(((right, 0), (left, 1)))
     rays = sum(1 << (k - r.at) for r in c.rays if r.dotted)
-    return _choice_sums(choices, (rays, 0, ()))
+    return _choice_sums(choices, (rays, 0))
 
 
 def _choice_sums(choices: Sequence, start: tuple) -> Iterator[tuple]:
-    """``start`` plus one ``(bits, degree, labels)`` triple from each pair
-    of ``choices``, for every way of choosing, the first pair the most
-    significant: bits and degrees add and label tuples concatenate.
+    """``start`` plus one ``(bits, extra)`` choice from each pair of
+    ``choices``, for every way of choosing, the first pair the most
+    significant.  Both parts are summed with ``+``: an int ``extra`` (a
+    cup's half degree) adds, a tuple (a circle's label) concatenates.
 
     The sums are yielded as they are made: each is a sum over the first
     half of the pairs plus one over the rest, the first half the more
@@ -213,10 +214,10 @@ def _choice_sums(choices: Sequence, start: tuple) -> Iterator[tuple]:
     2^#pairs.
     """
     half = len(choices) // 2
-    tails = _sums(choices[half:], (0, 0, ()))
-    for bits, degree, labels in _sums(choices[:half], start):
-        for more_bits, more_degree, more_labels in tails:
-            yield bits + more_bits, degree + more_degree, labels + more_labels
+    tails = _sums(choices[half:], (0, type(start[1])()))  # extra 0 or ()
+    for bits, extra in _sums(choices[:half], start):
+        for more_bits, more_extra in tails:
+            yield bits + more_bits, extra + more_extra
 
 
 def _sums(choices: Sequence, start: tuple) -> List[tuple]:
@@ -224,9 +225,9 @@ def _sums(choices: Sequence, start: tuple) -> List[tuple]:
     sums = [start]
     for pair in choices:
         sums = [
-            (bits + more_bits, degree + more_degree, labels + more_labels)
-            for bits, degree, labels in sums
-            for more_bits, more_degree, more_labels in pair
+            (bits + more_bits, extra + more_extra)
+            for bits, extra in sums
+            for more_bits, more_extra in pair
         ]
     return sums
 
@@ -238,7 +239,7 @@ def orientations_of_cup(c: CupDiagram) -> List[Weight]:
     re-checking their symbols.
     """
     k = c.k
-    return [_word_weight(k, bits) for bits, _, _ in _cup_words(c)]
+    return [_word_weight(k, bits) for bits, _ in _cup_words(c)]
 
 
 def graded_orientations(c: CupDiagram) -> Iterator[Tuple[Weight, int]]:
@@ -247,7 +248,7 @@ def graded_orientations(c: CupDiagram) -> Iterator[Tuple[Weight, int]]:
     weight is built as it is read, so ``cupcalc orient --cup`` holds one
     row at a time."""
     k = c.k
-    return ((_word_weight(k, bits), degree) for bits, degree, _ in _cup_words(c))
+    return ((_word_weight(k, bits), degree) for bits, degree in _cup_words(c))
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +451,18 @@ class Orientations(Sequence):
     built only when it is read.
 
     It holds the pair, its decomposition, the all-anticlockwise orientation
-    as the ``(bits, degree, ())`` start of ``_choice_sums`` and, per circle
-    by least vertex, two choices, the one that puts down at the least
-    vertex first: keep ``(0, 0, ((mx, "anticlockwise"),))`` or flip
-    ``(delta, 2, ((mx, "clockwise"),))``, delta being the circle's down
-    bits less its up bits in the all-anticlockwise word.  Record i takes
-    circle j's choice from binary digit j of i, the first circle the most
-    significant.  Orientations differ on whole circles, so two first differ
-    at the least vertex of the first circle they label differently: that
-    order is the canonical order of the weights.
+    as the ``(bits, ())`` start of ``_choice_sums`` with its degree and,
+    per circle by least vertex, two choices, the one that puts down at the
+    least vertex first: keep ``(0, ((mx, "anticlockwise"),))`` or flip
+    ``(delta, ((mx, "clockwise"),))``, delta being the circle's down bits
+    less its up bits in the all-anticlockwise word.  A record's degree is
+    read off its word: the all-anticlockwise degree plus 2 for each circle
+    whose maximum is down, as a circle is anticlockwise exactly when its
+    maximum is up.  Record i takes circle j's choice from binary digit j
+    of i, the first circle the most significant.  Orientations differ on
+    whole circles, so two first differ at the least vertex of the first
+    circle they label differently: that order is the canonical order of
+    the weights.
 
     ``len`` is 2^#circles, or 0 when not orientable, so a truth test
     builds no record.  Indices may be negative and slices give lists.
@@ -467,7 +471,9 @@ class Orientations(Sequence):
     equal records in the same order, and is unhashable, as a list is.
     """
 
-    __slots__ = ("_cap", "_cup", "_dec", "_start", "_choices", "_by_maximum", "_len")
+    __slots__ = (
+        "_cap", "_cup", "_dec", "_start", "_degree", "_maxima", "_choices", "_by_maximum", "_len"
+    )
     __hash__ = None
 
     def __init__(self, cap: CapDiagram, cup: CupDiagram):
@@ -481,7 +487,7 @@ class Orientations(Sequence):
         dec, labels = forced
         k = dec.k
         bits = sum(1 << (k - v) for v, sym in enumerate(labels, 1) if sym == UP)
-        choices, maxima = [], []
+        choices, maxima, tops = [], [], 0
         for cl in dec.circles:
             mask = up = 0
             for v, s in zip(cl.vertices, cl.signs):
@@ -489,15 +495,17 @@ class Orientations(Sequence):
                 if s == 1:
                     up |= 1 << (k - v)
             bits |= up
-            keep = (0, 0, ((cl.mx, "anticlockwise"),))
-            flip = ((mask - up) - up, 2, ((cl.mx, "clockwise"),))
+            keep = (0, ((cl.mx, "anticlockwise"),))
+            flip = ((mask - up) - up, ((cl.mx, "clockwise"),))
             # keep first when anticlockwise is down at the least vertex (sign -1)
             choices.append((keep, flip) if cl.signs[0] == -1 else (flip, keep))
             maxima.append(cl.mx)
+            tops |= 1 << (k - cl.mx)
         # An oriented arc is clockwise exactly when its right end is down, so
         # the degree counts the arc right ends, in both halves, that carry down.
         degree = [bits >> (k - c.right) & 1 for half in (cap, cup) for c in half.cups].count(0)
-        self._dec, self._start, self._choices = dec, (bits, degree, ()), tuple(choices)
+        self._dec, self._start, self._choices = dec, (bits, ()), tuple(choices)
+        self._degree, self._maxima = degree, tops
         # a record's circle_classes list the circles by maximum
         if maxima == sorted(maxima):
             self._by_maximum = tuple
@@ -513,13 +521,13 @@ class Orientations(Sequence):
         None when no weight orients the pair."""
         if not self._len:
             return None
-        bits, degree, _ = self._start
         labels = tuple((cl.mx, "anticlockwise") for cl in self._dec.circles)
-        return self._record(bits, degree, labels)
+        return self._record(self._start[0], labels)
 
-    def _record(self, bits: int, degree: int, labels: tuple) -> OrientedCircleDiagram:
+    def _record(self, bits: int, labels: tuple) -> OrientedCircleDiagram:
         """The record of a sum of choices, its circle classes by maximum."""
         dec = self._dec
+        degree = self._degree + 2 * (self._maxima & ~bits).bit_count()
         return OrientedCircleDiagram(
             self._cap, _word_weight(dec.k, bits), self._cup, degree, dec, self._by_maximum(labels)
         )
@@ -535,17 +543,17 @@ class Orientations(Sequence):
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError(f"orientation index out of range for {self._len} orientations")
-        bits, degree, labels = self._start
+        bits, labels = self._start
         last = len(self._choices) - 1
         for j, pair in enumerate(self._choices):
-            more_bits, more_degree, more_labels = pair[i >> (last - j) & 1]
-            bits, degree, labels = bits + more_bits, degree + more_degree, labels + more_labels
-        return self._record(bits, degree, labels)
+            more_bits, more_labels = pair[i >> (last - j) & 1]
+            bits, labels = bits + more_bits, labels + more_labels
+        return self._record(bits, labels)
 
     def __iter__(self):
         if self._len:
-            for bits, degree, labels in _choice_sums(self._choices, self._start):
-                yield self._record(bits, degree, labels)
+            for bits, labels in _choice_sums(self._choices, self._start):
+                yield self._record(bits, labels)
 
     def __eq__(self, other):
         if not isinstance(other, (list, Orientations)):

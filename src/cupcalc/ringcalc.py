@@ -30,6 +30,7 @@ degree as an exact kernel, with a deterministic echelon basis.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -51,8 +52,13 @@ class NotOrientableError(ValueError):
 
 def _monomial_order(n: int) -> List[int]:
     """The subsets of n ascending variables, as bitmasks over their
-    positions, in monomial order: by size, then lexicographically."""
-    return sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
+    positions, in monomial order: by size, then lexicographically, as
+    ``itertools.combinations`` lists each size."""
+    return [
+        sum(1 << t for t in subset)
+        for size in range(n + 1)
+        for subset in itertools.combinations(range(n), size)
+    ]
 
 
 class QuotientPresentation:
@@ -153,6 +159,10 @@ def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:
 
 
 class LinearMap(NamedTuple):
+    """A restriction map as a matrix.  It sends a monomial to plus or
+    minus one monomial, or to 0, so each column holds at most one nonzero
+    entry, +1 or -1, and the rank is the number of nonzero rows."""
+
     domain: list      # basis monomials (frozensets)
     codomain: list
     matrix: list      # matrix[row][col]; columns are images of domain basis vectors
@@ -160,12 +170,8 @@ class LinearMap(NamedTuple):
     def column(self, j: int) -> list:
         return [self.matrix[i][j] for i in range(len(self.codomain))]
 
-    def rank(self) -> int:
-        rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in self.matrix]
-        return linalg.rank(rows)
-
     def is_surjective(self) -> bool:
-        return self.rank() == len(self.codomain)
+        return all(any(row) for row in self.matrix)  # full row rank
 
 
 def _map_between(source: QuotientPresentation, target: QuotientPresentation) -> LinearMap:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Callable, List, NamedTuple, Tuple
 
-from . import diagrams, linalg, movegraph, orientation, ringcalc, springer, tableaux
+from . import diagrams, movegraph, orientation, ringcalc, springer, tableaux
 from .errors import SizeError
 
 

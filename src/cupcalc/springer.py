@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
-from .diagrams import CupDiagram, enumerate_encodings, maximal_diagrams
+from .diagrams import enumerate_encodings, maximal_diagrams
 from .errors import InternalCheckError, SizeError
 from .movegraph import _distance_row
 from .orientation import DOWN, UP, Weight, force_lines
@@ -242,7 +242,7 @@ def fixed_point_table(k: int, parity: str, shape: Optional[Tuple[int, int]] = No
             f"fixed-point tables require equal rows, got shape {tuple(shape)}"
         )
     diagrams = maximal_diagrams(k, parity)
-    words = [[bits for bits, _, _ in _cup_words(d)] for d in diagrams]
+    words = [[bits for bits, _ in _cup_words(d)] for d in diagrams]
     holders: Dict[int, List[int]] = {}  # bit word -> indices of the diagrams it orients
     for i, ws in enumerate(words):
         for bits in ws:
@@ -281,7 +281,7 @@ def arc_algebra_graded_dimension(k: int) -> GradedDimension:
     for parity in ("even", "odd"):
         by_weight: Dict[int, Dict[int, int]] = {}  # bit word -> half degree -> diagrams
         for c in maximal_diagrams(k, parity):
-            for bits, d, _ in _cup_words(c):
+            for bits, d in _cup_words(c):
                 counts = by_weight.setdefault(bits, {})
                 counts[d] = counts.get(d, 0) + 1
         for counts in by_weight.values():

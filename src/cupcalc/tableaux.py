@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, nesting, validate
 from .errors import InternalCheckError
-from .orientation import Weight, degree_zero_weight, cup_of_weight
+from .orientation import degree_zero_weight, cup_of_weight
 from .springer import index_set_of_weight, weight_of_index_set
 
 

@@ -496,11 +496,9 @@ def oracle_rref(rows):
 
 
 def oracle_kernel_basis(rows, ncols):
-    """``linalg.kernel_basis`` read off ``linalg.rref``: for each free
+    """``linalg.kernel_basis`` read off :func:`oracle_rref`: for each free
     column, scan every unit pivot row for its entry there."""
-    from cupcalc import linalg
-
-    pivots = linalg.rref(rows)
+    pivots = oracle_rref(rows)
     basis = []
     for free in range(ncols):
         if free in pivots:

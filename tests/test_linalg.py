@@ -80,7 +80,7 @@ def test_rref_matches_oracle_on_presentation_relations(k):
 def test_rref_matches_oracle_on_random_fraction_rows():
     for rows, ncols in random_fraction_systems():
         assert_matches_oracle(rows)
-        assert linalg.rank(rows) == dense_rank(rows, ncols)
+        assert len(linalg.rref(rows)) == dense_rank(rows, ncols)
 
 
 def test_kernel_basis_matches_oracle_on_random_fraction_rows():

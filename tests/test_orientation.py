@@ -346,13 +346,17 @@ def test_graded_orientations_match_half_degree(k):
 
 @pytest.mark.parametrize("n", range(11))
 def test_choice_sums_match_brute_force_product(monkeypatch, n):
-    """start plus one triple from each pair, summed over itertools.product
-    in the same order, with at most 2^ceil(n/2) partial sums held per half."""
+    """start plus one (bits, extra) choice from each pair, summed over
+    itertools.product in the same order (int degrees add, label tuples
+    concatenate), with at most 2^ceil(n/2) partial sums held per half."""
     rng = random.Random(n)
 
-    def triple():
-        labels = tuple(rng.choices(["a", "b", (1, "c")], k=rng.randrange(3)))
-        return rng.randrange(-(2 ** 40), 2 ** 40), rng.randrange(-9, 10), labels
+    def choice(extra):
+        if extra == "degree":
+            more = rng.randrange(-9, 10)
+        else:
+            more = tuple(rng.choices(["a", "b", (1, "c")], k=rng.randrange(3)))
+        return rng.randrange(-(2 ** 40), 2 ** 40), more
 
     held = []
     sums = O._sums
@@ -363,14 +367,13 @@ def test_choice_sums_match_brute_force_product(monkeypatch, n):
         return result
 
     monkeypatch.setattr(O, "_sums", counted)
-    for _ in range(3):
-        choices = [(triple(), triple()) for _ in range(n)]
-        start = triple()
+    for extra in ("degree", "labels", "degree", "labels"):
+        choices = [(choice(extra), choice(extra)) for _ in range(n)]
+        start = choice(extra)
         want = [
             (
-                start[0] + sum(bits for bits, _, _ in picks),
-                start[1] + sum(degree for _, degree, _ in picks),
-                start[2] + sum((labels for _, _, labels in picks), ()),
+                start[0] + sum(bits for bits, _ in picks),
+                sum((more for _, more in picks), start[1]),
             )
             for picks in itertools.product(*choices)
         ]

@@ -104,7 +104,7 @@ def test_cup_and_cap_diagrams_never_equal(k):
 @pytest.mark.parametrize("k", range(1, 11))
 def test_word_weights_equal_checked_weights(k):
     for d in D.enumerate_diagrams(k, "max", "all"):
-        for bits, _, _ in O._cup_words(d):
+        for bits, _ in O._cup_words(d):
             weight = O._word_weight(k, bits)
             checked = O.Weight(weight.text)
             assert type(weight) is O.Weight

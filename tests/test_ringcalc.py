@@ -8,7 +8,7 @@ from cupcalc import linalg
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from helpers import count_calls, oracle_centre_rows, oracle_map_between
+from helpers import count_calls, dense_rank, oracle_centre_rows, oracle_map_between
 
 
 def test_component_quotient_rules():
@@ -19,6 +19,14 @@ def test_component_quotient_rules():
     q3 = R.component_quotient(D.parse_dsl("3: c(1,2);r(3)"))
     assert q3.rules[3] is None
     assert q3.dimension == 2
+
+
+def test_monomial_order_is_the_sorted_definition():
+    """Subsets by size, then lexicographically, as the sort by that key
+    lists them."""
+    for n in range(13):
+        want = sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
+        assert R._monomial_order(n) == want
 
 
 def test_reduce_monomial_signs():
@@ -121,6 +129,35 @@ def test_restrictions_surjective_and_graded(k):
                     for i, target_mono in enumerate(m.codomain):
                         if m.matrix[i][j] and len(target_mono) != len(mono):
                             pytest.fail("restriction map not degree preserving")
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_restriction_maps_are_monomial_and_surjective(monkeypatch, k):
+    """Each column holds at most one entry, +1 or -1, so surjectivity is
+    read off the nonzero rows: it agrees with a dense rank and calls no
+    elimination."""
+
+    def refuse(*args):
+        raise AssertionError("is_surjective eliminated")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "_pivot_rows", refuse)
+    maps = [
+        # not surjective: the second codomain monomial is never hit
+        R.LinearMap([0, 1], [0, 1], [[Fraction(0), Fraction(-1)], [Fraction(0), Fraction(0)]]),
+        R.LinearMap([0], [], []),
+    ]
+    for parity in ("even", "odd"):
+        for a, b in itertools.combinations_with_replacement(D.maximal_diagrams(k, parity), 2):
+            if R.intersection_quotient(a, b) is not None:
+                maps += R.restriction_maps(a, b)
+    assert len(maps) > 2
+    for m in maps:
+        for j in range(len(m.domain)):
+            assert [v for v in m.column(j) if v] in ([], [1], [-1])
+        rows = [{j: v for j, v in enumerate(row) if v} for row in m.matrix]
+        assert m.is_surjective() == (dense_rank(rows, len(m.domain)) == len(m.codomain))
+    assert [m.is_surjective() for m in maps[:2]] == [False, True]
 
 
 @pytest.mark.parametrize("k", range(1, 7))
