@@ -3,6 +3,15 @@
 Verbs: enumerate, render, movegraph, distance, orient, cohomology,
 intersect, bijection, selftest.  Exit codes: 0 success, 1 invalid
 input, 2 tripped internal consistency check or any other internal error.
+
+Argv is read on one of two paths, both from the one flag table
+``_VERBS``.  ``_fast_args`` reads the canonical form (the verb, its
+positional, then exact ``--flag value`` pairs and bare flags, each once)
+with the same ``type`` and ``choices`` calls argparse makes, and builds
+no parser.  Any other argv goes to the argparse parser that
+``_build_parser`` builds from the table on first use: it owns every
+usage error, ``--help``, ``--version``, abbreviations, ``--flag=value``
+and negative numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from .selftest import selftest
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        if message == "argument --t: expected one argument":  # as for --t -3/2
+            message += "; write a negative value as --t=-3/2"
         raise _UsageError(message)
 
 
@@ -49,7 +60,7 @@ _USER_ERRORS = (
 _CEILINGS = {
     "enumerate": ("--k", 18),
     "movegraph": ("--k", 16),
-    "intersect": ("--k", 11),
+    "intersect": ("--k", 12),
     "cohomology centre": ("--k", 10),
     "cohomology springer": ("--k", 16),
     "selftest": ("--k-max", 10),
@@ -106,67 +117,152 @@ def _cup_count(text: str):
     raise argparse.ArgumentTypeError(f"must be 'max', 'any' or a count >= 0, got {text!r}")
 
 
+_VERTEX_COUNT = _int_at_least(1)
+_TEXT_OR_JSON = {"choices": ["text", "json"], "default": "text"}
+_LABELLINGS = ["adt", "dt", "cup", "bitab", "stable"]
+
+# Every verb's help and flags, each flag with the keyword arguments of its
+# ``add_argument`` call; a flag without dashes is a positional.
+# ``_build_parser`` builds argparse from this table, and ``_fast_args``
+# reads a canonical argv by it.
+_VERBS = {
+    "enumerate": ("list diagrams in canonical order", {
+        "--k": {"type": _VERTEX_COUNT, "required": True},
+        "--parity": {"choices": ["all", "even", "odd", "none"], "default": "all"},
+        "--cups": {"type": _cup_count, "default": "max", "help": "cup count, 'max' or 'any'"},
+        "--format": _TEXT_OR_JSON,
+    }),
+    "render": ("render one diagram", {
+        "--diagram": {"required": True, "help": "diagram DSL text"},
+        "--format": {"choices": ["ascii", "tikz", "json"], "default": "ascii"},
+    }),
+    "movegraph": ("arrow graph on the maximal diagrams", {
+        "--k": {"type": _VERTEX_COUNT, "required": True},
+        "--parity": {"choices": ["even", "odd"], "required": True},
+        "--dot": {"action": "store_true", "help": "emit Graphviz DOT"},
+        "--format": _TEXT_OR_JSON,
+    }),
+    "distance": ("arrow distance between two diagrams", {
+        "--a": {"required": True},
+        "--b": {"required": True},
+        "--format": _TEXT_OR_JSON,
+    }),
+    "orient": ("orientations of a cup (or glued) diagram", {
+        "--cup": {"required": True},
+        "--cap": {"help": "cap half, as the cup diagram it mirrors"},
+        "--format": _TEXT_OR_JSON,
+    }),
+    "cohomology": ("exact graded dimensions", {
+        "which": {"choices": ["centre", "springer"]},
+        "--k": {"type": _VERTEX_COUNT, "required": True},
+        "--t": {"help": "deformation parameter (rational; a negative one as --t=-3/2)"},
+        "--basis": {"action": "store_true", "help": "include echelon bases"},
+        "--format": _TEXT_OR_JSON,
+    }),
+    "intersect": ("fixed-point table of one parity", {
+        "--k": {"type": _VERTEX_COUNT, "required": True},
+        "--parity": {"choices": ["even", "odd"], "required": True},
+        "--format": {"choices": ["text", "json"], "default": "json"},
+    }),
+    "bijection": ("convert between labelling sets", {
+        "--from": {"dest": "src", "required": True, "choices": _LABELLINGS},
+        "--to": {"dest": "dst", "required": True, "choices": _LABELLINGS},
+        "--input": {"required": True, "help": "JSON input file ('-' for stdin)"},
+        "--parity": {
+            "choices": ["all", "even", "odd"],
+            "default": "all",
+            "help": "dot parity, needed to invert a bitableau with rays",
+        },
+    }),
+    "selftest": ("run the cross-module identity suites", {
+        "--k-max": {"type": _int_at_least(2), "required": True},
+        "--seed": {"type": int, "default": 0},
+        "--format": _TEXT_OR_JSON,
+    }),
+}
+
+
 @functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="cupcalc", description=__doc__)
+    # the user's part of the docstring: its first two paragraphs
+    parser = _Parser(prog="cupcalc", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    vertex_count = _int_at_least(1)
-
-    p = sub.add_parser("enumerate", help="list diagrams in canonical order")
-    p.add_argument("--k", type=vertex_count, required=True)
-    p.add_argument("--parity", choices=["all", "even", "odd", "none"], default="all")
-    p.add_argument("--cups", type=_cup_count, default="max", help="cup count, 'max' or 'any'")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("render", help="render one diagram")
-    p.add_argument("--diagram", required=True, help="diagram DSL text")
-    p.add_argument("--format", choices=["ascii", "tikz", "json"], default="ascii")
-
-    p = sub.add_parser("movegraph", help="arrow graph on the maximal diagrams")
-    p.add_argument("--k", type=vertex_count, required=True)
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("distance", help="arrow distance between two diagrams")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("orient", help="orientations of a cup (or glued) diagram")
-    p.add_argument("--cup", required=True)
-    p.add_argument("--cap", help="cap half, as the cup diagram it mirrors")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("cohomology", help="exact graded dimensions")
-    p.add_argument("which", choices=["centre", "springer"])
-    p.add_argument("--k", type=vertex_count, required=True)
-    p.add_argument("--t", help="deformation parameter (rational)")
-    p.add_argument("--basis", action="store_true", help="include echelon bases")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("intersect", help="fixed-point table of one parity")
-    p.add_argument("--k", type=vertex_count, required=True)
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--format", choices=["text", "json"], default="json")
-
-    p = sub.add_parser("bijection", help="convert between labelling sets")
-    p.add_argument("--from", dest="src", required=True, choices=["adt", "dt", "cup", "bitab", "stable"])
-    p.add_argument("--to", dest="dst", required=True, choices=["adt", "dt", "cup", "bitab", "stable"])
-    p.add_argument("--input", required=True, help="JSON input file ('-' for stdin)")
-    p.add_argument(
-        "--parity",
-        choices=["all", "even", "odd"],
-        default="all",
-        help="dot parity, needed to invert a bitableau with rays",
-    )
-
-    p = sub.add_parser("selftest", help="run the cross-module identity suites")
-    p.add_argument("--k-max", type=_int_at_least(2), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    for verb, (help_text, flags) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+@functools.cache
+def _canonical_form(verb: str):
+    """A verb's positionals and its options by flag, each as ``(dest,
+    spec)``, its required flags and its namespace of defaults: a string
+    default converted through ``type``, as argparse converts it."""
+    positionals, options, required, defaults = [], {}, set(), {"verb": verb}
+    for flag, spec in _VERBS[verb][1].items():
+        dest = spec.get("dest", flag.lstrip("-").replace("-", "_"))
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        if isinstance(default, str) and "type" in spec:
+            default = spec["type"](default)
+        defaults[dest] = default
+        if not flag.startswith("-"):
+            positionals.append((dest, spec))
+            continue
+        options[flag] = (dest, spec)
+        if spec.get("required"):
+            required.add(flag)
+    return positionals, options, required, defaults
+
+
+def _fast_args(argv):
+    """``_build_parser().parse_args(argv)`` for a canonical argv, read from
+    ``_VERBS`` without building the parser; None for any other argv.
+
+    Canonical: a verb, its positionals, then exact flags, each at most once
+    and every required one present, each but a bare flag followed by a
+    value that does not start with '-' ('-' itself aside); every value
+    passes its ``type`` and ``choices`` as in argparse.  Anything else
+    (usage errors, --help, --version, abbreviations, --flag=value,
+    repeated flags, negative numbers) is argparse's to read."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    positionals, options, required, defaults = _canonical_form(argv[0])
+    n = len(argv)
+    at = 1 + len(positionals)
+    if at > n:
+        return None
+    given = [(dest, spec, argv[i]) for i, (dest, spec) in enumerate(positionals, 1)]
+    values = dict(defaults)
+    seen = set()
+    while at < n:
+        flag = argv[at]
+        if flag in seen or flag not in options:
+            return None
+        seen.add(flag)
+        dest, spec = options[flag]
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            at += 1
+        elif at + 1 < n:
+            given.append((dest, spec, argv[at + 1]))
+            at += 2
+        else:
+            return None
+    if not required <= seen:
+        return None
+    for dest, spec, text in given:
+        if text[:1] == "-" and text != "-":
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 def _emit(text: str):
@@ -283,7 +379,22 @@ def _mono_text(mono) -> str:
     return "1" if not mono else "*".join(f"x{i}" for i in mono)
 
 
+# The largest decimal exponent --t takes: Fraction reads "1e10000000" as a
+# 10-million-digit integer, though Python refuses more than 4300 digits
+# written out.
+_MAX_EXPONENT = 4300
+
+
 def _rational(text: str) -> Fraction:
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    digits = digits.replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+        raise _UsageError(
+            f"--t takes a decimal exponent of at most {_MAX_EXPONENT} in absolute value, "
+            f"got {text!r}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -452,14 +563,15 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"cupcalc: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --version / --help
-        return int(exc.code or 0)
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _UsageError as exc:
+            print(f"cupcalc: {exc}", file=sys.stderr)
+            return 1
+        except SystemExit as exc:  # --version / --help
+            return int(exc.code or 0)
     try:
         _check_ceiling(args)
         return _COMMANDS[args.verb](args)

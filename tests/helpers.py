@@ -6,9 +6,10 @@ partner walks, no rewrite systems) so the two sides can disagree.
 The exceptions are previous code kept as the slow path that a rewrite
 must match: the glued-pair kernel's (``oracle_walk_decompose``,
 ``oracle_force_lines``, ``oracle_orient_circle_diagram``), the minimum
-read from the full list of orientations (``min_degree_of``) and the
+read from the full list of orientations (``min_degree_of``), the
 enumeration that built and sorted every diagram
-(``oracle_enumerate_diagrams``).
+(``oracle_enumerate_diagrams``) and the CLI parser built one
+``add_argument`` call at a time (``oracle_parser``).
 """
 
 import functools
@@ -32,6 +33,7 @@ from cupcalc.diagrams import (
     nesting,
     validate,
 )
+from cupcalc import __version__, cli
 from cupcalc.errors import InternalCheckError
 from cupcalc.linalg import ScaledUnionFind
 from cupcalc.movegraph import CupForest, MoveGraph
@@ -1431,3 +1433,76 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+@functools.cache
+def oracle_parser():
+    """The CLI parser as it was built before the flag table, one
+    ``add_argument`` call per flag; only the ``--t`` help is newer."""
+    parser = cli._Parser(
+        prog="cupcalc",
+        description="""Command-line interface.
+
+Verbs: enumerate, render, movegraph, distance, orient, cohomology,
+intersect, bijection, selftest.  Exit codes: 0 success, 1 invalid
+input, 2 tripped internal consistency check or any other internal error.
+""",
+    )
+    parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    vertex_count = cli._int_at_least(1)
+
+    p = sub.add_parser("enumerate", help="list diagrams in canonical order")
+    p.add_argument("--k", type=vertex_count, required=True)
+    p.add_argument("--parity", choices=["all", "even", "odd", "none"], default="all")
+    p.add_argument("--cups", type=cli._cup_count, default="max", help="cup count, 'max' or 'any'")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("render", help="render one diagram")
+    p.add_argument("--diagram", required=True, help="diagram DSL text")
+    p.add_argument("--format", choices=["ascii", "tikz", "json"], default="ascii")
+
+    p = sub.add_parser("movegraph", help="arrow graph on the maximal diagrams")
+    p.add_argument("--k", type=vertex_count, required=True)
+    p.add_argument("--parity", choices=["even", "odd"], required=True)
+    p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("distance", help="arrow distance between two diagrams")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("orient", help="orientations of a cup (or glued) diagram")
+    p.add_argument("--cup", required=True)
+    p.add_argument("--cap", help="cap half, as the cup diagram it mirrors")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("cohomology", help="exact graded dimensions")
+    p.add_argument("which", choices=["centre", "springer"])
+    p.add_argument("--k", type=vertex_count, required=True)
+    p.add_argument("--t", help="deformation parameter (rational; a negative one as --t=-3/2)")
+    p.add_argument("--basis", action="store_true", help="include echelon bases")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("intersect", help="fixed-point table of one parity")
+    p.add_argument("--k", type=vertex_count, required=True)
+    p.add_argument("--parity", choices=["even", "odd"], required=True)
+    p.add_argument("--format", choices=["text", "json"], default="json")
+
+    p = sub.add_parser("bijection", help="convert between labelling sets")
+    p.add_argument("--from", dest="src", required=True, choices=["adt", "dt", "cup", "bitab", "stable"])
+    p.add_argument("--to", dest="dst", required=True, choices=["adt", "dt", "cup", "bitab", "stable"])
+    p.add_argument("--input", required=True, help="JSON input file ('-' for stdin)")
+    p.add_argument(
+        "--parity",
+        choices=["all", "even", "odd"],
+        default="all",
+        help="dot parity, needed to invert a bitableau with rays",
+    )
+
+    p = sub.add_parser("selftest", help="run the cross-module identity suites")
+    p.add_argument("--k-max", type=cli._int_at_least(2), required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    return parser

@@ -17,7 +17,7 @@ from cupcalc import orientation as O
 from cupcalc import springer as S
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
-from helpers import oracle_enumerate_diagrams, oracle_orient_circle_diagram
+from helpers import oracle_enumerate_diagrams, oracle_orient_circle_diagram, oracle_parser
 
 
 def capture(capsys, argv):
@@ -304,6 +304,34 @@ def test_intersect_example(capsys):
     assert cells[(a1, a3)] == frozenset()
     assert cells[(a1, a2)] == {"^^v^", "vv^v"}
     assert cells[(a1, a1)] == {"^^v^", "vvv^", "^^^v", "vv^v"}
+
+
+@pytest.mark.parametrize("t", ["1e999999999", "-2.5E+10000", "1e4_301", "1e-4301", " 7e+0004301 "])
+def test_cohomology_springer_bounds_the_exponent_of_t_before_any_work(capsys, monkeypatch, t):
+    def no_work(*args):
+        raise AssertionError("the exponent is checked before any work")
+
+    monkeypatch.setattr(cli.springer, "equivariant_specialization", no_work)
+    code, out, err = capture(capsys, ["cohomology", "springer", "--k", "4", f"--t={t}"])
+    assert (code, out, err) == (
+        1, "", f"cupcalc: --t takes a decimal exponent of at most 4300 in absolute value, got {t!r}\n"
+    )
+
+
+@pytest.mark.parametrize("t", ["1e3", "1e4300", "-1.5e-4300", "2E+0_3"])
+def test_cohomology_springer_takes_a_bounded_exponent(capsys, t):
+    code, out, err = capture(capsys, ["cohomology", "springer", "--k", "4", f"--t={t}"])
+    assert (code, out, err) == (0, f"dimension 8 at t = {t}\n", "")
+
+
+def test_negative_t_is_named_in_the_usage_error(capsys):
+    code, out, err = capture(capsys, ["cohomology", "springer", "--k", "4", "--t", "-3/2"])
+    assert (code, out, err) == (
+        1, "", "cupcalc: argument --t: expected one argument; write a negative value as --t=-3/2\n"
+    )
+    assert capture(capsys, ["cohomology", "springer", "--k", "4", "--t=-3/2"]) == (
+        0, "dimension 8 at t = -3/2\n", ""
+    )
 
 
 def test_cohomology_springer_rejects_bad_rational(capsys):
@@ -726,7 +754,7 @@ _SIDE_BY_SIDE_34 = "34: " + ";".join(f"c({i},{i + 1})" for i in range(1, 34, 2))
     [
         (["enumerate", "--k", "19"], "enumerate takes --k up to 18, got 19"),
         (["movegraph", "--k", "17", "--parity", "even"], "movegraph takes --k up to 16, got 17"),
-        (["intersect", "--k", "12", "--parity", "odd"], "intersect takes --k up to 11, got 12"),
+        (["intersect", "--k", "13", "--parity", "odd"], "intersect takes --k up to 12, got 13"),
         (["cohomology", "centre", "--k", "40"], "cohomology centre takes --k up to 10, got 40"),
         (["cohomology", "springer", "--k", "17", "--t", "2"],
          "cohomology springer takes --k up to 16, got 17"),
@@ -803,3 +831,156 @@ def test_start_up_imports_no_dataclasses_or_inspect():
     assert done.returncode == 0, done.stderr
     n_modules, unloaded, added = json.loads(done.stdout)
     assert n_modules > 2 and unloaded == [] and added == []
+
+
+def _parse_outcome(parser, argv):
+    """What ``parser.parse_args(argv)`` does: its namespace, its usage
+    error, or its exit code and stdout (--help, --version)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return ("args", vars(parser.parse_args(argv)))
+    except cli._UsageError as exc:
+        return ("usage", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+
+
+@pytest.mark.parametrize("verb", [None, *cli._VERBS])
+def test_help_is_the_call_by_call_parsers(capsys, verb):
+    """``cupcalc [verb] --help``: the parser built from the flag table
+    prints what the parser built one ``add_argument`` call at a time did."""
+    argv = ["--help"] if verb is None else [verb, "--help"]
+    want = _parse_outcome(oracle_parser(), argv)
+    assert want[:2] == ("exit", 0) and want[2].startswith("usage: cupcalc")
+    assert capture(capsys, argv) == (0, want[2], "")
+
+
+# A value of each free-text or integer flag that its type takes.
+_SAMPLE_VALUES = {
+    "--k": "3", "--k-max": "2", "--seed": "5", "--cups": "1", "--t": "3/2",
+    "--diagram": "2: c(1,2)", "--a": "2: c(1,2)", "--b": "2: c*(1,2)",
+    "--cup": "4: c(1,2);c(3,4)", "--cap": "4: c(1,4);c(2,3)", "--input": "-",
+}
+
+
+def _canonical_argv(verb, every_flag):
+    """The verb's canonical argv with every flag, or with only its
+    positional and required flags; a flag with choices takes its last."""
+    argv = [verb]
+    for flag, spec in cli._VERBS[verb][1].items():
+        if not flag.startswith("-"):
+            argv.append(spec["choices"][-1])
+        elif spec.get("action") == "store_true":
+            argv += [flag] if every_flag else []
+        elif every_flag or spec.get("required"):
+            argv += [flag, spec["choices"][-1] if "choices" in spec else _SAMPLE_VALUES[flag]]
+    return argv
+
+
+@pytest.mark.parametrize("every_flag", [True, False], ids=["every-flag", "required-only"])
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_canonical_argv_takes_the_fast_path(verb, every_flag):
+    argv = _canonical_argv(verb, every_flag)
+    fast = cli._fast_args(argv)
+    assert fast is not None
+    assert fast == cli._build_parser().parse_args(argv) == oracle_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["cohomology"], ["frobnicate"], ["--version"], ["enumerate", "--help"],
+        ["enumerate", "--k=3"], ["enumerate", "--k", "3", "--par", "even"],
+        ["enumerate", "--k", "3", "--k", "4"],
+        ["movegraph", "--k", "3", "--parity", "odd", "--dot", "--dot"],
+        ["cohomology", "springer", "--k", "3", "--t", "-1"], ["cohomology", "--k", "3", "springer"],
+        ["enumerate", "--k"], ["enumerate", "--parity", "even"], ["enumerate", "--k", "0"],
+    ],
+)
+def test_other_argv_is_left_to_argparse(argv):
+    assert cli._fast_args(argv) is None
+
+
+def test_well_formed_request_builds_no_parser(capsys, tmp_path):
+    """A canonical argv runs without the parser, and prints what the
+    argparse path prints."""
+    cup = tmp_path / "cup.json"
+    cup.write_text(json.dumps("4: c*(1,4);c(2,3)"))
+    argvs = [
+        ["enumerate", "--k", "4", "--parity", "even", "--cups", "any", "--format", "json"],
+        ["render", "--diagram", "4: c*(1,4);c(2,3)", "--format", "tikz"],
+        ["movegraph", "--k", "4", "--parity", "odd", "--dot"],
+        ["distance", "--a", "4: c*(1,2);c(3,4)", "--b", "4: c(1,2);c*(3,4)"],
+        ["orient", "--cup", "4: c*(1,4);c(2,3)", "--cap", "4: c*(1,2);c(3,4)", "--format", "json"],
+        ["cohomology", "springer", "--k", "4", "--t", "3/2"],
+        ["cohomology", "centre", "--k", "3", "--basis", "--format", "json"],
+        ["intersect", "--k", "3", "--parity", "even", "--format", "text"],
+        ["bijection", "--from", "cup", "--to", "dt", "--input", str(cup)],
+        ["selftest", "--k-max", "2", "--seed", "1"],
+    ]
+    with patch.object(cli, "_fast_args", return_value=None):
+        want = [capture(capsys, argv) for argv in argvs]
+    with patch.object(cli, "_build_parser", side_effect=AssertionError("the parser was built")):
+        got = [capture(capsys, argv) for argv in argvs]
+    assert got == want
+    assert [code for code, _, _ in got] == [0] * len(argvs)
+
+
+# The table's vocabulary, with values each flag's type and choices take
+# or refuse: negative numbers, '-', the empty string, too many digits.
+_TABLE_FLAGS = sorted({f for _, flags in cli._VERBS.values() for f in flags if f.startswith("-")})
+_BAD_VALUES = ["-1", "-3/2", "-", "", "0", "x", "1.5", "9" * 5000, "--k", "centre", "tikz"]
+
+
+def _flag_values(spec, flag):
+    """Values a canonical argv gives the flag; its type may refuse some."""
+    return spec.get("choices") or [_SAMPLE_VALUES[flag], "12", "max", "any", "2: c(1,2)"]
+
+
+@st.composite
+def _table_argv(draw):
+    """A canonical argv of a verb, often with one to three changes: a
+    token dropped, an abbreviated or ``=`` flag, a repeated flag, a good or
+    bad value put anywhere, a stray flag, --help or --version."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    flags = cli._VERBS[verb][1]
+    argv = [verb]
+    for flag, spec in flags.items():
+        if not flag.startswith("-"):
+            argv.append(draw(st.sampled_from(spec["choices"])))
+        elif spec.get("required") or draw(st.booleans()):
+            argv.append(flag)
+            if spec.get("action") != "store_true":
+                argv.append(draw(st.sampled_from(_flag_values(spec, flag))))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(argv)))
+        change = draw(st.sampled_from(["drop", "abbrev", "equals", "repeat", "value", "flag", "help"]))
+        token = argv[at] if at < len(argv) else ""
+        if change == "drop" and at < len(argv):
+            del argv[at]
+        elif change == "abbrev" and token.startswith("--") and len(token) > 3:
+            argv[at] = token[: draw(st.integers(3, len(token) - 1))]
+        elif change == "equals" and token.startswith("--") and at + 1 < len(argv):
+            argv[at: at + 2] = [f"{token}={argv[at + 1]}"]
+        elif change == "repeat" and token.startswith("--"):
+            argv[at:at] = [token, draw(st.sampled_from(_BAD_VALUES + ["3", "even"]))]
+        elif change == "value":
+            argv.insert(at, draw(st.sampled_from(_BAD_VALUES + ["3", "even", "json", "1e3"])))
+        elif change == "flag":
+            argv.insert(at, draw(st.sampled_from(_TABLE_FLAGS + ["--frobnicate", "--k=3", "-k"])))
+        elif change == "help":
+            argv.insert(at, draw(st.sampled_from(["--help", "-h", "--version", "frobnicate"])))
+    return argv
+
+
+@given(_table_argv())
+@settings(max_examples=1000, deadline=None)
+def test_fast_args_is_none_or_what_argparse_reads(argv):
+    """``_fast_args`` gives argparse's namespace or None, never a namespace
+    where argparse refuses; and the parser built from the table reads
+    every argv as the one built call by call does."""
+    outcome = _parse_outcome(cli._build_parser(), argv)
+    assert outcome == _parse_outcome(oracle_parser(), argv)
+    fast = cli._fast_args(argv)
+    assert fast is None or outcome == ("args", vars(fast))
