@@ -11,49 +11,49 @@ with the same ``type`` and ``choices`` calls argparse makes, and builds
 no parser.  Any other argv goes to the argparse parser that
 ``_build_parser`` builds from the table on first use: it owns every
 usage error, ``--help``, ``--version``, abbreviations, ``--flag=value``
-and negative numbers.
+and negative numbers other than ``-<digits>``.
+
+Importing this module loads ``diagrams``, ``orientation``, ``tableaux``
+and ``errors`` of the package, and no ``argparse``, ``json`` or
+``fractions``.  Each verb imports the rest of what it uses when it runs,
+and only ``_build_parser`` (or a refused ``type`` call) imports
+``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
-from fractions import Fraction
+import types
 
 from . import __version__
-from . import diagrams, movegraph, orientation, ringcalc, springer, tableaux
-from .errors import InternalCheckError, SizeError
-from .selftest import selftest
+# eager, as perfbench/tracing.py reads sys.modules["cupcalc.tableaux"] at install
+from . import diagrams, orientation, tableaux
+from .errors import InputError, InternalCheckError, SizeError
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        if message == "argument --t: expected one argument":  # as for --t -3/2
-            message += "; write a negative value as --t=-3/2"
-        raise _UsageError(message)
-
-
-class _UsageError(ValueError):
+class _UsageError(InputError):
     pass
 
 
-# The errors that mean "invalid input"; anything else is our own fault.
-_USER_ERRORS = (
-    _UsageError,
-    SizeError,
-    diagrams.DiagramError,
-    orientation.OrientationError,
-    movegraph.NoFiniteDistanceError,
-    ringcalc.NotOrientableError,
-    springer.MalformedIndexSetError,
-    springer.UnequalRowShapeError,
-    tableaux.TableauError,
-)
+@functools.cache
+def _parser_class():
+    """The argparse parser class that raises ``_UsageError`` for a usage
+    error, made on first use so that importing this module needs no
+    ``argparse``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            if message == "argument --t: expected one argument":  # as for --t -3/2
+                message += "; write a negative value as --t=-3/2"
+            raise _UsageError(message)
+
+    return _Parser
+
 
 # The largest size each verb takes, checked before any work starts; the
 # README's "Sizes" paragraph gives the time each takes at its ceiling.
@@ -99,6 +99,8 @@ def _int_at_least(low: int):
         except ValueError:
             value = None
         if value is None or value < low:
+            import argparse  # on the error path only
+
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
         return value
 
@@ -114,6 +116,8 @@ def _cup_count(text: str):
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
+    import argparse  # on the error path only
+
     raise argparse.ArgumentTypeError(f"must be 'max', 'any' or a count >= 0, got {text!r}")
 
 
@@ -183,9 +187,9 @@ _VERBS = {
 
 
 @functools.cache  # built on the first call, not at import; parse_args keeps no state
-def _build_parser() -> _Parser:
+def _build_parser():
     # the user's part of the docstring: its first two paragraphs
-    parser = _Parser(prog="cupcalc", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    parser = _parser_class()(prog="cupcalc", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=f"cupcalc {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, flags) in _VERBS.items():
@@ -222,10 +226,12 @@ def _fast_args(argv):
 
     Canonical: a verb, its positionals, then exact flags, each at most once
     and every required one present, each but a bare flag followed by a
-    value that does not start with '-' ('-' itself aside); every value
-    passes its ``type`` and ``choices`` as in argparse.  Anything else
-    (usage errors, --help, --version, abbreviations, --flag=value,
-    repeated flags, negative numbers) is argparse's to read."""
+    value that does not start with '-' ('-' itself and '-<digits>' aside,
+    which argparse reads as values since no flag looks like a negative
+    number); every value passes its ``type`` and ``choices`` as in
+    argparse.  Anything else (usage errors, --help, --version,
+    abbreviations, --flag=value, repeated flags, other negative numbers)
+    is argparse's to read, and so is a value its ``type`` refuses."""
     if not argv or argv[0] not in _VERBS:
         return None
     positionals, options, required, defaults = _canonical_form(argv[0])
@@ -253,16 +259,16 @@ def _fast_args(argv):
     if not required <= seen:
         return None
     for dest, spec, text in given:
-        if text[:1] == "-" and text != "-":
+        if text[:1] == "-" and text != "-" and not text[1:].isdecimal():
             return None
         try:
             value = spec["type"](text) if "type" in spec else text
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # argparse runs the call again and reports it
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
         values[dest] = value
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def _emit(text: str):
@@ -283,6 +289,8 @@ def _write(chunks) -> None:
 def _emit_json(payload) -> None:
     """``_emit(json.dumps(payload, indent=2))``, written from the encoder's
     chunks (the same pure-Python encoder, so the same bytes)."""
+    import json
+
     _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",)))
 
 
@@ -292,6 +300,8 @@ def _emit_json_rows(rows) -> None:
     encoded as a list and written without its brackets, the batches
     joined by commas.  One encode per batch, not per row: the encoder's
     set-up for each row would take longer than the row itself."""
+    import json
+
     encode = json.JSONEncoder(indent=2).encode
     rows = iter(rows)
     sep = "["
@@ -317,6 +327,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_movegraph(args) -> int:
+    from . import movegraph
+
     graph = movegraph.move_graph(args.k, args.parity)
     if args.dot:
         _emit(graph.to_dot())
@@ -350,9 +362,13 @@ def _cmd_movegraph(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from . import movegraph
+
     a, b = _sized_diagrams("distance", args.a, args.b)
     d = movegraph.distance(a, b)
     if args.format == "json":
+        import json
+
         _emit(json.dumps({"distance": None if d == math.inf else d}))
     else:
         _emit("infinity" if d == math.inf else str(d))
@@ -385,7 +401,9 @@ def _mono_text(mono) -> str:
 _MAX_EXPONENT = 4300
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    import fractions  # 2 us a call cheaper than ``from fractions import Fraction``
+
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip()
     digits = digits[1:] if digits[:1] in ("+", "-") else digits
@@ -396,7 +414,7 @@ def _rational(text: str) -> Fraction:
             f"got {text!r}"
         )
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(
             f"--t must be a rational number such as 3/2 (nonzero denominator), got {text!r}"
@@ -411,6 +429,8 @@ def _cmd_cohomology(args) -> int:
         raise _UsageError("--basis is for cohomology centre only")
     t = None if args.t is None else _rational(args.t)
     if args.which == "centre":
+        from . import ringcalc
+
         halves = {}
         for parity in ("even", "odd"):
             basis = ringcalc.centre(args.k, parity)
@@ -450,10 +470,14 @@ def _cmd_cohomology(args) -> int:
             _emit(f"total dimension {payload['total_dimension']}")
         return 0
 
+    from . import springer
+
     if t is not None:
         dim = springer.equivariant_specialization(args.k, t)
         payload = {"k": args.k, "t": args.t, "dimension": dim}
         if args.format == "json":
+            import json
+
             _emit(json.dumps(payload))
         else:
             _emit(f"dimension {dim} at t = {args.t}")
@@ -477,6 +501,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from . import springer
+
     payload = springer.fixed_point_table(args.k, args.parity).to_json_dict()
     if args.format == "json":
         _emit_json(payload)
@@ -529,6 +555,8 @@ def _cmd_bijection(args) -> int:
     except (OSError, ValueError) as exc:  # missing, unreadable or not text
         reason = getattr(exc, "strerror", None) or exc
         raise _UsageError(f"cannot read --input {args.input!r}: {reason}") from None
+    import json
+
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # also too deep, too many digits
@@ -539,6 +567,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import selftest
+
     report = selftest(args.k_max, args.seed)
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -578,7 +608,7 @@ def run(argv) -> int:
     except InternalCheckError as exc:
         print(f"cupcalc: internal check failed: {exc}", file=sys.stderr)
         return 2
-    except _USER_ERRORS as exc:
+    except InputError as exc:
         print(f"cupcalc: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader closed stdout: not a fault of ours; see main

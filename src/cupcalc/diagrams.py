@@ -85,13 +85,14 @@ directly only where it already knows it (the encoding at enumeration).
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Tuple, Union
 
+from .errors import InputError
 
-class DiagramError(ValueError):
+
+class DiagramError(InputError):
     """Base class for diagram construction and parsing failures."""
 
 
@@ -506,6 +507,8 @@ def _validate_input(k, cups: list, rays: list) -> CupDiagram:
 
 
 def from_json(data: Union[str, dict]) -> CupDiagram:
+    import json  # here, not at the top: most requests read no JSON
+
     try:
         obj = json.loads(data) if isinstance(data, str) else data
     except (ValueError, RecursionError) as exc:  # also too deep, too many digits
@@ -583,6 +586,8 @@ def render(d: CupDiagram, fmt: str) -> str:
     if fmt == "tikz":
         return _render_tikz(d)
     if fmt == "json":
+        import json
+
         return json.dumps(d.to_json_dict())
     raise DiagramError(f"unknown render format {fmt!r}")
 

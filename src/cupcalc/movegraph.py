@@ -55,7 +55,7 @@ from .diagrams import (
     maximal_diagrams,
     nesting,
 )
-from .errors import InternalCheckError
+from .errors import InputError, InternalCheckError
 
 UNPRIMED = ("I", "II", "III", "IV")
 PRIMED = ("I'", "II'", "III'", "IV'")
@@ -66,7 +66,7 @@ class Move(NamedTuple):
     positions: tuple  # 3 or 4 vertices, ascending
 
 
-class NoFiniteDistanceError(ValueError):
+class NoFiniteDistanceError(InputError):
     pass
 
 

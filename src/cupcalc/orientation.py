@@ -60,13 +60,14 @@ from collections.abc import Sequence
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _refuse_assignment, validate
+from .errors import InputError
 
 UP = "^"
 DOWN = "v"
 _SORT_SYMBOLS = str.maketrans({DOWN: "0", UP: "1"})
 
 
-class OrientationError(ValueError):
+class OrientationError(InputError):
     """Base class for orientation failures."""
 
 

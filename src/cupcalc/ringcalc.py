@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .diagrams import CupDiagram, _refuse_assignment, encode
-from .errors import InternalCheckError
+from .errors import InputError, InternalCheckError
 from .movegraph import total_order
 from .orientation import (
     ComponentDecomposition,
@@ -46,7 +46,7 @@ from .orientation import (
 )
 
 
-class NotOrientableError(ValueError):
+class NotOrientableError(InputError):
     pass
 
 

@@ -38,17 +38,17 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .diagrams import enumerate_encodings, maximal_diagrams
-from .errors import InternalCheckError, SizeError
+from .errors import InputError, InternalCheckError, SizeError
 from .movegraph import _distance_row
 from .orientation import DOWN, UP, Weight, force_lines
 from .orientation import _cup_words, _word_weight
 
 
-class MalformedIndexSetError(ValueError):
+class MalformedIndexSetError(InputError):
     pass
 
 
-class UnequalRowShapeError(ValueError):
+class UnequalRowShapeError(InputError):
     pass
 
 

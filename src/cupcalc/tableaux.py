@@ -40,12 +40,11 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, nesting, validate
-from .errors import InternalCheckError
+from .errors import InputError, InternalCheckError
 from .orientation import degree_zero_weight, cup_of_weight
-from .springer import index_set_of_weight, weight_of_index_set
 
 
-class TableauError(ValueError):
+class TableauError(InputError):
     pass
 
 
@@ -595,11 +594,16 @@ def enumerate_stables(k: int) -> tuple:
 
 def stable_to_cup(p: STable) -> CupDiagram:
     """Second column -> weight (up at i when +i occurs) -> its degree-zero diagram."""
-    return cup_of_weight(weight_of_index_set(p.index_set, "stable"))
+    # here, not at the top: springer loads fractions, linalg and movegraph
+    from . import springer
+
+    return cup_of_weight(springer.weight_of_index_set(p.index_set, "stable"))
 
 
 def cup_to_stable(c: CupDiagram) -> STable:
-    iset = index_set_of_weight(degree_zero_weight(c), "stable")
+    from . import springer
+
+    iset = springer.index_set_of_weight(degree_zero_weight(c), "stable")
     return stable_of_index_set(iset)
 
 

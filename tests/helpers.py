@@ -1439,7 +1439,7 @@ def count_calls(monkeypatch, module, name):
 def oracle_parser():
     """The CLI parser as it was built before the flag table, one
     ``add_argument`` call per flag; only the ``--t`` help is newer."""
-    parser = cli._Parser(
+    parser = cli._parser_class()(
         prog="cupcalc",
         description="""Command-line interface.
 

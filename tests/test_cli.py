@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 
 from cupcalc import cli
 from cupcalc import diagrams as D
+from cupcalc import movegraph as M
 from cupcalc import orientation as O
+from cupcalc import ringcalc as R
 from cupcalc import springer as S
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
+from cupcalc.errors import SizeError
 from helpers import oracle_enumerate_diagrams, oracle_orient_circle_diagram, oracle_parser
 
 
@@ -311,7 +315,7 @@ def test_cohomology_springer_bounds_the_exponent_of_t_before_any_work(capsys, mo
     def no_work(*args):
         raise AssertionError("the exponent is checked before any work")
 
-    monkeypatch.setattr(cli.springer, "equivariant_specialization", no_work)
+    monkeypatch.setattr(S, "equivariant_specialization", no_work)
     code, out, err = capture(capsys, ["cohomology", "springer", "--k", "4", f"--t={t}"])
     assert (code, out, err) == (
         1, "", f"cupcalc: --t takes a decimal exponent of at most 4300 in absolute value, got {t!r}\n"
@@ -355,9 +359,9 @@ def test_cohomology_refuses_a_flag_it_would_ignore(capsys, monkeypatch, argv, me
     def no_work(*args):
         raise AssertionError("refused flags are checked before any work")
 
-    monkeypatch.setattr(cli.ringcalc, "centre", no_work)
+    monkeypatch.setattr(R, "centre", no_work)
     for name in ("presentation_ring", "equivariant_specialization"):
-        monkeypatch.setattr(cli.springer, name, no_work)
+        monkeypatch.setattr(S, name, no_work)
     code, out, err = capture(capsys, argv)
     assert (code, out, err) == (1, "", f"cupcalc: {message}\n")
 
@@ -645,6 +649,19 @@ def test_internal_error_is_not_invalid_input(capsys):
         assert err.startswith("cupcalc: internal error: ") and "boom" in err
 
 
+# The errors ``run`` reports as invalid input, each with its subclasses.
+_INPUT_ERRORS = [
+    cli._UsageError, SizeError, D.DiagramError, O.OrientationError, M.NoFiniteDistanceError,
+    R.NotOrientableError, S.MalformedIndexSetError, S.UnequalRowShapeError, T.TableauError,
+]
+
+
+@pytest.mark.parametrize("error", _INPUT_ERRORS, ids=lambda e: e.__name__)
+def test_input_errors_exit_1(capsys, error):
+    with patch.object(D, "render", side_effect=error("bad")):
+        assert capture(capsys, ["render", "--diagram", "2: c(1,2)"]) == (1, "", "cupcalc: bad\n")
+
+
 def test_springer_rejects_nonpositive_k(capsys):
     code, out, err = capture(capsys, ["cohomology", "springer", "--k", "0"])
     assert (code, out, err) == (1, "", "cupcalc: argument --k: must be an integer >= 1, got '0'\n")
@@ -807,30 +824,100 @@ def test_python_m_runs_the_cli(capsys, module):
     assert done.stderr.startswith("cupcalc: the following arguments are required: --parity")
 
 
-def test_start_up_imports_no_dataclasses_or_inspect():
-    """A fresh interpreter's ``import cupcalc.cli`` adds neither
-    ``dataclasses`` nor ``inspect`` to what a bare interpreter loads, and
-    ``import cupcalc`` loads every module of the package but the entry
-    points ``cli`` and ``__main__``."""
-    script = (
-        "import json, sys\n"
-        "bare = set(sys.modules)\n"
-        "import cupcalc\n"
-        "loaded = set(sys.modules)\n"
-        "import cupcalc.cli\n"
-        "added = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare))\n"
-        "import pkgutil\n"  # its iter_modules imports inspect
-        "names = {f'cupcalc.{m.name}' for m in pkgutil.iter_modules(cupcalc.__path__)}\n"
-        "unloaded = sorted(names - {'cupcalc.cli', 'cupcalc.__main__'} - loaded)\n"
-        "print(json.dumps([len(names), unloaded, added]))\n"
+# A maximal diagram of even k, so that cup -> stable -> cup is the identity.
+_CUP = "4: c*(1,4);c(2,3)"
+
+
+def _fresh_requests():
+    """One small canonical request per verb, and per path that imports
+    more on first use, as ``(argv, stdin, exit code)``."""
+    requests = [
+        ["enumerate", "--k", "4"],
+        ["render", "--diagram", _CUP],
+        ["render", "--diagram", _CUP, "--format", "json"],
+        ["movegraph", "--k", "4", "--parity", "odd"],
+        ["distance", "--a", "4: c*(1,2);c(3,4)", "--b", "4: c(1,2);c*(3,4)"],
+        ["orient", "--cup", _CUP, "--cap", "4: c*(1,2);c(3,4)"],
+        ["cohomology", "centre", "--k", "3", "--basis", "--format", "json"],
+        ["cohomology", "springer", "--k", "4"],
+        ["cohomology", "springer", "--k", "4", "--t", "3/2"],
+        ["intersect", "--k", "4", "--parity", "odd"],
+        ["selftest", "--k-max", "3"],
+    ]
+    params = [pytest.param(argv, "", 0, id=" ".join(argv)) for argv in requests]
+    for via in ("adt", "dt", "bitab", "stable"):
+        there = json.dumps(_dump_from_cup(via, D.parse_dsl(_CUP)))
+        for src, dst, stdin in (("cup", via, json.dumps(_CUP)), (via, "cup", there)):
+            argv = ["bijection", "--from", src, "--to", dst, "--input", "-"]
+            params.append(pytest.param(argv, stdin, 0, id=" ".join(argv)))
+    argv = ["render", "--diagram", "4: c(1,3);c(2,4)"]  # crossing cups
+    params.append(pytest.param(argv, "", 1, id=" ".join(argv)))
+    return params
+
+
+@pytest.mark.parametrize("argv, stdin, code", _fresh_requests())
+def test_fresh_process_prints_what_run_prints(capsys, monkeypatch, argv, stdin, code):
+    """``python -m cupcalc`` in a fresh interpreter, where a verb finds
+    only the modules it imports itself, exits and writes what ``run``
+    does here, where every module is loaded."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    want = capture(capsys, argv)
+    done = subprocess.run(
+        [sys.executable, "-m", "cupcalc", *argv], input=stdin,
+        capture_output=True, text=True, env=_checkout_env(), timeout=60,
     )
+    assert (done.returncode, done.stdout, done.stderr) == want
+    assert want[0] == code
+
+
+def _python_c(script):
+    """Run ``python -c script`` on this checkout's package, writing no
+    bytecode, and return its stdout."""
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        env=_checkout_env(), timeout=60,
+        env=dict(_checkout_env(), PYTHONDONTWRITEBYTECODE="1"), timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    n_modules, unloaded, added = json.loads(done.stdout)
-    assert n_modules > 2 and unloaded == [] and added == []
+    return done.stdout
+
+
+# What a fresh interpreter's ``import cupcalc.cli`` adds of the package, and
+# standard modules it must not add: only some verbs use them.
+_START_UP_MODULES = {
+    "cupcalc", "cupcalc.cli", "cupcalc.errors", "cupcalc.diagrams", "cupcalc.orientation",
+    "cupcalc.tableaux",
+}
+_DEFERRED_MODULES = {"argparse", "json", "fractions", "decimal", "heapq", "dataclasses", "inspect"}
+
+
+def test_start_up_imports_no_dataclasses_or_inspect():
+    """``import cupcalc.cli`` loads exactly ``_START_UP_MODULES`` of the
+    package, and none of ``_DEFERRED_MODULES``."""
+    added = set(ast.literal_eval(_python_c(
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import cupcalc.cli\n"
+        "print(sorted(set(sys.modules) - bare))\n"
+    )))
+    assert {m for m in added if m.split(".")[0] == "cupcalc"} == _START_UP_MODULES
+    assert added & _DEFERRED_MODULES == set()
+
+
+def test_benchmark_tracer_installs_after_start_up():
+    """In ``perfbench/sample.py``'s order (``import cupcalc.cli``, the
+    workloads' imports, then ``Tracer().install()``), every module the
+    tracer spans is loaded and the install succeeds."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    missing = _python_c(
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import cupcalc.cli\n"
+        "import workloads\n"
+        "import tracing\n"
+        "tracing.Tracer().install()\n"
+        "print(sorted({f'cupcalc.{m}' for m, _ in tracing.SPANS.values()} - set(sys.modules)))\n"
+    )
+    assert missing == "[]\n"
 
 
 def _parse_outcome(parser, argv):
@@ -856,9 +943,10 @@ def test_help_is_the_call_by_call_parsers(capsys, verb):
     assert capture(capsys, argv) == (0, want[2], "")
 
 
-# A value of each free-text or integer flag that its type takes.
+# A value of each free-text or integer flag that its type takes; those of
+# --seed and --t are '-<digits>', which argparse reads as values.
 _SAMPLE_VALUES = {
-    "--k": "3", "--k-max": "2", "--seed": "5", "--cups": "1", "--t": "3/2",
+    "--k": "3", "--k-max": "2", "--seed": "-5", "--cups": "1", "--t": "-1",
     "--diagram": "2: c(1,2)", "--a": "2: c(1,2)", "--b": "2: c*(1,2)",
     "--cup": "4: c(1,2);c(3,4)", "--cap": "4: c(1,4);c(2,3)", "--input": "-",
 }
@@ -884,7 +972,9 @@ def test_canonical_argv_takes_the_fast_path(verb, every_flag):
     argv = _canonical_argv(verb, every_flag)
     fast = cli._fast_args(argv)
     assert fast is not None
-    assert fast == cli._build_parser().parse_args(argv) == oracle_parser().parse_args(argv)
+    assert vars(fast) == vars(cli._build_parser().parse_args(argv)) == vars(
+        oracle_parser().parse_args(argv)
+    )
 
 
 @pytest.mark.parametrize(
@@ -894,8 +984,10 @@ def test_canonical_argv_takes_the_fast_path(verb, every_flag):
         ["enumerate", "--k=3"], ["enumerate", "--k", "3", "--par", "even"],
         ["enumerate", "--k", "3", "--k", "4"],
         ["movegraph", "--k", "3", "--parity", "odd", "--dot", "--dot"],
-        ["cohomology", "springer", "--k", "3", "--t", "-1"], ["cohomology", "--k", "3", "springer"],
+        ["cohomology", "springer", "--k", "3", "--t", "-3/2"], ["cohomology", "--k", "3", "springer"],
         ["enumerate", "--k"], ["enumerate", "--parity", "even"], ["enumerate", "--k", "0"],
+        ["cohomology", "springer", "--k", "3", "--t", "-0.5"], ["cohomology", "springer", "--k", "-1"],
+        ["selftest", "--k-max", "-2"], ["enumerate", "--k", "3", "--cups", "-1"],
     ],
 )
 def test_other_argv_is_left_to_argparse(argv):
@@ -914,6 +1006,7 @@ def test_well_formed_request_builds_no_parser(capsys, tmp_path):
         ["distance", "--a", "4: c*(1,2);c(3,4)", "--b", "4: c(1,2);c*(3,4)"],
         ["orient", "--cup", "4: c*(1,4);c(2,3)", "--cap", "4: c*(1,2);c(3,4)", "--format", "json"],
         ["cohomology", "springer", "--k", "4", "--t", "3/2"],
+        ["cohomology", "springer", "--k", "4", "--t", "-1"],
         ["cohomology", "centre", "--k", "3", "--basis", "--format", "json"],
         ["intersect", "--k", "3", "--parity", "even", "--format", "text"],
         ["bijection", "--from", "cup", "--to", "dt", "--input", str(cup)],
