@@ -286,29 +286,125 @@ def _write(chunks) -> None:
         sys.stdout.write(batch)
 
 
-def _emit_json(payload) -> None:
-    """``_emit(json.dumps(payload, indent=2))``, written from the encoder's
-    chunks (the same pure-Python encoder, so the same bytes)."""
-    import json
+@functools.cache
+def _json_writer():
+    """The functions ``put(value, nl, out)`` and ``put_list(items, nl,
+    out)`` that :func:`_emit_json` and :func:`_emit_json_rows` write with,
+    made on first use: importing this module needs no ``json``.
 
-    _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",)))
+    Both append to the list ``out`` the text of ``json.dumps(value,
+    indent=2)`` (of the list of ``items``) with ``nl`` for each newline,
+    so that the text sits at the indent ``nl`` ends with.  A leaf
+    container, a list or tuple of at most 1024 strings, ints, bools and
+    Nones or a dict of as many with string keys, is built with one
+    ``str.join`` over ``encode_basestring_ascii`` and ``int.__repr__``,
+    the functions ``json`` writes them with.  Any other container is
+    written item by item, a list 1024 items at a time.  ``out`` is
+    written out after each such batch and whenever it holds more than 64
+    pieces, so it never holds more than a few dozen leaf containers'
+    text.  Any other value (a float, a dict with a non-string key, a
+    subclass, a value ``json`` refuses) goes to ``json.dumps`` itself, so
+    the rules are exactly those of ``json``."""
+    import json
+    from json.encoder import encode_basestring_ascii as string
+
+    strs, ints = frozenset((str,)), frozenset((int,))
+    scalars = frozenset((str, int, bool, type(None)))
+
+    def scalar(value) -> str:
+        kind = type(value)
+        if kind is str:
+            return string(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is bool:
+            return "true" if value else "false"
+        return "null"
+
+    def joined(items, inner: str):
+        """The texts of ``items`` one to a line at the indent ``inner``,
+        or None unless every item is a scalar."""
+        kinds = set(map(type, items))
+        if kinds == strs:
+            parts = map(string, items)
+        elif kinds == ints:
+            parts = map(int.__repr__, items)
+        elif kinds <= scalars:
+            parts = map(scalar, items)
+        else:
+            return None
+        return ("," + inner).join(parts)
+
+    def put(value, nl: str, out: list) -> None:
+        kind = type(value)
+        if kind is list or kind is tuple:
+            if not value:
+                out.append("[]")
+            elif len(value) <= 1024 and (body := joined(value, nl + "  ")) is not None:
+                out.append(f"[{nl}  {body}{nl}]")
+            else:
+                put_list(value, nl, out)
+        elif kind is dict and value and set(map(type, value)) == strs:
+            inner = nl + "  "
+            if len(value) <= 1024 and set(map(type, value.values())) <= scalars:
+                parts = [f"{string(key)}: {scalar(x)}" for key, x in value.items()]
+                out.append(f"{{{inner}{(',' + inner).join(parts)}{nl}}}")
+            else:
+                sep = "{" + inner
+                for key, x in value.items():
+                    out.append(f"{sep}{string(key)}: ")
+                    put(x, inner, out)
+                    sep = "," + inner
+                out.append(nl + "}")
+        elif kind in scalars:
+            out.append(scalar(value))
+        else:
+            out.append(json.dumps(value, indent=2).replace("\n", nl))
+        if len(out) > 64:
+            flush(out)
+
+    def put_list(items, nl: str, out: list) -> None:
+        inner = nl + "  "
+        sep = "[" + inner
+        items = iter(items)
+        while batch := list(itertools.islice(items, 1024)):
+            body = joined(batch, inner)
+            if body is not None:
+                out.append(sep + body)
+            else:
+                for x in batch:
+                    out.append(sep)
+                    put(x, inner, out)
+                    sep = "," + inner
+            sep = "," + inner
+            flush(out)
+        out.append("[]" if sep[0] == "[" else nl + "]")
+
+    def flush(out: list) -> None:
+        sys.stdout.write("".join(out))
+        out.clear()
+
+    return put, put_list
+
+
+def _emit_json(payload) -> None:
+    """``_emit(json.dumps(payload, indent=2))``, written by
+    :func:`_json_writer`'s ``put``."""
+    put, _ = _json_writer()
+    out: list = []
+    put(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _emit_json_rows(rows) -> None:
-    """``_emit_json(list(rows))`` with at most 1024 rows held at a time:
-    an indented list is ``[``, its items' lines, ``]``, so each batch is
-    encoded as a list and written without its brackets, the batches
-    joined by commas.  One encode per batch, not per row: the encoder's
-    set-up for each row would take longer than the row itself."""
-    import json
-
-    encode = json.JSONEncoder(indent=2).encode
-    rows = iter(rows)
-    sep = "["
-    while batch := list(itertools.islice(rows, 1024)):
-        sys.stdout.write(sep + encode(batch)[1:-2])  # less "[" and "\n]"
-        sep = ","
-    sys.stdout.write("[]\n" if sep == "[" else "\n]\n")
+    """``_emit_json(list(rows))``, the rows drawn from the iterable
+    ``rows`` 1024 at a time."""
+    _, put_list = _json_writer()
+    out: list = []
+    put_list(rows, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _cmd_enumerate(args) -> int:

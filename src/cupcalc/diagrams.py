@@ -19,24 +19,34 @@ grammar doubles as the input DSL, which is whitespace-insensitive.
 grammar and one scan for its arcs; text that does not match goes to the
 token parser, which alone reports syntax errors, with their positions.
 
-Nesting is decided in one place, :func:`nesting`: a walk over the
-vertices from left to right that keeps the open cups on a stack.  A
-cup's left end pushes it; its depth is the stack height there, and it is
-nested exactly when ``reach``, the cup reaching furthest right among
-those begun earlier, ends after it (on legal input ``reach`` is then its
-outermost enclosing cup).  A right end pops its cup, and every cup still
-above it on the stack crosses it; a ray lies under every cup on the
-stack.  On legal input the stack is only ever popped at the top, so the
-walk costs O(k); with crossings it costs O(k + number of violations).
+Two walks over the vertices from left to right, each keeping the open
+cups on a stack, decide legality and nesting.  :func:`accept` is the
+walk that accepts: given the arc at each vertex, it returns the legal
+diagram or stops at the first broken rule, and it collects cups by left
+end and rays in order as it goes, so nothing is sorted.  :func:`nesting`
+is the walk that reports and measures.  A cup's left end pushes it; its
+depth is the stack height there, and it is nested exactly when
+``reach``, the cup reaching furthest right among those begun earlier,
+ends after it (on legal input ``reach`` is then its outermost enclosing
+cup).  A right end pops its cup, and every cup still above it on the
+stack crosses it; a ray lies under every cup on the stack.  On legal
+input the stack is only ever popped at the top, so the walk costs O(k);
+with crossings it costs O(k + number of violations).  The report of
 :func:`validate`, the tableau bijections and the nesting degrees of the
-move graph all read it.
+move graph read it.
 
-:func:`validate` reports in two stages.  The first checks the vertices:
-integers in range, each cup's ends in order, every vertex used exactly
-once.  If any of that fails, the error lists those violations only.
-Otherwise the arcs cover 1..k exactly and the walk reports the rest:
-crossing pairs in the order of the input cups, rays under cups by (ray,
-cup) position in the input, then the inaccessible dots.
+:func:`validate` places each arc at its vertices, refusing ends that
+are not integers in range and in order or that use a vertex twice, and
+runs :func:`accept` on the result: legal input goes through that one
+walk.  Anything refused goes to the report, in two stages.  The first
+checks the vertices: integers in range, each cup's ends in order, every
+vertex used exactly once.  If any of that fails, the error lists those
+violations only.  Otherwise the arcs cover 1..k exactly and
+:func:`nesting` reports the rest: crossing pairs in the order of the
+input cups, rays under cups by (ray, cup) position in the input, then
+the inaccessible dots.  A report that finds nothing wrong means the two
+walks disagree, which raises :class:`InternalCheckError`, not an input
+error.
 
 Validation policy: :func:`validate` checks every rule, and it runs where
 arcs come from outside the program or are computed from data a caller
@@ -48,17 +58,18 @@ diagrams legal by construction, such as :func:`enumerate_diagrams` and
 :func:`dot_parity_involution`, calls the :class:`CupDiagram` constructor
 directly, with cups sorted by left end and rays ascending as
 :func:`validate` returns them; the tests check those members against
-:func:`validate`.  So do the move graph's rewrites, which swap two arcs
-of a legal diagram on the same vertices and decide with one walk of
-their own whether the result is legal (the graph itself looks each
-result up among the enumerated maximal diagrams); the tests check that
-walk against :func:`validate` on every diagram with k <= 10.  Weights
-follow the same policy: ``orientation.Weight(text)`` checks its symbols
-where the text comes from a caller, :func:`springer.weight_of_index_set`
-or the selftest's brute-force oracle, while the orientation generators
-write each weight from a bit word, legal by construction, and build it
-without the check; the tests check every generated weight with k <= 10
-against the validated ``Weight`` of its text.
+:func:`validate`.  The move graph's rewrites swap two arcs of a legal
+diagram on the same vertices and decide with :func:`accept`, the walk
+:func:`validate` accepts with, whether the result is legal (the graph
+itself looks each result up among the enumerated maximal diagrams); the
+tests check those rewrites against :func:`validate` on every diagram
+with k <= 10.  Weights follow the same policy:
+``orientation.Weight(text)`` checks its symbols where the text comes
+from a caller, :func:`springer.weight_of_index_set` or the selftest's
+brute-force oracle, while the orientation generators write each weight
+from a bit word, legal by construction, and build it without the check;
+the tests check every generated weight with k <= 10 against the
+validated ``Weight`` of its text.
 
 Enumeration has one generator.  It yields each structure's arcs in
 left-end order with its dot choices, and writes each diagram's encoding
@@ -89,7 +100,7 @@ import re
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 
 class DiagramError(InputError):
@@ -253,30 +264,90 @@ def _arc_key(arc: Arc) -> int:
 
 
 def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
-    """Build a diagram, or report what is wrong in the two stages above.
+    """Build a diagram with one :func:`accept` walk, or report what is
+    wrong in the two stages above.
 
     ``cups`` entries are ``(left, right)`` or ``(left, right, dotted)``;
     ``rays`` entries are ``at`` or ``(at, dotted)``.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
-    cup_list = []
-    for c in cups:
-        if isinstance(c, Cup):
-            cup_list.append(c)
-        else:
-            parts = tuple(c)
-            cup_list.append(Cup(parts[0], parts[1], bool(parts[2]) if len(parts) > 2 else False))
-    ray_list = []
-    for r in rays:
-        if isinstance(r, Ray):
-            ray_list.append(r)
-        elif isinstance(r, int):
-            ray_list.append(Ray(r, False))
-        else:
-            parts = tuple(r)
-            ray_list.append(Ray(parts[0], bool(parts[1]) if len(parts) > 1 else False))
+    cup_list = [c if type(c) is Cup else _as_cup(c) for c in cups]
+    ray_list = [r if type(r) is Ray else _as_ray(r) for r in rays]
+    at = _vertex_array(k, cup_list, ray_list)
+    d = None if at is None else accept(k, at)
+    if d is None:
+        _report(k, cup_list, ray_list)
+    return d
 
+
+def _as_cup(c) -> Cup:
+    parts = tuple(c)
+    return Cup(parts[0], parts[1], bool(parts[2]) if len(parts) > 2 else False)
+
+
+def _as_ray(r) -> Ray:
+    if isinstance(r, int):
+        return Ray(r, False)
+    parts = tuple(r)
+    return Ray(parts[0], bool(parts[1]) if len(parts) > 1 else False)
+
+
+def _vertex_array(k: int, cups: list, rays: list):
+    """The arc at each vertex 1..k (a cup at both ends), or None unless
+    the arcs have integer ends in range, each cup's in order, and use
+    every vertex exactly once."""
+    if 2 * len(cups) + len(rays) != k:
+        return None
+    at: list = [None] * (k + 1)
+    for c in cups:
+        left, right = c.left, c.right
+        if type(left) is not int or type(right) is not int or not 0 < left < right <= k:
+            return None
+        if at[left] or at[right]:
+            return None
+        at[left] = at[right] = c
+    for r in rays:
+        v = r.at
+        if type(v) is not int or not 0 < v <= k or at[v]:
+            return None
+        at[v] = r
+    return at
+
+
+def accept(k: int, at: list):
+    """The legal diagram with arc ``at[v]`` at each vertex v = 1..k, or
+    None if those arcs break a rule of :func:`validate`.
+
+    The arcs must cover each vertex once, a cup at both of its ends.  One
+    walk from left to right then decides the other rules, with the open
+    cups on a stack: a cup must close on top of the stack (no crossing),
+    a ray must find the stack empty (no ray under a cup), and a dot must
+    be reachable from the left (a dotted cup opens on an empty stack with
+    no ray before it; a dotted ray comes first of the rays).  The walk
+    meets cups by left end and rays in order, so it collects the arcs
+    sorted as the diagram holds them.
+    """
+    cups, rays, open_cups = [], [], []
+    for v in range(1, k + 1):
+        arc = at[v]
+        if type(arc) is Ray:
+            if open_cups or (arc.dotted and rays):
+                return None
+            rays.append(arc)
+        elif arc.left == v:
+            if arc.dotted and (open_cups or rays):
+                return None
+            open_cups.append(arc)
+            cups.append(arc)
+        elif open_cups.pop() is not arc:
+            return None
+    return CupDiagram(k, tuple(cups), tuple(rays))
+
+
+def _report(k: int, cup_list: list, ray_list: list):
+    """Raise the two-stage report of :func:`validate` for arcs that
+    :func:`accept` refused."""
     # Vertices must be ints (not bools) before any comparison below.
     violations = []
     for c in cup_list:
@@ -324,11 +395,7 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
 
     if violations:
         raise InvalidDiagramError(violations)
-    return CupDiagram(
-        k,
-        tuple(sorted(cup_list, key=lambda c: c.left)),
-        tuple(sorted(ray_list, key=lambda r: r.at)),
-    )
+    raise InternalCheckError(f"validate refused a legal diagram: {cup_list!r}, {ray_list!r}")
 
 
 class Nesting(NamedTuple):

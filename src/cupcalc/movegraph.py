@@ -29,7 +29,9 @@ exactly when its result is another maximal diagram of the same parity:
 :func:`move_graph` decides each candidate by looking its arc set up
 among the nodes and builds no diagram for it.  :func:`successors`,
 :func:`predecessors` and :func:`cup_forest` take single diagrams of any
-cup count, so they decide each rewrite with :func:`_rewire` instead.
+cup count, so they decide each rewrite with :func:`_rewire` instead,
+which runs :func:`diagrams.accept`, the walk that
+:func:`diagrams.validate` accepts with.
 
 Arrows a -> b generate a partial order on the maximal diagrams of each
 dot parity; the undirected graph is connected per parity.  Each diagram
@@ -51,6 +53,7 @@ from .diagrams import (
     CupDiagram,
     DiagramError,
     Ray,
+    accept,
     encode,
     maximal_diagrams,
     nesting,
@@ -134,37 +137,15 @@ def _candidates(d: CupDiagram, rules: dict):
 
 def _rewire(d: CupDiagram, add) -> Optional[CupDiagram]:
     """d with the matched pair replaced by ``add`` on the same vertices, or
-    None if that breaks a rule of :func:`diagrams.validate`.
-
-    The vertices stay covered once, so one walk decides the other rules,
-    with the open cups on a stack: a cup must close on top of the stack
-    (no crossing), a ray must find the stack empty (no ray under a cup),
-    and a dot must be reachable from the left (a dotted cup opens on an
-    empty stack with no ray before it; a dotted ray comes first of the
-    rays).  The walk meets cups by left end and rays in order, so it
-    collects the arcs as :func:`diagrams.validate` would return them.
-    """
+    None if that breaks a rule of :func:`diagrams.validate`: the vertices
+    stay covered once, so the :func:`diagrams.accept` walk decides."""
     at: list = [None] * (d.k + 1)
     for arc in itertools.chain(d.cups, d.rays, add):  # add overwrites the pair
         if type(arc) is Ray:
             at[arc.at] = arc
         else:
             at[arc.left] = at[arc.right] = arc
-    cups, rays, open_cups = [], [], []
-    for v in range(1, d.k + 1):
-        arc = at[v]
-        if type(arc) is Ray:
-            if open_cups or (arc.dotted and rays):
-                return None
-            rays.append(arc)
-        elif arc.left == v:
-            if arc.dotted and (open_cups or rays):
-                return None
-            open_cups.append(arc)
-            cups.append(arc)
-        elif open_cups.pop() is not arc:
-            return None
-    return CupDiagram(d.k, tuple(cups), tuple(rays))
+    return accept(d.k, at)
 
 
 def _matches(d: CupDiagram, rules: dict):

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from unittest.mock import patch
@@ -91,8 +92,12 @@ def test_enumerate_stdout_matches_the_oracle(capsys, k):
         "text",
         [{"weight": "^v", "degree": 0}],
         [{"weight": "^v" * 20, "degree": d, "nested": [[None, True, 1.5], {}]} for d in range(5000)],
+        {"k": 3, "table": [[["^v", "v^"]] * 40 for _ in range(40)], "t": (1, "x")},
+        [list(range(5000)), ["é"] * 5000, {"big": list(range(4097))}, {1: [[[2]]] * 5000}],
+        {"a": {"b": {"c": [[[[]]]] * 2000}}, "d": [(), {}, [{}]]},
     ],
-    ids=["empty-list", "empty-dict", "string", "one-row", "many-batches"],
+    ids=["empty-list", "empty-dict", "string", "one-row", "many-batches", "tall-table",
+         "long-leaves", "deep"],
 )
 def test_emit_json_writes_what_json_dumps_gives(capsys, payload):
     want = json.dumps(payload, indent=2) + "\n"
@@ -101,6 +106,52 @@ def test_emit_json_writes_what_json_dumps_gives(capsys, payload):
     if isinstance(payload, list):  # and a list's rows streamed in batches
         cli._emit_json_rows(iter(payload))
         assert capsys.readouterr().out == want
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()))  # lone surrogates too
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
+    | st.floats(allow_nan=True, allow_infinity=True) | _JSON_TEXT
+)
+_JSON_KEYS = _JSON_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_TEXT, inner)
+    | st.dictionaries(_JSON_KEYS, inner),
+    max_leaves=40,
+)
+
+
+def _emitted(emit, value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(value)
+    return out.getvalue()
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    """Any value json writes, with non-ASCII text, control characters,
+    lone surrogates, big ints, nan and infinities, tuples and non-string
+    keys: the writer gives json's bytes."""
+    want = json.dumps(value, indent=2) + "\n"
+    assert _emitted(cli._emit_json, value) == want
+    if isinstance(value, (list, tuple)):
+        assert _emitted(cli._emit_json_rows, iter(value)) == want
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, [1, object()], {"a": [{"b": {3}}]}, {(1, 2): 3}, {"a": 1, (1,): 2}, [b"x"] * 5000],
+    ids=["set", "object", "nested-set", "tuple-key", "late-tuple-key", "bytes-in-long-list"],
+)
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        _emitted(cli._emit_json, value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -558,6 +609,9 @@ def test_selftest_runs_green(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert len(report["suites"]) >= 15
+    # each suite names the largest k it checked (geodesic-meets checks k_max + 1)
+    for suite in report["suites"]:
+        assert re.search(r"k(<=|=)[234]$", suite["detail"]), suite
 
 
 _REPEATED_ARGVS = [

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
+from cupcalc.errors import InternalCheckError
 from helpers import (
     brute_crossingless_matchings,
+    count_calls,
     oracle_enumerate_diagrams,
     oracle_validate,
     raw_arc_covers,
@@ -67,6 +69,10 @@ def test_validate_reports_every_violation():
         ((7, [(0, 2)], [1, 3, 4, 5, 6]), "VertexOutOfRange"),
         ((2, [(2, 1)], []), "BadEndpoints"),
         ((2, [], [1]), "VertexUnused"),
+        # reuse with as many arc ends as vertices, at each kind of end
+        ((4, [(1, 3), (2, 3)], []), "VertexReused"),
+        ((4, [(1, 2), (1, 3)], []), "VertexReused"),
+        ((3, [(2, 3)], [3]), "VertexReused"),
     ],
 )
 def test_validate_error_codes(bad, code):
@@ -480,6 +486,27 @@ def test_validate_accepts_what_the_oracle_accepts(k, cups, rays):
     assert isinstance(mine, str) == isinstance(theirs, str)
     if not isinstance(mine, str):
         assert mine == theirs
+
+
+def test_legal_input_never_reaches_the_report(monkeypatch):
+    """parse_dsl reads every legal diagram with k <= 8 in the accepting
+    walk alone: the reporting walk never runs."""
+    calls = count_calls(monkeypatch, D, "nesting")
+    for k in range(1, 9):
+        for text in D.enumerate_encodings(k, "any", "all"):
+            assert D.parse_dsl(text).encoding == text
+    assert calls == []
+    with pytest.raises(D.InvalidDiagramError):
+        D.parse_dsl("4: c(1,3);c(2,4)")
+    assert len(calls) == 1  # the count sees the report when it runs
+
+
+def test_walks_that_disagree_trip_an_internal_check(monkeypatch):
+    """A legal diagram the accepting walk refused is our fault, not the
+    input's: the report finds nothing and raises InternalCheckError."""
+    monkeypatch.setattr(D, "accept", lambda k, at: None)
+    with pytest.raises(InternalCheckError, match="validate refused a legal diagram"):
+        D.parse_dsl("4: c*(1,4);c(2,3)")
 
 
 def test_invalid_input_reports_vertex_checks_only():
