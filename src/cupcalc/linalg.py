@@ -17,8 +17,12 @@ from typing import Dict, List, Union
 
 
 def _integer_row(row: Dict[int, Union[int, Fraction]]) -> Dict[int, int]:
-    """The row times the lcm of its denominators."""
-    scale = lcm(*(v.denominator for v in row.values()))
+    """The row times the lcm of its denominators; a copy of its nonzero
+    entries when they are all ``int`` already, as centre rows are."""
+    values = row.values()
+    if all([v.__class__ is int for v in values]):
+        return {c: v for c, v in row.items() if v}
+    scale = lcm(*(v.denominator for v in values))
     return {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
 
 
@@ -101,16 +105,23 @@ def kernel_basis(rows: List[Dict[int, Fraction]], ncols: int) -> List[Dict[int, 
 
     The vector of a free column holds 1 there and, for each pivot row in
     the order pivots were found, minus that row's unit entry in the free
-    column; one pass over the integer pivot rows fills them all.
+    column; one pass over the integer pivot rows fills them all.  The
+    entries are immutable, so each distinct one is built once per call
+    and shared between vectors.
     """
     pivots = _pivot_rows(rows)
-    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
+    one = Fraction(1)
+    basis = {free: {free: one} for free in range(ncols) if free not in pivots}
+    entries: Dict[tuple, Fraction] = {}  # (vv, p) -> Fraction(-vv, p)
     for pc, prow in pivots.items():
         p = prow[pc]
         for cc, vv in prow.items():
             vec = basis.get(cc)
             if vec is not None:
-                vec[pc] = Fraction(-vv, p)
+                entry = entries.get((vv, p))
+                if entry is None:
+                    entry = entries[vv, p] = Fraction(-vv, p)
+                vec[pc] = entry
     return list(basis.values())
 
 

@@ -48,9 +48,12 @@ check.
 The orientations of a glued diagram are a lazy sequence
 (:class:`Orientations`) over that product, which builds a record only
 when one is read.  Its length is 2^#circles, or 0 when no weight
-orients the diagram, so testing orientability builds no record.
-:func:`decompose` keeps its last result in one slot, so orienting a
-pair and then decomposing the same two objects walks the pair once.
+orients the diagram.  Construction runs only :func:`force_lines`: the
+start word, the per-circle choices and the degree are prepared from the
+kept forcing on the first read, so testing orientability with ``bool``
+or ``len`` builds none of them.  :func:`decompose` keeps its last result
+in one slot, so orienting a pair and then decomposing the same two
+objects walks the pair once.
 """
 
 from __future__ import annotations
@@ -377,12 +380,14 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
         verts.sort()
         mx = verts[-1]
         if consistent:
-            at_mx = sign[mx]
-            signs = tuple([sign[u] * at_mx for u in verts])
+            signs = tuple(map(sign.__getitem__, verts))
+            if sign[mx] == -1:  # relative to the maximum
+                signs = tuple([-x for x in signs])
         else:
             signs = None
-        classes.append(ComponentClass(tuple(verts), kind, mx, signs, consistent))
-    dec = ComponentDecomposition(k, tuple(classes))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        classes.append(tuple.__new__(ComponentClass, (tuple(verts), kind, mx, signs, consistent)))
+    dec = tuple.__new__(ComponentDecomposition, (k, tuple(classes)))
     _last_glued = (cap, cup, dec)
     return dec
 
@@ -451,41 +456,54 @@ class Orientations(Sequence):
     """All orientations of one glued diagram, in canonical order, each
     built only when it is read.
 
-    It holds the pair, its decomposition, the all-anticlockwise orientation
-    as the ``(bits, ())`` start of ``_choice_sums`` with its degree and,
-    per circle by least vertex, two choices, the one that puts down at the
-    least vertex first: keep ``(0, ((mx, "anticlockwise"),))`` or flip
-    ``(delta, ((mx, "clockwise"),))``, delta being the circle's down bits
-    less its up bits in the all-anticlockwise word.  A record's degree is
-    read off its word: the all-anticlockwise degree plus 2 for each circle
-    whose maximum is down, as a circle is anticlockwise exactly when its
-    maximum is up.  Record i takes circle j's choice from binary digit j
-    of i, the first circle the most significant.  Orientations differ on
-    whole circles, so two first differ at the least vertex of the first
-    circle they label differently: that order is the canonical order of
-    the weights.
+    It is made in two stages.  Construction runs :func:`force_lines` and
+    keeps its :class:`LineForcing` and the length, 2^#circles or 0 when
+    no weight orients the pair, so a truth or length test builds nothing
+    more.  The first read (an index, a slice, iteration, ``==`` or
+    ``anticlockwise``) runs ``_prepare`` once, from the kept forcing and
+    without gluing the pair again.  It builds the all-anticlockwise
+    orientation as the ``(bits, ())`` start of ``_choice_sums`` with its
+    degree and, per circle by least vertex, two choices, the one that puts
+    down at the least vertex first: keep ``(0, ((mx, "anticlockwise"),))``
+    or flip ``(delta, ((mx, "clockwise"),))``, delta being the circle's
+    down bits less its up bits in the all-anticlockwise word.  A record's
+    degree is read off its word: the all-anticlockwise degree plus 2 for
+    each circle whose maximum is down, as a circle is anticlockwise
+    exactly when its maximum is up.  Record i takes circle j's choice from
+    binary digit j of i, the first circle the most significant.
+    Orientations differ on whole circles, so two first differ at the
+    least vertex of the first circle they label differently: that order is
+    the canonical order of the weights.
 
-    ``len`` is 2^#circles, or 0 when not orientable, so a truth test
-    builds no record.  Indices may be negative and slices give lists.
-    Iteration reads the sums one at a time, so it never holds a record
-    per orientation.  It equals a list (or another ``Orientations``) with
-    equal records in the same order, and is unhashable, as a list is.
+    Indices may be negative and slices give lists.  Iteration reads the
+    sums one at a time, so it never holds a record per orientation.  It
+    equals a list (or another ``Orientations``) with equal records in the
+    same order, and is unhashable, as a list is.
     """
 
     __slots__ = (
-        "_cap", "_cup", "_dec", "_start", "_degree", "_maxima", "_choices", "_by_maximum", "_len"
+        "_cap", "_cup", "_forced", "_len",
+        # filled by _prepare on the first read; _choices is None until then
+        "_dec", "_start", "_degree", "_maxima", "_choices", "_by_maximum",
     )
     __hash__ = None
 
     def __init__(self, cap: CapDiagram, cup: CupDiagram):
-        self._cap, self._cup, self._len = cap, cup, 0
         forced = force_lines(cap, cup)
+        self._cap, self._cup, self._forced, self._choices = cap, cup, forced, None
         if forced is None:
-            return  # no other slot is read when the length is 0
-        # The all-anticlockwise orientation: lines carry the labels that
-        # force_lines gives them, and each circle puts up at its vertices
-        # of sign +1, so at its maximum.
-        dec, labels = forced
+            self._len = 0  # no record slot is read when the length is 0
+        else:
+            kinds = [cl.kind for cl in forced.decomposition.classes]
+            self._len = 1 << kinds.count("circle")
+
+    def _prepare(self) -> None:
+        """Build the start word, the per-circle choices, the degree and the
+        maxima order from the kept :class:`LineForcing`.  The
+        all-anticlockwise orientation: lines carry the labels that
+        force_lines gives them, and each circle puts up at its vertices of
+        sign +1, so at its maximum."""
+        dec, labels = self._forced
         k = dec.k
         bits = sum(1 << (k - v) for v, sym in enumerate(labels, 1) if sym == UP)
         choices, maxima, tops = [], [], 0
@@ -504,9 +522,10 @@ class Orientations(Sequence):
             tops |= 1 << (k - cl.mx)
         # An oriented arc is clockwise exactly when its right end is down, so
         # the degree counts the arc right ends, in both halves, that carry down.
-        degree = [bits >> (k - c.right) & 1 for half in (cap, cup) for c in half.cups].count(0)
-        self._dec, self._start, self._choices = dec, (bits, ()), tuple(choices)
-        self._degree, self._maxima = degree, tops
+        degree = [
+            bits >> (k - c.right) & 1 for half in (self._cap, self._cup) for c in half.cups
+        ].count(0)
+        self._dec, self._start, self._degree, self._maxima = dec, (bits, ()), degree, tops
         # a record's circle_classes list the circles by maximum
         if maxima == sorted(maxima):
             self._by_maximum = tuple
@@ -514,7 +533,7 @@ class Orientations(Sequence):
             self._by_maximum = operator.itemgetter(
                 *sorted(range(len(maxima)), key=maxima.__getitem__)
             )
-        self._len = 1 << len(choices)
+        self._choices = tuple(choices)
 
     @property
     def anticlockwise(self) -> Optional[OrientedCircleDiagram]:
@@ -522,6 +541,8 @@ class Orientations(Sequence):
         None when no weight orients the pair."""
         if not self._len:
             return None
+        if self._choices is None:
+            self._prepare()
         labels = tuple((cl.mx, "anticlockwise") for cl in self._dec.circles)
         return self._record(self._start[0], labels)
 
@@ -544,6 +565,8 @@ class Orientations(Sequence):
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError(f"orientation index out of range for {self._len} orientations")
+        if self._choices is None:
+            self._prepare()
         bits, labels = self._start
         last = len(self._choices) - 1
         for j, pair in enumerate(self._choices):
@@ -553,6 +576,8 @@ class Orientations(Sequence):
 
     def __iter__(self):
         if self._len:
+            if self._choices is None:
+                self._prepare()
             for bits, labels in _choice_sums(self._choices, self._start):
                 yield self._record(bits, labels)
 
@@ -570,17 +595,20 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> Orientations:
 
     Empty when :func:`force_lines` finds a contradiction; otherwise each
     flip adds 2 to the degree and there are exactly 2^#circles records,
-    each built when it is read.  The pair's decomposition stays in
-    :func:`decompose`'s one slot, so a ``decompose`` of the same two
-    objects right after this call does not walk the pair again.  Each
-    record's ``circle_classes`` list the circles by maximum.
+    each built when it is read.  This call runs :func:`force_lines` and
+    nothing more, so ``bool`` and ``len`` of the result cost one walk of
+    the pair; the first read prepares the choices from the kept forcing.
+    The pair's decomposition stays in :func:`decompose`'s one slot, so a
+    ``decompose`` of the same two objects right after this call does not
+    walk the pair again.  Each record's ``circle_classes`` list the
+    circles by maximum.
     """
     return Orientations(cap, cup)
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
-    """Whether some weight orients the glued diagram, without listing the
-    orientations."""
+    """Whether some weight orients the glued diagram: :func:`force_lines`
+    alone, the same work as ``bool(orient_circle_diagram(cap, cup))``."""
     return force_lines(cap, cup) is not None
 
 

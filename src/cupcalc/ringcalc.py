@@ -30,6 +30,7 @@ degree as an exact kernel, with a deterministic echelon basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -50,15 +51,17 @@ class NotOrientableError(InputError):
     pass
 
 
-def _monomial_order(n: int) -> List[int]:
+@functools.cache
+def _monomial_order(n: int) -> Tuple[int, ...]:
     """The subsets of n ascending variables, as bitmasks over their
     positions, in monomial order: by size, then lexicographically, as
-    ``itertools.combinations`` lists each size."""
-    return [
+    ``itertools.combinations`` lists each size.  Built once per n and
+    shared, so it is a tuple no caller can change."""
+    return tuple(
         sum(1 << t for t in subset)
         for size in range(n + 1)
         for subset in itertools.combinations(range(n), size)
-    ]
+    )
 
 
 class QuotientPresentation:

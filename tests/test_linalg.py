@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -86,6 +87,40 @@ def test_rref_matches_oracle_on_random_fraction_rows():
 def test_kernel_basis_matches_oracle_on_random_fraction_rows():
     for rows, ncols in random_fraction_systems():
         assert_kernel_matches_oracle(rows, ncols)
+
+
+def assert_kernel_entries_in_lowest_terms(rows, ncols):
+    """Every entry is a Fraction in lowest terms with a positive
+    denominator, the basis equals the oracle's, and the rows handed in
+    are left as they were."""
+    before = [dict(row) for row in rows]
+    got = linalg.kernel_basis(rows, ncols)
+    assert rows == before
+    assert got == oracle_kernel_basis(rows, ncols)
+    for vec in got:
+        for v in vec.values():
+            assert type(v) is Fraction
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_kernel_basis_entries_in_lowest_terms_on_centre_systems(monkeypatch, k, parity):
+    for rows, ncols in centre_systems(monkeypatch, k, parity):
+        assert all(type(v) is int for row in rows for v in row.values())  # the all-int path
+        assert_kernel_entries_in_lowest_terms(rows, ncols)
+
+
+def test_kernel_basis_entries_in_lowest_terms_on_random_fraction_rows():
+    for rows, ncols in random_fraction_systems():
+        assert_kernel_entries_in_lowest_terms(rows, ncols)
+        # the same system with int entries, scaled per row to clear denominators
+        int_rows = []
+        for row in rows:
+            scale = lcm(*(v.denominator for v in row.values()))
+            int_rows.append({c: int(v * scale) for c, v in row.items()})
+        assert_kernel_entries_in_lowest_terms(int_rows, ncols)
+        assert linalg.kernel_basis(int_rows, ncols) == linalg.kernel_basis(rows, ncols)
 
 
 def test_union_find_compares_exponents_by_modulus():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from cupcalc import diagrams as D
 from cupcalc import orientation as O
 from helpers import (
     as_dataclass_record,
+    count_calls,
     brute_clockwise_count,
     brute_orientations,
     min_degree_of,
@@ -290,6 +292,121 @@ def test_decompose_one_slot_over_interleaved_pairs(k):
         copy = D.CapDiagram(cap.k, cap.cups, cap.rays)
         assert O.decompose(copy, cup) == dec
         assert O.decompose(copy, cup) is not dec
+
+
+# Each read path of an Orientations, as the first read of a fresh object,
+# with what it must return given the oracle's list of records.
+_FIRST_READS = [
+    (lambda got: got.anticlockwise, lambda want: min_degree_of(want)[0] if want else None),
+    (lambda got: got[0] if got else None, lambda want: want[0] if want else None),
+    (lambda got: got[-1] if got else None, lambda want: want[-1] if want else None),
+    (lambda got: got[::2], lambda want: want[::2]),
+    (list, list),
+    (lambda got: got == want_of(got), lambda want: True),
+    (lambda got: want_of(got) == got, lambda want: True),
+]
+
+
+def want_of(got):
+    """The oracle's records for the pair an Orientations was made from."""
+    return oracle_orient_circle_diagram(got._cap, got._cup)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_read_path_prepares_a_fresh_sequence(k):
+    """Each read path, taken first on a fresh object, gives the oracle's
+    answer: no read relies on another having prepared the records."""
+    for a, b in _same_k_pairs(k):
+        cap = a.star()
+        want = oracle_orient_circle_diagram(cap, b)
+        for read, expected in _FIRST_READS:
+            assert read(O.orient_circle_diagram(cap, b)) == expected(want)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_prepare_runs_once_on_the_first_read(monkeypatch, k):
+    """Truth and length prepare nothing; the first read prepares once,
+    and every later read, of any path, prepares no more."""
+    calls = []
+    prepare = O.Orientations._prepare
+
+    def counted(self):
+        calls.append(self)
+        prepare(self)
+
+    monkeypatch.setattr(O.Orientations, "_prepare", counted)
+    for a, b in _maximal_pairs(k):
+        for read, _ in _FIRST_READS:
+            got = O.orient_circle_diagram(a.star(), b)
+            bool(got), len(got)
+            assert calls == []
+            read(got)
+            assert len(calls) == (1 if got else 0)
+            for again, _ in _FIRST_READS:
+                again(got)
+            assert len(calls) == (1 if got else 0)
+            calls.clear()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_truth_test_runs_force_lines_and_nothing_else(k):
+    """The Python functions of this module that bool() and len() of a new
+    sequence run are the constructor's force_lines and its decompose."""
+    ran = set()
+
+    def profile(frame, event, _):
+        code = frame.f_code
+        if event == "call" and code.co_filename == O.__file__ and code.co_name[0] != "<":
+            ran.add(code.co_name)
+
+    for a, b in _maximal_pairs(k):
+        cap = a.star()
+        sys.setprofile(profile)
+        try:
+            got = O.orient_circle_diagram(cap, b)
+            bool(got), len(got), O.is_orientable(cap, b)
+        finally:
+            sys.setprofile(None)
+    assert ran == {
+        "orient_circle_diagram", "__init__", "force_lines", "decompose", "__len__", "is_orientable"
+    }
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_first_read_reuses_the_kept_forcing(monkeypatch, k):
+    """The first read glues nothing: even after other pairs were glued in
+    between, the records carry the decomposition made at construction."""
+    walks = count_calls(monkeypatch, O, "decompose")
+    pairs = [(a.star(), b) for a, b in _maximal_pairs(k)]
+    for (cap, cup), other in zip(pairs, pairs[1:] + pairs[:1]):
+        oriented = O.orient_circle_diagram(cap, cup)
+        dec = O.decompose(cap, cup)
+        O.orient_circle_diagram(*other)  # the one-slot cache now holds the other pair
+        O.decompose(*other)
+        before = len(walks)
+        if oriented:
+            assert dec is oriented[0].decomposition
+            assert oriented.anticlockwise.decomposition is dec
+            assert all(o.decomposition is dec for o in oriented)
+        assert len(walks) == before
+        assert oriented == oracle_orient_circle_diagram(cap, cup)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_decompose_builds_exact_record_types(k):
+    """decompose's records are the NamedTuple classes themselves, with
+    the union-find oracle's fields."""
+    for a, b in _same_k_pairs(k):
+        cap = a.star()
+        got = O.decompose(cap, b)
+        assert got == oracle_decompose(cap, b)
+        assert type(got) is O.ComponentDecomposition and type(got.classes) is tuple
+        for cl in got.classes:
+            assert type(cl) is O.ComponentClass
+            assert type(cl.vertices) is tuple and type(cl.mx) is int
+            assert cl.signs is None or (
+                type(cl.signs) is tuple and all(type(s) is int for s in cl.signs)
+            )
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -26,7 +26,21 @@ def test_monomial_order_is_the_sorted_definition():
     lists them."""
     for n in range(13):
         want = sorted(range(1 << n), key=lambda j: (j.bit_count(), [t for t in range(n) if j >> t & 1]))
-        assert R._monomial_order(n) == want
+        assert R._monomial_order(n) == tuple(want)
+
+
+def test_monomial_order_is_one_shared_tuple_per_n():
+    """The cached order equals the itertools.combinations listing, is a
+    tuple (so no caller can reorder the shared copy) and is built once."""
+    for n in range(11):
+        want = [
+            sum(1 << t for t in subset)
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(n), size)
+        ]
+        got = R._monomial_order(n)
+        assert type(got) is tuple and list(got) == want
+        assert R._monomial_order(n) is got
 
 
 def test_reduce_monomial_signs():
