@@ -17,7 +17,7 @@ squarefree monomials in the surviving representatives as a basis.  One
 table states how monomials reduce: ``QuotientPresentation.subset_table``
 maps every subset of a tuple of variables, as a bitmask over their
 positions, to a sign and an image bitmask.  A restriction map reads it
-once over the source's kept variables, in monomial order.
+into a monomial table: a target row and sign per source monomial, or None.
 
 The centre of the whole configuration is the equalizer of the
 restriction maps: tuples of component-ring elements agreeing on every
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -64,6 +63,15 @@ def _monomial_order(n: int) -> Tuple[int, ...]:
     )
 
 
+@functools.cache
+def _listing(kept: tuple) -> Tuple[tuple, Dict[int, int]]:
+    """The monomials in the variables ``kept`` as frozensets, in monomial
+    order, and the row of each by its bitmask (bit v for each x_v)."""
+    order = _monomial_order(len(kept))
+    basis = tuple(frozenset(v for t, v in enumerate(kept) if j >> t & 1) for j in order)
+    return basis, {sum(1 << v for v in mono): row for row, mono in enumerate(basis)}
+
+
 class QuotientPresentation:
     """Quotient of R(k) by a variable rewrite system.
 
@@ -83,11 +91,7 @@ class QuotientPresentation:
 
     def basis(self) -> List[frozenset]:
         """The surviving squarefree monomials, in monomial order."""
-        kept = self.kept
-        return [
-            frozenset(v for t, v in enumerate(kept) if j >> t & 1)
-            for j in _monomial_order(len(kept))
-        ]
+        return list(_listing(self.kept)[0])
 
     def reduce_monomial(self, mono) -> Optional[Tuple[int, frozenset]]:
         """Rewrite x_mono to sign * x_image, or None when it dies."""
@@ -162,31 +166,30 @@ def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:
 
 
 class LinearMap(NamedTuple):
-    """A restriction map as a matrix.  It sends a monomial to plus or
-    minus one monomial, or to 0, so each column holds at most one nonzero
-    entry, +1 or -1, and the rank is the number of nonzero rows."""
+    """A restriction map as a monomial table: per domain monomial, its
+    image ``(codomain row, sign +1 or -1)``, or None where it dies.  The
+    rank is the number of rows hit."""
 
     domain: list      # basis monomials (frozensets)
     codomain: list
-    matrix: list      # matrix[row][col]; columns are images of domain basis vectors
+    entries: list     # entries[col]: (codomain row, +1 or -1), or None
 
     def column(self, j: int) -> list:
-        return [self.matrix[i][j] for i in range(len(self.codomain))]
+        row, sign = self.entries[j] or (None, 0)
+        return [sign if i == row else 0 for i in range(len(self.codomain))]
 
     def is_surjective(self) -> bool:
-        return all(any(row) for row in self.matrix)  # full row rank
+        return len({e[0] for e in self.entries if e}) == len(self.codomain)  # every row is hit
 
 
 def _map_between(source: QuotientPresentation, target: QuotientPresentation) -> LinearMap:
-    domain = source.basis()
-    codomain = target.basis()
-    row_of = {sum(1 << v for v in m): i for i, m in enumerate(codomain)}
+    codomain, row_of = _listing(target.kept)
     sign, image = target.subset_table(source.kept)
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    for col, j in enumerate(_monomial_order(len(source.kept))):
-        if sign[j]:
-            matrix[row_of[image[j]]][col] = Fraction(sign[j])
-    return LinearMap(domain, codomain, matrix)
+    entries = [
+        (row_of[image[j]], sign[j]) if sign[j] else None
+        for j in _monomial_order(len(source.kept))
+    ]
+    return LinearMap(source.basis(), list(codomain), entries)
 
 
 def restriction_maps(a: CupDiagram, b: CupDiagram) -> Tuple[LinearMap, LinearMap]:
@@ -197,10 +200,7 @@ def restriction_maps(a: CupDiagram, b: CupDiagram) -> Tuple[LinearMap, LinearMap
         raise NotOrientableError(
             f"{encode(a)} and {encode(b)} have empty intersection"
         )
-    return (
-        _map_between(component_quotient(a), target),
-        _map_between(component_quotient(b), target),
-    )
+    return tuple(_map_between(component_quotient(d), target) for d in (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +340,19 @@ class GammaMap(NamedTuple):
 
 
 def gamma_maps(a: CupDiagram, b: CupDiagram) -> Tuple[GammaMap, GammaMap]:
-    """Module maps on oriented-diagram bases obtained by transporting the
-    restriction maps through the basis dictionaries."""
+    """Module maps on oriented-diagram bases: the restriction maps'
+    entries read through the basis dictionaries, both in basis order."""
     dict_ab = diagram_basis_dictionary(a, b)  # raises when the intersection is empty
     unit = dict_ab.entries[0][1]  # the empty monomial: minimal degree, all anticlockwise
     target = _quotient_of(unit.decomposition)
-    shift = unit.degree
+    weights = [o.weight for _, o in dict_ab.entries]
     out = []
     for source in (a, b):
         dict_src = diagram_basis_dictionary(source, source)
-        mapping = {}
-        for mono, oriented in dict_src.entries:
-            reduced = target.reduce_monomial(mono)
-            if reduced is None:
-                mapping[oriented.weight] = None
-            else:
-                sign, image = reduced
-                mapping[oriented.weight] = (sign, dict_ab.orientation_of(image).weight)
-        out.append(GammaMap(source, b if source is a else a, shift, mapping))
+        restriction = _map_between(component_quotient(source), target)
+        mapping = {
+            oriented.weight: None if entry is None else (entry[1], weights[entry[0]])
+            for (_, oriented), entry in zip(dict_src.entries, restriction.entries)
+        }
+        out.append(GammaMap(source, b if source is a else a, unit.degree, mapping))
     return out[0], out[1]

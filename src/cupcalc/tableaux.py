@@ -601,9 +601,13 @@ def stable_to_cup(p: STable) -> CupDiagram:
 
 
 def cup_to_stable(c: CupDiagram) -> STable:
+    """The table of c's degree-zero weight, if its rows strictly increase."""
     from . import springer
 
     iset = springer.index_set_of_weight(degree_zero_weight(c), "stable")
+    col2 = sorted(iset, reverse=True)
+    if any(hi + lo <= 0 for hi, lo in zip(col2, reversed(col2))):  # col1[i] >= col2[i]
+        raise TableauError(f"no skew-symmetric table realizes {encode(c)}")
     return stable_of_index_set(iset)
 
 

@@ -321,7 +321,7 @@ DATACLASS_REFERENCES = {
         (STable, True, "k col1 col2"),
         (MoveGraph, True, "k parity nodes arrows"),
         (CupForest, True, "base vertices edges roots special_roots"),
-        (LinearMap, False, "domain codomain matrix"),
+        (LinearMap, False, "domain codomain entries"),
         (CentreBasis, False, "k parity diagrams graded_dims basis"),
         (BasisDictionary, False, "a b entries"),
         (GammaMap, False, "source other degree_shift mapping"),
@@ -539,6 +539,31 @@ def oracle_map_between(source, target):
         sign, image = reduced
         matrix[index[image]][j] = Fraction(sign)
     return domain, codomain, matrix
+
+
+def oracle_gamma_maps(a, b):
+    """The two ``GammaMap``s of (a, b), found by reducing each basis
+    monomial of a source one at a time with ``reduce_monomial`` in the
+    intersection quotient and looking its image up in the basis
+    dictionary of (a, b)."""
+    from cupcalc import ringcalc
+
+    dict_ab = ringcalc.diagram_basis_dictionary(a, b)
+    shift = dict_ab.entries[0][1].degree  # the empty monomial, of least degree
+    target = ringcalc.intersection_quotient(a, b)
+    out = []
+    for source in (a, b):
+        dict_src = ringcalc.diagram_basis_dictionary(source, source)
+        mapping = {}
+        for mono, oriented in dict_src.entries:
+            reduced = target.reduce_monomial(mono)
+            if reduced is None:
+                mapping[oriented.weight] = None
+            else:
+                sign, image = reduced
+                mapping[oriented.weight] = (sign, dict_ab.orientation_of(image).weight)
+        out.append(GammaMap(source, b if source is a else a, shift, mapping))
+    return out[0], out[1]
 
 
 def oracle_centre_rows(k, parity, tie_break="lex"):

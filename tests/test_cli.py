@@ -486,6 +486,16 @@ def test_bijection_stable(tmp_path, capsys):
     assert json.loads(out)["cups"][0] == {"from": 1, "to": 2, "dotted": True}
 
 
+def test_bijection_to_stable_names_a_diagram_without_one(tmp_path, capsys):
+    src = tmp_path / "cup.json"
+    src.write_text(json.dumps("2: r(1);r(2)"))
+    code, out, err = capture(
+        capsys, ["bijection", "--from", "cup", "--to", "stable", "--input", str(src)]
+    )
+    assert (code, out) == (1, "")
+    assert err == "cupcalc: no skew-symmetric table realizes 2: r(1);r(2)\n"
+
+
 def test_bijection_bitab_needs_parity(tmp_path, capsys):
     src = tmp_path / "bitab.json"
     src.write_text(json.dumps([[1, 3], [2]]))

@@ -8,7 +8,13 @@ from cupcalc import linalg
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from helpers import count_calls, dense_rank, oracle_centre_rows, oracle_map_between
+from helpers import (
+    count_calls,
+    dense_rank,
+    oracle_centre_rows,
+    oracle_gamma_maps,
+    oracle_map_between,
+)
 
 
 def test_component_quotient_rules():
@@ -118,10 +124,21 @@ def test_single_diagram_ideal_dies_in_intersection(k):
                     assert target.reduce_monomial({ray.at}) is None
 
 
+def _dense(m):
+    """The matrix of a ``LinearMap``, read from its entries: matrix[row][col]."""
+    matrix = [[0] * len(m.domain) for _ in m.codomain]
+    for col, entry in enumerate(m.entries):
+        if entry is not None:
+            row, sign = entry
+            matrix[row][col] = sign
+    return matrix
+
+
 def test_restriction_basics():
     a = D.parse_dsl("2: c(1,2)")
     ma, mb = R.restriction_maps(a, a)
-    assert ma.matrix == [[1, 0], [0, 1]]
+    assert ma.entries == [(0, 1), (1, 1)]
+    assert _dense(ma) == [[1, 0], [0, 1]]
     a1 = D.parse_dsl("4: c*(1,2);c(3,4)")
     a2 = D.parse_dsl("4: c*(1,4);c(2,3)")
     ma, mb = R.restriction_maps(a1, a2)
@@ -139,17 +156,16 @@ def test_restrictions_surjective_and_graded(k):
                 continue
             for m in R.restriction_maps(a, b):
                 assert m.is_surjective()
-                for j, mono in enumerate(m.domain):
-                    for i, target_mono in enumerate(m.codomain):
-                        if m.matrix[i][j] and len(target_mono) != len(mono):
-                            pytest.fail("restriction map not degree preserving")
+                for mono, entry in zip(m.domain, m.entries):
+                    if entry is not None and len(m.codomain[entry[0]]) != len(mono):
+                        pytest.fail("restriction map not degree preserving")
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_restriction_maps_are_monomial_and_surjective(monkeypatch, k):
-    """Each column holds at most one entry, +1 or -1, so surjectivity is
-    read off the nonzero rows: it agrees with a dense rank and calls no
-    elimination."""
+    """Each domain monomial has at most one entry, a codomain row and +1
+    or -1, so surjectivity is read off the rows hit: it agrees with a
+    dense rank and calls no elimination."""
 
     def refuse(*args):
         raise AssertionError("is_surjective eliminated")
@@ -158,23 +174,28 @@ def test_restriction_maps_are_monomial_and_surjective(monkeypatch, k):
     monkeypatch.setattr(linalg, "_pivot_rows", refuse)
     maps = [
         # not surjective: the second codomain monomial is never hit
-        R.LinearMap([0, 1], [0, 1], [[Fraction(0), Fraction(-1)], [Fraction(0), Fraction(0)]]),
-        R.LinearMap([0], [], []),
+        R.LinearMap([0, 1], [0, 1], [None, (0, -1)]),
+        R.LinearMap([0, 1], [0, 1], [(0, 1), (0, -1)]),  # two hits on one row
+        R.LinearMap([0], [], [None]),
     ]
     for parity in ("even", "odd"):
         for a, b in itertools.combinations_with_replacement(D.maximal_diagrams(k, parity), 2):
             if R.intersection_quotient(a, b) is not None:
                 maps += R.restriction_maps(a, b)
-    assert len(maps) > 2
+    assert len(maps) > 3
     for m in maps:
-        for j in range(len(m.domain)):
+        assert len(m.entries) == len(m.domain)
+        dense = _dense(m)
+        for j, entry in enumerate(m.entries):
+            assert entry is None or (0 <= entry[0] < len(m.codomain) and entry[1] in (1, -1))
+            assert m.column(j) == [row[j] for row in dense]
             assert [v for v in m.column(j) if v] in ([], [1], [-1])
-        rows = [{j: v for j, v in enumerate(row) if v} for row in m.matrix]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert m.is_surjective() == (dense_rank(rows, len(m.domain)) == len(m.codomain))
-    assert [m.is_surjective() for m in maps[:2]] == [False, True]
+    assert [m.is_surjective() for m in maps[:3]] == [False, False, True]
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_restriction_maps_match_oracle(k):
     """The subset-table restriction maps equal the one-monomial-at-a-time
     reduction on every same-parity pair."""
@@ -185,7 +206,20 @@ def test_restriction_maps_match_oracle(k):
                 continue
             for source, m in zip((a, b), R.restriction_maps(a, b)):
                 expected = oracle_map_between(R.component_quotient(source), target)
-                assert (m.domain, m.codomain, m.matrix) == expected
+                assert (m.domain, m.codomain, _dense(m)) == expected
+
+
+def test_quotient_rings_suite_checks_every_k_to_k_max(monkeypatch):
+    """The selftest suite has no cap of its own: it restricts pairs of
+    every size up to k_max, and its detail says so.  (At k = 2 each
+    parity has one maximal diagram, so no pair.)"""
+    from cupcalc.selftest import _suite_quotients
+
+    calls = count_calls(monkeypatch, R, "restriction_maps")
+    assert _suite_quotients(8, None) == (
+        True, "ideal inclusions and surjectivity of restrictions hold, k<=8"
+    )
+    assert {a.k for a, _ in calls} == set(range(3, 9))
 
 
 def test_transport_sign_against_independent_path():
@@ -337,6 +371,25 @@ def test_gamma_unit_law_and_identity():
     # a = b transports to the identity
     gaa, _ = R.gamma_maps(a, a)
     assert all(v == (1, w) for w, v in gaa.mapping.items())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_gamma_maps_match_oracle(k):
+    """The gamma maps transported from the restriction-map entries equal
+    the one-monomial-at-a-time reduction, entry for entry and in the same
+    order, on every ordered orientable same-parity pair."""
+    pairs = 0
+    for parity in ("even", "odd"):
+        for a, b in itertools.product(D.maximal_diagrams(k, parity), repeat=2):
+            if not O.is_orientable(a.star(), b):
+                continue
+            got = R.gamma_maps(a, b)
+            want = oracle_gamma_maps(a, b)
+            assert got == want
+            for g, w in zip(got, want):
+                assert list(g.mapping.items()) == list(w.mapping.items())
+            pairs += 1
+    assert pairs > 0
 
 
 @pytest.mark.parametrize("k", range(2, 6))

@@ -520,6 +520,23 @@ def test_stable_bijection_even(k):
         assert T.cup_to_stable(T.stable_to_cup(p)) == p
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cup_to_stable_round_trips_or_names_the_diagram(k):
+    """Every legal diagram either has a table that maps back to it, or is
+    refused by a message that names the diagram, not a table the caller
+    never gave.  The tables reached are exactly the skew-symmetric ones."""
+    reached = set()
+    for d in D.enumerate_diagrams(k, "any", "all"):
+        try:
+            p = T.cup_to_stable(d)
+        except T.TableauError as e:
+            assert str(e) == f"no skew-symmetric table realizes {d.encode()}"
+        else:
+            assert T.stable_to_cup(p) == d
+            reached.add(p)
+    assert reached == set(T.enumerate_stables(k))
+
+
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_stable_odd_k_report(k):
     """For odd k the assignment stays injective into the maximal diagrams
