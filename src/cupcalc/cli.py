@@ -425,6 +425,8 @@ def _cmd_render(args) -> int:
 def _cmd_movegraph(args) -> int:
     from . import movegraph
 
+    if args.dot and args.format == "json":
+        raise _UsageError("--dot writes Graphviz DOT, not --format json")
     graph = movegraph.move_graph(args.k, args.parity)
     if args.dot:
         _emit(graph.to_dot())
@@ -523,6 +525,8 @@ def _cmd_cohomology(args) -> int:
         raise _UsageError("--t is for cohomology springer only")
     if args.which == "springer" and args.basis:
         raise _UsageError("--basis is for cohomology centre only")
+    if args.basis and args.format != "json":
+        raise _UsageError("--basis needs --format json")
     t = None if args.t is None else _rational(args.t)
     if args.which == "centre":
         from . import ringcalc
@@ -642,6 +646,8 @@ def _dump_from_cup(dst: str, cup):
 
 
 def _cmd_bijection(args) -> int:
+    if args.parity != "all" and args.src != "bitab":
+        raise _UsageError("--parity is for --from bitab only")
     try:
         if args.input == "-":
             raw = sys.stdin.read()

@@ -78,12 +78,12 @@ from those arcs in the same pass, so only the encodings are sorted:
 no diagram, and :func:`enumerate_diagrams` hands each member the
 encoding it was generated with.
 
-Per-diagram facts are computed once per :class:`CupDiagram` and kept on
-the instance (``functools.cached_property``): the canonical
-``encoding`` (which :func:`encode` reads), ``dot_count`` and
-``dot_parity``, the :class:`CapDiagram` returned by ``star()``, and the
-``partners`` arrays that :func:`orientation.decompose` walks (a
-:class:`CapDiagram` keeps its own).  They live in the instance
+Per-diagram facts are computed once per diagram and kept on the
+instance (``functools.cached_property``): the canonical ``encoding``
+(which :func:`encode` and ``str`` read) and the ``partners`` arrays that
+:func:`orientation.decompose` walks, on cup and cap diagrams alike, and
+on a :class:`CupDiagram` also ``dot_count``, ``dot_parity`` and the
+:class:`CapDiagram` returned by ``star()``.  They live in the instance
 ``__dict__`` next to the three fields ``k``, ``cups`` and ``rays``,
 which is why the diagram classes are plain classes and not tuples.
 ``==``, ``hash`` and ``repr`` read the fields alone, so reading a fact
@@ -192,6 +192,22 @@ class _ArcDiagram:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(k={self.k!r}, cups={self.cups!r}, rays={self.rays!r})"
 
+    @cached_property
+    def encoding(self) -> str:
+        """The canonical text encoding."""
+        return _encode(self)
+
+    @cached_property
+    def partners(self) -> Tuple[tuple, tuple]:
+        """(partner, flip) arrays of the arcs, as :func:`_partner_arrays`."""
+        return _partner_arrays(self.k, self.cups)
+
+    def encode(self) -> str:
+        return self.encoding
+
+    def __str__(self) -> str:
+        return self.encoding
+
 
 class CupDiagram(_ArcDiagram):
     @property
@@ -207,25 +223,12 @@ class CupDiagram(_ArcDiagram):
         return "even" if self.dot_count % 2 == 0 else "odd"
 
     @cached_property
-    def encoding(self) -> str:
-        """The canonical text encoding."""
-        return _encode(self)
-
-    @cached_property
-    def partners(self) -> Tuple[tuple, tuple]:
-        """(partner, flip) arrays of the cups, as :func:`_partner_arrays`."""
-        return _partner_arrays(self.k, self.cups)
-
-    @cached_property
     def _cap(self) -> "CapDiagram":
         return CapDiagram(self.k, self.cups, self.rays)
 
     def star(self) -> "CapDiagram":
         """The cap diagram obtained by reflecting in the horizontal axis."""
         return self._cap
-
-    def encode(self) -> str:
-        return self.encoding
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,26 +240,12 @@ class CupDiagram(_ArcDiagram):
             "rays": [{"at": r.at, "dotted": r.dotted} for r in self.rays],
         }
 
-    def __str__(self) -> str:
-        return self.encoding
-
 
 class CapDiagram(_ArcDiagram):
     """Mirror image of a cup diagram; same data, drawn upwards."""
 
-    @cached_property
-    def partners(self) -> Tuple[tuple, tuple]:
-        """(partner, flip) arrays of the caps, as :func:`_partner_arrays`."""
-        return _partner_arrays(self.k, self.cups)
-
     def star(self) -> CupDiagram:
         return CupDiagram(self.k, self.cups, self.rays)
-
-    def encode(self) -> str:
-        return _encode(self)
-
-    def __str__(self) -> str:
-        return self.encode()
 
 
 def _arc_key(arc: Arc) -> int:
@@ -442,8 +431,8 @@ def nesting(k: int, cups, rays) -> Nesting:
 
 
 def encode(d: Union[CupDiagram, CapDiagram]) -> str:
-    """The canonical encoding; a :class:`CupDiagram` computes it once."""
-    return d.encoding if isinstance(d, CupDiagram) else _encode(d)
+    """The canonical encoding, computed once per diagram."""
+    return d.encoding
 
 
 def _encode(d: Union[CupDiagram, CapDiagram]) -> str:

@@ -14,17 +14,19 @@ quotient: on each circle x_i is identified with eps(i, mx) x_mx (mx the
 class maximum, eps the undotted-cup path sign) and every line variable
 dies.  These rewrite rules are confluent, so each quotient has the
 squarefree monomials in the surviving representatives as a basis.  One
-table states how monomials reduce: ``QuotientPresentation.subset_table``
-maps every subset of a tuple of variables, as a bitmask over their
-positions, to a sign and an image bitmask.  A restriction map reads it
-into a monomial table: a target row and sign per source monomial, or None.
+table states every reduction: ``QuotientPresentation.subset_table`` maps
+every subset of a tuple of variables, as a bitmask over their positions,
+to a sign and an image bitmask, and one private reader turns it into
+each monomial's image and sign, or None where the monomial dies.
+``reduce_monomial`` reads it for one monomial, and a restriction map
+reads it into a monomial table: a target row and sign per source
+monomial, or None.
 
 The centre of the whole configuration is the equalizer of the
 restriction maps: tuples of component-ring elements agreeing on every
-pairwise intersection.  Its constraint rows are read from the same
-table: each diagram's basis is listed once, in monomial order, and each
-orientable pair's quotient maps every such subset to a sign and an
-image, the rows following in that order.  It is computed degree by
+pairwise intersection.  Each orientable pair is glued once, and each of
+its constraint rows is the difference of the two restriction maps on
+one image monomial, read from the same table.  It is computed degree by
 degree as an exact kernel, with a deterministic echelon basis.
 """
 
@@ -94,19 +96,13 @@ class QuotientPresentation:
         return list(_listing(self.kept)[0])
 
     def reduce_monomial(self, mono) -> Optional[Tuple[int, frozenset]]:
-        """Rewrite x_mono to sign * x_image, or None when it dies."""
-        sign = 1
-        image = set()
-        for i in mono:
-            rule = self.rules.get(i, (1, i))
-            if rule is None:
-                return None
-            s, rep = rule
-            if rep in image:
-                return None  # x_rep squared
-            sign *= s
-            image.add(rep)
-        return sign, frozenset(image)
+        """Rewrite x_mono to sign * x_image, or None when it dies.  Reads
+        the whole subset table of mono's variables, 2^len(mono) entries."""
+        reading = _readings(tuple(mono), self)[-1]  # the whole of mono comes last
+        if reading is None:
+            return None
+        image, sign = reading
+        return sign, frozenset(v for v in range(image.bit_length()) if image >> v & 1)
 
     def subset_table(self, variables: tuple) -> Tuple[list, list]:
         """Sign and image bitmask of x_J for every subset J of
@@ -120,10 +116,22 @@ class QuotientPresentation:
         sign, image = [1], [0]
         for v in variables:
             rule = self.rules.get(v, (1, v))
-            s, m = (0, 0) if rule is None else (rule[0], 1 << rule[1])
+            if rule is None:  # x_v dies, and so does every subset holding it
+                sign += [0] * len(sign)
+                image += image
+                continue
+            s, m = rule[0], 1 << rule[1]
             sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
             image += [ij | m for ij in image]
         return sign, image
+
+
+def _readings(variables: tuple, target: QuotientPresentation) -> list:
+    """Each monomial in ``variables``, in monomial order, read in
+    ``target``: its image bitmask and sign, or None where it dies.  The
+    one reader of :meth:`QuotientPresentation.subset_table`."""
+    sign, image = target.subset_table(variables)
+    return [(image[j], s) if (s := sign[j]) else None for j in _monomial_order(len(variables))]
 
 
 def component_quotient(a: CupDiagram) -> QuotientPresentation:
@@ -174,20 +182,15 @@ class LinearMap(NamedTuple):
     codomain: list
     entries: list     # entries[col]: (codomain row, +1 or -1), or None
 
-    def column(self, j: int) -> list:
-        row, sign = self.entries[j] or (None, 0)
-        return [sign if i == row else 0 for i in range(len(self.codomain))]
-
     def is_surjective(self) -> bool:
         return len({e[0] for e in self.entries if e}) == len(self.codomain)  # every row is hit
 
 
 def _map_between(source: QuotientPresentation, target: QuotientPresentation) -> LinearMap:
     codomain, row_of = _listing(target.kept)
-    sign, image = target.subset_table(source.kept)
     entries = [
-        (row_of[image[j]], sign[j]) if sign[j] else None
-        for j in _monomial_order(len(source.kept))
+        None if reading is None else (row_of[reading[0]], reading[1])
+        for reading in _readings(source.kept, target)
     ]
     return LinearMap(source.basis(), list(codomain), entries)
 
@@ -232,33 +235,33 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     only reorders the unknowns and must not change any dimension.
     """
     diagrams = total_order(k, parity, tie_break)
-    names = [encode(d) for d in diagrams]
     kept = [component_quotient(a).kept for a in diagrams]
     vars_by_degree: Dict[int, List[Tuple[str, tuple]]] = {}
-    listed = []  # per diagram: (subset bitmask, column) in monomial order
-    for ai, kept_vars in enumerate(kept):
-        entries = []
-        for j in _monomial_order(len(kept_vars)):
-            mono = tuple(v for t, v in enumerate(kept_vars) if j >> t & 1)
+    columns = []  # per diagram: each basis monomial's column, in monomial order
+    for a, kept_vars in zip(diagrams, kept):
+        name, cols = encode(a), []
+        for mono in _listing(kept_vars)[0]:
             same_degree = vars_by_degree.setdefault(len(mono), [])
-            entries.append((j, len(same_degree)))
-            same_degree.append((names[ai], mono))
-        listed.append(entries)
+            cols.append(len(same_degree))
+            same_degree.append((name, tuple(sorted(mono))))
+        columns.append(cols)
 
+    # per orientable pair, a row per image monomial: the restriction from
+    # a minus the restriction from b, rows in first-seen order
     rows_by_degree: Dict[int, List[Dict[int, int]]] = {d: [] for d in vars_by_degree}
     for ai, a in enumerate(diagrams):
         a_star = a.star()
         for bi in range(ai + 1, len(diagrams)):
-            forced = force_lines(a_star, diagrams[bi])
+            forced = force_lines(a_star, diagrams[bi])  # intersection_quotient, a_star hoisted
             if forced is None:
                 continue
             target = _quotient_of(forced.decomposition)
             constraint: Dict[int, Dict[int, int]] = {}
             for side, qi in ((1, ai), (-1, bi)):
-                sign, image = target.subset_table(kept[qi])
-                for j, col in listed[qi]:
-                    if sign[j]:
-                        constraint.setdefault(image[j], {})[col] = side * sign[j]
+                for col, reading in zip(columns[qi], _readings(kept[qi], target)):
+                    if reading is not None:
+                        image, sign = reading
+                        constraint.setdefault(image, {})[col] = side * sign
             for image, row in constraint.items():
                 rows_by_degree[image.bit_count()].append(row)
 

@@ -218,24 +218,28 @@ def _suite_quotients(k_max, rng):
     for k in range(2, k_max + 1):
         for parity in ("even", "odd"):
             nodes = diagrams.maximal_diagrams(k, parity)
-            for a, b in itertools.combinations(nodes, 2):
+            sources = [ringcalc.component_quotient(d) for d in nodes]
+            for (a, qa), (b, qb) in itertools.combinations(zip(nodes, sources), 2):
                 target = ringcalc.intersection_quotient(a, b)
                 if target is None:
                     continue
                 # every generator of the one-diagram ideal dies downstairs:
                 # x_l + c x_r dies iff both terms die, or x_l reduces to
-                # -c times the reduction of x_r
+                # -c times the reduction of x_r.  The reading of (v,) lists
+                # 1, then x_v: one per vertex serves both diagrams.
+                reduced = [None] + [ringcalc._readings((v,), target)[1] for v in range(1, k + 1)]
                 for d in (a, b):
                     for cup in d.cups:
                         c = -1 if cup.dotted else 1
-                        right = target.reduce_monomial({cup.right})
-                        cancelling = None if right is None else (-c * right[0], right[1])
-                        if target.reduce_monomial({cup.left}) != cancelling:
+                        right = reduced[cup.right]
+                        cancelling = None if right is None else (right[0], -c * right[1])
+                        if reduced[cup.left] != cancelling:
                             return False, f"ideal inclusion fails for {d.encode()}"
                     for ray in d.rays:
-                        if target.reduce_monomial({ray.at}) is not None:
+                        if reduced[ray.at] is not None:
                             return False, f"ray generator survives for {d.encode()}"
-                ma, mb = ringcalc.restriction_maps(a, b)
+                # both restriction maps into the one target: the pair is glued once
+                ma, mb = (ringcalc._map_between(q, target) for q in (qa, qb))
                 if not (ma.is_surjective() and mb.is_surjective()):
                     return False, f"restriction not surjective for {a.encode()},{b.encode()}"
     return True, f"ideal inclusions and surjectivity of restrictions hold, k<={k_max}"

@@ -161,36 +161,28 @@ def _check_index_set(indices) -> Tuple[int, frozenset]:
     return size, iset
 
 
+def _flips(convention: str) -> bool:
+    """Whether ``convention`` negates the stable index set; ValueError
+    for an unknown one."""
+    if convention not in ("stable", "fixed_point"):
+        raise ValueError(f"unknown convention {convention!r}")
+    return convention == "fixed_point"
+
+
 def weight_of_index_set(indices, convention: str = "stable") -> Weight:
     """Decode a signed index set into a weight.
 
     ``"stable"``: up at i when +i is present; ``"fixed_point"``: up at i
     when -i is present.  The conventions differ by negating the set.
     """
+    flip = _flips(convention)
     k, iset = _check_index_set(indices)
-    chars = []
-    for i in range(1, k + 1):
-        present = i in iset
-        if convention == "stable":
-            chars.append(UP if present else DOWN)
-        elif convention == "fixed_point":
-            chars.append(DOWN if present else UP)
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-    return Weight("".join(chars))
+    return Weight("".join(UP if (i in iset) != flip else DOWN for i in range(1, k + 1)))
 
 
 def index_set_of_weight(weight: Weight, convention: str = "stable") -> frozenset:
-    out = set()
-    for i in range(1, len(weight) + 1):
-        up = weight[i] == UP
-        if convention == "stable":
-            out.add(i if up else -i)
-        elif convention == "fixed_point":
-            out.add(-i if up else i)
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-    return frozenset(out)
+    flip = _flips(convention)
+    return frozenset(i if (weight[i] == UP) != flip else -i for i in range(1, len(weight) + 1))
 
 
 # ---------------------------------------------------------------------------

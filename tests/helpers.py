@@ -524,16 +524,34 @@ def _oracle_basis(q):
     ]
 
 
+def oracle_reduce_monomial(q, mono):
+    """``QuotientPresentation.reduce_monomial`` by rewriting one variable
+    at a time with ``q.rules``: sign * x_image as (sign, frozenset), or
+    None when x_mono dies."""
+    sign = 1
+    image = set()
+    for i in mono:
+        rule = q.rules.get(i, (1, i))
+        if rule is None:
+            return None
+        s, rep = rule
+        if rep in image:
+            return None  # x_rep squared
+        sign *= s
+        image.add(rep)
+    return sign, frozenset(image)
+
+
 def oracle_map_between(source, target):
     """(domain, codomain, matrix) of the restriction map between two
     ``QuotientPresentation``s, found by reducing each domain monomial
-    one at a time with ``reduce_monomial``."""
+    one at a time with :func:`oracle_reduce_monomial`."""
     domain = _oracle_basis(source)
     codomain = _oracle_basis(target)
     index = {m: i for i, m in enumerate(codomain)}
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
     for j, mono in enumerate(domain):
-        reduced = target.reduce_monomial(mono)
+        reduced = oracle_reduce_monomial(target, mono)
         if reduced is None:
             continue
         sign, image = reduced
@@ -543,8 +561,8 @@ def oracle_map_between(source, target):
 
 def oracle_gamma_maps(a, b):
     """The two ``GammaMap``s of (a, b), found by reducing each basis
-    monomial of a source one at a time with ``reduce_monomial`` in the
-    intersection quotient and looking its image up in the basis
+    monomial of a source one at a time with :func:`oracle_reduce_monomial`
+    in the intersection quotient and looking its image up in the basis
     dictionary of (a, b)."""
     from cupcalc import ringcalc
 
@@ -556,7 +574,7 @@ def oracle_gamma_maps(a, b):
         dict_src = ringcalc.diagram_basis_dictionary(source, source)
         mapping = {}
         for mono, oriented in dict_src.entries:
-            reduced = target.reduce_monomial(mono)
+            reduced = oracle_reduce_monomial(target, mono)
             if reduced is None:
                 mapping[oriented.weight] = None
             else:
@@ -569,9 +587,10 @@ def oracle_gamma_maps(a, b):
 def oracle_centre_rows(k, parity, tie_break="lex"):
     """The constraint rows of ``ringcalc.centre``, built by reducing every
     basis monomial of both components in each pair's
-    ``intersection_quotient``.  Returns degree -> (variables, rows) in
-    ascending degree, where ``variables[col]`` is (diagram encoding,
-    sorted monomial tuple), the key of a ``CentreBasis`` vector."""
+    ``intersection_quotient`` with :func:`oracle_reduce_monomial`.
+    Returns degree -> (variables, rows) in ascending degree, where
+    ``variables[col]`` is (diagram encoding, sorted monomial tuple), the
+    key of a ``CentreBasis`` vector."""
     from cupcalc import ringcalc
     from cupcalc.movegraph import total_order
 
@@ -592,7 +611,7 @@ def oracle_centre_rows(k, parity, tie_break="lex"):
         constraint = {}
         for side, qi in ((1, ai), (-1, bi)):
             for mono in quotients[qi].basis():
-                reduced = target.reduce_monomial(mono)
+                reduced = oracle_reduce_monomial(target, mono)
                 if reduced is None:
                     continue
                 sign, image = reduced

@@ -404,17 +404,39 @@ def test_cohomology_springer_rejects_bad_rational(capsys):
     [
         (["cohomology", "centre", "--k", "3", "--t", "2"], "--t is for cohomology springer only"),
         (["cohomology", "springer", "--k", "3", "--basis"], "--basis is for cohomology centre only"),
+        (["cohomology", "centre", "--k", "3", "--basis"], "--basis needs --format json"),
+        (["cohomology", "centre", "--k", "3", "--basis", "--format", "text"], "--basis needs --format json"),
+        (
+            ["movegraph", "--k", "3", "--parity", "odd", "--dot", "--format", "json"],
+            "--dot writes Graphviz DOT, not --format json",
+        ),
+        (
+            ["bijection", "--from", "cup", "--to", "adt", "--input", "missing.json", "--parity", "even"],
+            "--parity is for --from bitab only",
+        ),
+        (
+            ["bijection", "--from", "stable", "--to", "bitab", "--input", "-", "--parity", "odd"],
+            "--parity is for --from bitab only",
+        ),
     ],
 )
 def test_cohomology_refuses_a_flag_it_would_ignore(capsys, monkeypatch, argv, message):
+    """A request refuses a flag it would otherwise ignore, before any work
+    (the bijection input is never read), on both argv paths."""
+
     def no_work(*args):
         raise AssertionError("refused flags are checked before any work")
 
     monkeypatch.setattr(R, "centre", no_work)
+    monkeypatch.setattr(M, "move_graph", no_work)
+    monkeypatch.setattr(sys, "stdin", None)
     for name in ("presentation_ring", "equivariant_specialization"):
         monkeypatch.setattr(S, name, no_work)
+    assert cli._fast_args(argv) is not None
     code, out, err = capture(capsys, argv)
     assert (code, out, err) == (1, "", f"cupcalc: {message}\n")
+    with patch.object(cli, "_fast_args", return_value=None):  # the argparse path
+        assert capture(capsys, argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

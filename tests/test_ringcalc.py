@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -14,6 +13,7 @@ from helpers import (
     oracle_centre_rows,
     oracle_gamma_maps,
     oracle_map_between,
+    oracle_reduce_monomial,
 )
 
 
@@ -143,8 +143,8 @@ def test_restriction_basics():
     a2 = D.parse_dsl("4: c*(1,4);c(2,3)")
     ma, mb = R.restriction_maps(a1, a2)
     # units map to units
-    assert ma.column(0) == [Fraction(1), Fraction(0)]
-    assert mb.column(0) == [Fraction(1), Fraction(0)]
+    assert [row[0] for row in _dense(ma)] == [1, 0]
+    assert [row[0] for row in _dense(mb)] == [1, 0]
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -188,8 +188,7 @@ def test_restriction_maps_are_monomial_and_surjective(monkeypatch, k):
         dense = _dense(m)
         for j, entry in enumerate(m.entries):
             assert entry is None or (0 <= entry[0] < len(m.codomain) and entry[1] in (1, -1))
-            assert m.column(j) == [row[j] for row in dense]
-            assert [v for v in m.column(j) if v] in ([], [1], [-1])
+            assert [row[j] for row in dense if row[j]] in ([], [1], [-1])
         rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert m.is_surjective() == (dense_rank(rows, len(m.domain)) == len(m.codomain))
     assert [m.is_surjective() for m in maps[:3]] == [False, False, True]
@@ -215,11 +214,44 @@ def test_quotient_rings_suite_checks_every_k_to_k_max(monkeypatch):
     parity has one maximal diagram, so no pair.)"""
     from cupcalc.selftest import _suite_quotients
 
-    calls = count_calls(monkeypatch, R, "restriction_maps")
+    calls = count_calls(monkeypatch, R, "intersection_quotient")
     assert _suite_quotients(8, None) == (
         True, "ideal inclusions and surjectivity of restrictions hold, k<=8"
     )
     assert {a.k for a, _ in calls} == set(range(3, 9))
+
+
+def test_quotient_rings_suite_glues_each_pair_once(monkeypatch):
+    """The suite takes both restriction maps from the one intersection
+    quotient it built for the ideal check: ``force_lines`` runs once per
+    unordered pair it examines, orientable or not."""
+    from cupcalc.selftest import _suite_quotients
+
+    calls = count_calls(monkeypatch, R, "force_lines")
+    assert _suite_quotients(8, None)[0]
+    examined = sum(
+        len(D.maximal_diagrams(k, parity)) * (len(D.maximal_diagrams(k, parity)) - 1) // 2
+        for k in range(2, 9)
+        for parity in ("even", "odd")
+    )
+    assert len(calls) == examined
+    assert len(set(calls)) == examined  # no pair twice
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_reduce_monomial_reads_the_table_as_the_oracle_reduces(k):
+    """``reduce_monomial`` (read from ``subset_table``) equals the
+    one-variable-at-a-time rewrite on every subset of 1..k, in every
+    component quotient and every intersection quotient."""
+    nodes = D.maximal_diagrams(k)
+    quotients = [R.component_quotient(a) for a in nodes]
+    quotients += [R.intersection_quotient(a, b) for a, b in itertools.product(nodes, repeat=2)]
+    quotients = [q for q in quotients if q is not None]
+    assert len(quotients) > len(nodes)
+    for q in quotients:
+        for size in range(k + 1):
+            for mono in itertools.combinations(range(1, k + 1), size):
+                assert q.reduce_monomial(frozenset(mono)) == oracle_reduce_monomial(q, mono)
 
 
 def test_transport_sign_against_independent_path():

@@ -168,6 +168,17 @@ def test_index_set_conversions():
         assert str(negated) == str(w).translate(str.maketrans("v^", "^v"))
 
 
+def test_unknown_convention_is_refused_before_any_vertex():
+    """Both conversions check the convention once, before reading a
+    vertex: an empty weight and a malformed index set refuse it too."""
+    for weight in ("", "v^v"):
+        with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+            S.index_set_of_weight(O.Weight(weight), "bogus")
+    for iset in ({1, -2, 3}, {1, -1}):
+        with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+            S.weight_of_index_set(iset, "bogus")
+
+
 def test_malformed_index_sets():
     with pytest.raises(S.MalformedIndexSetError):
         S.weight_of_index_set({1, -1, 2})
