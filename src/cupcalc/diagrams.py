@@ -80,12 +80,13 @@ encoding it was generated with.
 
 Per-diagram facts are computed once per diagram and kept on the
 instance (``functools.cached_property``): the canonical ``encoding``
-(which :func:`encode` and ``str`` read) and the ``partners`` arrays that
-:func:`orientation.decompose` walks, on cup and cap diagrams alike, and
-on a :class:`CupDiagram` also ``dot_count``, ``dot_parity`` and the
-:class:`CapDiagram` returned by ``star()``.  They live in the instance
-``__dict__`` next to the three fields ``k``, ``cups`` and ``rays``,
-which is why the diagram classes are plain classes and not tuples.
+(which :func:`encode` and ``str`` read), the ``partners`` arrays and
+``ray_labels`` that the glued-pair walk of :mod:`orientation` reads, on
+cup and cap diagrams alike, and on a :class:`CupDiagram` also
+``dot_count``, ``dot_parity`` and the :class:`CapDiagram` returned by
+``star()``.  They live in the instance ``__dict__`` next to the three
+fields ``k``, ``cups`` and ``rays``, which is why the diagram classes
+are plain classes and not tuples.
 ``==``, ``hash`` and ``repr`` read the fields alone, so reading a fact
 changes none of them, and since :func:`maximal_diagrams` is cached too,
 every sweep over the same diagrams reuses these values.  The diagram
@@ -201,6 +202,15 @@ class _ArcDiagram:
     def partners(self) -> Tuple[tuple, tuple]:
         """(partner, flip) arrays of the arcs, as :func:`_partner_arrays`."""
         return _partner_arrays(self.k, self.cups)
+
+    @cached_property
+    def ray_labels(self) -> tuple:
+        """The label each ray asks of its vertex, +1 (up) when dotted and
+        -1 (down) when not, 0 at a vertex on an arc; indexed 1..k."""
+        labels = [0] * (self.k + 1)
+        for r in self.rays:
+            labels[r.at] = 1 if r.dotted else -1
+        return tuple(labels)
 
     def encode(self) -> str:
         return self.encoding

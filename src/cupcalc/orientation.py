@@ -45,15 +45,31 @@ oracle.  A weight whose text the library writes itself from a bit word
 is legal by construction, and ``_word_weight`` builds it without the
 check.
 
+A glued pair is walked once, by the private ``_glue``: one pass over
+the two halves' ``partners`` arrays that stops at the first
+contradiction (an inconsistent circle, or a line whose two end rays ask
+different labels) and otherwise returns flat facts: the circle count,
+each vertex's sign relative to its component's least vertex and, per
+component, its vertices, its maximum and the all-anticlockwise label of
+its least vertex.  The all-pairs laws read only orientability, the
+circle count (2^#circles fixed points) and the rewrite rule of each
+vertex (the sign to its circle maximum, or death on a line), and all
+three come straight from the walk.  So :func:`is_orientable`, the
+closed-form graded dimension and the quotient rings of :mod:`ringcalc`
+read the walk directly, and build no record.  :func:`decompose`, :func:`force_lines` and the records of
+:class:`Orientations` build the public NamedTuples from the same walk,
+only when they are read; the walk keeps its decomposition, so every
+reader of one walk gets one object.
+
 The orientations of a glued diagram are a lazy sequence
 (:class:`Orientations`) over that product, which builds a record only
 when one is read.  Its length is 2^#circles, or 0 when no weight
-orients the diagram.  Construction runs only :func:`force_lines`: the
-start word, the per-circle choices and the degree are prepared from the
-kept forcing on the first read, so testing orientability with ``bool``
-or ``len`` builds none of them.  :func:`decompose` keeps its last result
-in one slot, so orienting a pair and then decomposing the same two
-objects walks the pair once.
+orients the diagram.  Construction runs only the walk: the start word,
+the per-circle choices and the degree are prepared from the kept walk
+on the first read, so testing orientability with ``bool`` or ``len``
+builds none of them.  The walk keeps its last result in one slot, so
+orienting a pair and then decomposing the same two objects walks the
+pair once.
 """
 
 from __future__ import annotations
@@ -301,25 +317,74 @@ class ComponentDecomposition(NamedTuple):
         return tuple(cl for cl in self.classes if cl.kind == "circle")
 
 
-# (cap, cup, decomposition) of the last decompose call: one pair, never more
+class _Glued:
+    """The facts of one glued pair, as :func:`_glue` walks them.
+
+    ``circles`` counts the circles.  ``sign[v]`` is the sign of v relative
+    to the least vertex of its component, the product of the flips on
+    the path walked between them (index 0 unused).  ``components`` lists
+    each component by least vertex as ``(vertices, top, ref)``: its
+    vertices in walk order, its maximum (negated on a line) and the
+    label of its least vertex in the all-anticlockwise orientation, +1 up
+    or -1 down.  So v is labelled ``sign[v] * ref``: on a circle its sign
+    to the maximum, on a line the label the rays force.  Only a pair
+    walked with ``whole`` may have a component with ``ref`` 0, one that
+    admits no labels.  The :class:`ComponentDecomposition` is built from
+    these on the first read of ``decomposition`` and kept, so every
+    reader of one walk gets the same object."""
+
+    __slots__ = ("circles", "sign", "components", "_dec")
+
+    def __init__(self, circles: int, sign: list, components: list):
+        self.circles, self.sign, self.components, self._dec = circles, sign, components, None
+
+    @property
+    def decomposition(self) -> ComponentDecomposition:
+        if self._dec is None:
+            sign = self.sign
+            classes = []
+            for verts, top, ref in self.components:
+                verts = sorted(verts)
+                mx = verts[-1]
+                if top > 0 and not ref:  # an inconsistent circle
+                    signs = None
+                elif sign[mx] == 1:
+                    signs = tuple(map(sign.__getitem__, verts))
+                else:  # relative to the maximum
+                    signs = tuple([-sign[v] for v in verts])
+                kind = "circle" if top > 0 else "line"
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
+                classes.append(tuple.__new__(
+                    ComponentClass, (tuple(verts), kind, mx, signs, signs is not None)
+                ))
+            self._dec = tuple.__new__(ComponentDecomposition, (len(sign) - 1, tuple(classes)))
+        return self._dec
+
+
+# (cap, cup, _glue result) of the last walk: one pair, never more
 _last_glued = (None, None, None)
 
 
-def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
-    """Connected components of the glued diagram cap over cup.
+def _glue(cap: CapDiagram, cup: CupDiagram, whole: bool = False) -> Optional[_Glued]:
+    """The facts of the glued diagram cap over cup (see :class:`_Glued`),
+    or None when no weight orients it.
 
-    Every vertex meets one arc of each half, so each component is a
-    circle or a line.  It is traced from its least vertex along each
-    half's ``partners`` arrays (computed once per diagram), one cap step
-    and one cup step per loop turn, writing into one per-vertex array
-    the product of the flips passed (-1 per undotted cup); that array
-    also marks the vertices already reached.  A circle closes when a cup
-    step returns to its start; a line needs a second walk from the same
-    vertex, cup step first.  The sign of a vertex relative to the class
-    maximum is the parity of undotted cups on the path between them.  A
-    circle is consistent, and its signs path-independent, exactly when
-    the product of its flips is +1; an inconsistent circle admits no
-    orientation.  Classes come out in order of their least vertex.
+    Every vertex meets one arc or ray of each half, so each component is
+    a circle or a line.  It is traced from its least vertex along each
+    half's ``partners`` arrays, one cap step and one cup step per loop
+    turn, writing into one per-vertex array the product of the flips
+    passed (-1 per undotted cup); that array also marks the vertices
+    already reached.  A circle closes when a cup step returns to its
+    start, and it is consistent exactly when that product is +1; its
+    start then takes the label ``sign[max]``, which puts the maximum up,
+    as on an anticlockwise circle.  A line needs a second walk from the
+    start, cup step first.  Each walk ends at a ray, which asks its
+    vertex for a label (up when dotted), so asks the start for that
+    label times the end's sign; a vertex with a ray in both halves is a
+    line of one vertex.  The pair is orientable exactly when every
+    circle is consistent and the two ends of every line ask the same.
+    The walk stops at the first contradiction and returns None, unless
+    ``whole`` asks for every component (as :func:`decompose` does).
 
     The last result is kept in one slot and returned again when the
     same two objects (``is``, not ``==``) come back at once, as when a
@@ -328,68 +393,87 @@ def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
     """
     global _last_glued
     last_cap, last_cup, last = _last_glued
-    if cap is last_cap and cup is last_cup:
+    if cap is last_cap and cup is last_cup and (last is not None or not whole):
         return last
     if cap.k != cup.k:
         raise OrientationError("cap and cup must have the same vertex count")
     k = cup.k
     cap_partner, cap_flip = cap.partners
     cup_partner, cup_flip = cup.partners
-    sign = [0] * (k + 1)  # product of flips from the walk's start; 0 until reached
-    classes = []
+    sign = [0] * (k + 1)  # product of flips from the component's start; 0 until reached
+    components, circles, orientable = [], 0, True
     for start in range(1, k + 1):
         if sign[start]:
             continue
         sign[start] = s = 1
         verts = [start]
-        v, kind = start, "line"
+        v = start
         while True:  # a cap step, then a cup step
             w = cap_partner[v]
             if not w:
+                ask = cap.ray_labels[v] * s
                 break
             s *= cap_flip[v]
             sign[w] = s
             verts.append(w)
             v = cup_partner[w]
             if not v:
+                ask = cup.ray_labels[w] * s
                 break
             s *= cup_flip[w]
             if v == start:
-                kind = "circle"
+                ask = None
                 break
             sign[v] = s
             verts.append(v)
-        if kind == "circle":
-            consistent = s == 1
+        if ask is None:  # a circle
+            circles += 1
+            top = max(verts)
+            ref = sign[top] if s == 1 else 0
         else:
-            consistent = True
             v, s = start, 1
             while True:  # the other end: a cup step, then a cap step
                 w = cup_partner[v]
                 if not w:
+                    other = cup.ray_labels[v] * s
                     break
                 s *= cup_flip[v]
                 sign[w] = s
                 verts.append(w)
                 v = cap_partner[w]
                 if not v:
+                    other = cap.ray_labels[w] * s
                     break
                 s *= cap_flip[w]
                 sign[v] = s
                 verts.append(v)
-        verts.sort()
-        mx = verts[-1]
-        if consistent:
-            signs = tuple(map(sign.__getitem__, verts))
-            if sign[mx] == -1:  # relative to the maximum
-                signs = tuple([-x for x in signs])
-        else:
-            signs = None
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        classes.append(tuple.__new__(ComponentClass, (tuple(verts), kind, mx, signs, consistent)))
-    dec = tuple.__new__(ComponentDecomposition, (k, tuple(classes)))
-    _last_glued = (cap, cup, dec)
-    return dec
+            top = -max(verts)
+            ref = ask if ask == other else 0
+        if not ref:
+            if not whole:
+                _last_glued = (cap, cup, None)
+                return None
+            orientable = False
+        components.append((verts, top, ref))
+    glued = _Glued(circles, sign, components)
+    _last_glued = (cap, cup, glued if orientable else None)
+    return glued
+
+
+def decompose(cap: CapDiagram, cup: CupDiagram) -> ComponentDecomposition:
+    """Connected components of the glued diagram cap over cup, as
+    records built from the walk of :func:`_glue` on its first read.
+
+    Classes come out in order of their least vertex, each with its
+    sorted vertices, its maximum and each vertex's sign relative to it:
+    the parity of undotted cups on the path between them.  A circle
+    whose signs are not path-independent has none (``signs`` None) and
+    admits no orientation.  Orienting a pair and then decomposing the
+    same two objects walks the pair once, and both read the same record.
+    A pair that no weight orients is walked whole, past the
+    contradiction that stops the plain walk, each time it is decomposed.
+    """
+    return _glue(cap, cup, whole=True).decomposition
 
 
 class OrientedCircleDiagram(NamedTuple):
@@ -414,54 +498,34 @@ def force_lines(cap: CapDiagram, cup: CupDiagram) -> Optional[LineForcing]:
     """The glued diagram's components and the labels its lines must carry,
     or None when no weight orients it.
 
-    Each line takes its label from the rays at its ends, pushed along
-    the line by the class signs; the glued diagram is orientable exactly
-    when no ray vertex gets two labels, every circle is consistent and
-    every line gets one label.  One pass over a line's vertices reads
-    the label each ray end asks of the line maximum and checks that they
-    agree.  This is the first step of :func:`orient_circle_diagram`, for
-    callers that need only orientability or the decomposition.
+    Both are read from the one walk of :func:`_glue`, which reads each
+    line's label off the rays at its two ends and stops at the first
+    contradiction: an inconsistent circle, or a line whose two ends ask
+    different labels.  The records are built here, for callers that read
+    them; orientability alone is ``_glue(cap, cup) is not None``.
     """
-    dec = decompose(cap, cup)
-    ray = [0] * (cup.k + 1)  # +1 for a ray asking up, -1 for down, 0 for none
-    for half in (cap, cup):
-        for r in half.rays:
-            val = 1 if r.dotted else -1
-            if ray[r.at] == -val:
-                return None
-            ray[r.at] = val
-    labels = [None] * cup.k
-    for cl in dec.classes:
-        if not cl.parity_consistent:
-            return None
-        if cl.kind == "circle":
-            continue
-        at_mx = 0  # the label of the line maximum, +1 up or -1 down
-        for v, s in zip(cl.vertices, cl.signs):
-            val = ray[v] * s
-            if not val:
-                continue
-            if at_mx and at_mx != val:
-                return None
-            at_mx = val
-        if not at_mx:
-            return None
-        same, other = (UP, DOWN) if at_mx == 1 else (DOWN, UP)
-        for v, s in zip(cl.vertices, cl.signs):
-            labels[v - 1] = same if s == 1 else other
-    return LineForcing(dec, tuple(labels))
+    glued = _glue(cap, cup)
+    if glued is None:
+        return None
+    sign, labels = glued.sign, [None] * cup.k
+    for verts, top, ref in glued.components:
+        if top < 0:
+            for v in verts:
+                labels[v - 1] = UP if sign[v] == ref else DOWN
+    return LineForcing(glued.decomposition, tuple(labels))
 
 
 class Orientations(Sequence):
     """All orientations of one glued diagram, in canonical order, each
     built only when it is read.
 
-    It is made in two stages.  Construction runs :func:`force_lines` and
-    keeps its :class:`LineForcing` and the length, 2^#circles or 0 when
-    no weight orients the pair, so a truth or length test builds nothing
-    more.  The first read (an index, a slice, iteration, ``==`` or
-    ``anticlockwise``) runs ``_prepare`` once, from the kept forcing and
-    without gluing the pair again.  It builds the all-anticlockwise
+    It is made in two stages.  Construction runs the walk of ``_glue``
+    and keeps its flat result and the length, 2^#circles or 0 when no
+    weight orients the pair, so a truth or length test builds no record.
+    The first read (an index, a slice, iteration, ``==`` or
+    ``anticlockwise``) runs ``_prepare`` once, from the kept walk and
+    without gluing the pair again; the records share the walk's one
+    :class:`ComponentDecomposition`.  It builds the all-anticlockwise
     orientation as the ``(bits, ())`` start of ``_choice_sums`` with its
     degree and, per circle by least vertex, two choices, the one that puts
     down at the least vertex first: keep ``(0, ((mx, "anticlockwise"),))``
@@ -482,50 +546,49 @@ class Orientations(Sequence):
     """
 
     __slots__ = (
-        "_cap", "_cup", "_forced", "_len",
+        "_cap", "_cup", "_glued", "_len",
         # filled by _prepare on the first read; _choices is None until then
         "_dec", "_start", "_degree", "_maxima", "_choices", "_by_maximum",
     )
     __hash__ = None
 
     def __init__(self, cap: CapDiagram, cup: CupDiagram):
-        forced = force_lines(cap, cup)
-        self._cap, self._cup, self._forced, self._choices = cap, cup, forced, None
-        if forced is None:
-            self._len = 0  # no record slot is read when the length is 0
-        else:
-            kinds = [cl.kind for cl in forced.decomposition.classes]
-            self._len = 1 << kinds.count("circle")
+        glued = _glue(cap, cup)
+        self._cap, self._cup, self._glued, self._choices = cap, cup, glued, None
+        self._len = 0 if glued is None else 1 << glued.circles  # no record slot is read at 0
 
     def _prepare(self) -> None:
         """Build the start word, the per-circle choices, the degree and the
-        maxima order from the kept :class:`LineForcing`.  The
-        all-anticlockwise orientation: lines carry the labels that
-        force_lines gives them, and each circle puts up at its vertices of
+        maxima order from the kept walk.  The all-anticlockwise orientation
+        is up exactly where the walk's label ``sign[v] * ref`` is +1: lines
+        carry their forced labels, and each circle is up at its vertices of
         sign +1, so at its maximum."""
-        dec, labels = self._forced
-        k = dec.k
-        bits = sum(1 << (k - v) for v, sym in enumerate(labels, 1) if sym == UP)
-        choices, maxima, tops = [], [], 0
-        for cl in dec.circles:
+        glued = self._glued
+        sign = glued.sign
+        k = len(sign) - 1
+        bits, choices, maxima, tops = 0, [], [], 0
+        for verts, mx, ref in glued.components:
             mask = up = 0
-            for v, s in zip(cl.vertices, cl.signs):
-                mask |= 1 << (k - v)
-                if s == 1:
-                    up |= 1 << (k - v)
+            for v in verts:
+                bit = 1 << (k - v)
+                mask |= bit
+                if sign[v] == ref:
+                    up |= bit
             bits |= up
-            keep = (0, ((cl.mx, "anticlockwise"),))
-            flip = ((mask - up) - up, ((cl.mx, "clockwise"),))
-            # keep first when anticlockwise is down at the least vertex (sign -1)
-            choices.append((keep, flip) if cl.signs[0] == -1 else (flip, keep))
-            maxima.append(cl.mx)
-            tops |= 1 << (k - cl.mx)
+            if mx < 0:  # a line
+                continue
+            keep = (0, ((mx, "anticlockwise"),))
+            flip = ((mask - up) - up, ((mx, "clockwise"),))
+            # keep first when anticlockwise is down at the least vertex (label ref)
+            choices.append((keep, flip) if ref == -1 else (flip, keep))
+            maxima.append(mx)
+            tops |= 1 << (k - mx)
         # An oriented arc is clockwise exactly when its right end is down, so
         # the degree counts the arc right ends, in both halves, that carry down.
         degree = [
             bits >> (k - c.right) & 1 for half in (self._cap, self._cup) for c in half.cups
         ].count(0)
-        self._dec, self._start, self._degree, self._maxima = dec, (bits, ()), degree, tops
+        self._dec, self._start, self._degree, self._maxima = glued.decomposition, (bits, ()), degree, tops
         # a record's circle_classes list the circles by maximum
         if maxima == sorted(maxima):
             self._by_maximum = tuple
@@ -593,23 +656,24 @@ def orient_circle_diagram(cap: CapDiagram, cup: CupDiagram) -> Orientations:
     orientation, the circles named by the binary digits of i, the first
     circle by least vertex the most significant digit.
 
-    Empty when :func:`force_lines` finds a contradiction; otherwise each
-    flip adds 2 to the degree and there are exactly 2^#circles records,
-    each built when it is read.  This call runs :func:`force_lines` and
-    nothing more, so ``bool`` and ``len`` of the result cost one walk of
-    the pair; the first read prepares the choices from the kept forcing.
-    The pair's decomposition stays in :func:`decompose`'s one slot, so a
-    ``decompose`` of the same two objects right after this call does not
-    walk the pair again.  Each record's ``circle_classes`` list the
-    circles by maximum.
+    Empty when the walk finds a contradiction; otherwise each flip adds
+    2 to the degree and there are exactly 2^#circles records, each built
+    when it is read.  This call runs the walk of ``_glue`` and nothing
+    more, so ``bool`` and ``len`` of the result cost one walk of the pair
+    and build no record; the first read prepares the choices from the
+    kept walk.  The walk stays in its one slot, so a ``decompose`` of the
+    same two objects right after this call does not walk the pair again,
+    and returns the records' decomposition.  Each record's
+    ``circle_classes`` list the circles by maximum.
     """
     return Orientations(cap, cup)
 
 
 def is_orientable(cap: CapDiagram, cup: CupDiagram) -> bool:
-    """Whether some weight orients the glued diagram: :func:`force_lines`
-    alone, the same work as ``bool(orient_circle_diagram(cap, cup))``."""
-    return force_lines(cap, cup) is not None
+    """Whether some weight orients the glued diagram: the walk of
+    :func:`_glue` alone, the same work as
+    ``bool(orient_circle_diagram(cap, cup))``; no record is built."""
+    return _glue(cap, cup) is not None
 
 
 def min_degree_element(a: CupDiagram, b: CupDiagram):

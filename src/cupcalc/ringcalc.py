@@ -14,20 +14,26 @@ quotient: on each circle x_i is identified with eps(i, mx) x_mx (mx the
 class maximum, eps the undotted-cup path sign) and every line variable
 dies.  These rewrite rules are confluent, so each quotient has the
 squarefree monomials in the surviving representatives as a basis.  One
-table states every reduction: ``QuotientPresentation.subset_table`` maps
-every subset of a tuple of variables, as a bitmask over their positions,
-to a sign and an image bitmask, and one private reader turns it into
-each monomial's image and sign, or None where the monomial dies.
-``reduce_monomial`` reads it for one monomial, and a restriction map
-reads it into a monomial table: a target row and sign per source
-monomial, or None.
+step states every reduction: the rule of a variable x_v becomes its
+*step*, a sign and an image bit (sign 0 where x_v dies), and a monomial
+reduces by folding the steps of its variables, the sign multiplying
+and the image bits joining, dying at a dead variable or a bit already
+in the image (x^2 = 0).  ``reduce_monomial`` folds them along one
+monomial, in linear time; ``QuotientPresentation.subset_table`` folds
+them over every subset of a tuple of variables at once, as a bitmask
+over their positions, and one private reader turns that table into
+each monomial's image and sign, or None where the monomial dies.  A
+restriction map reads it into a monomial table: a target row and sign
+per source monomial, or None.
 
 The centre of the whole configuration is the equalizer of the
 restriction maps: tuples of component-ring elements agreeing on every
-pairwise intersection.  Each orientable pair is glued once, and each of
-its constraint rows is the difference of the two restriction maps on
-one image monomial, read from the same table.  It is computed degree by
-degree as an exact kernel, with a deterministic echelon basis.
+pairwise intersection.  Each orientable pair is glued once, by the
+record-free walk of :mod:`orientation`, whose components give the
+intersection quotient's rules directly, and each of its constraint rows
+is the difference of the two restriction maps on one image monomial,
+read from the same table.  It is computed degree by degree as an exact
+kernel, with a deterministic echelon basis.
 """
 
 from __future__ import annotations
@@ -40,12 +46,7 @@ from . import linalg
 from .diagrams import CupDiagram, _refuse_assignment, encode
 from .errors import InputError, InternalCheckError
 from .movegraph import total_order
-from .orientation import (
-    ComponentDecomposition,
-    OrientedCircleDiagram,
-    force_lines,
-    orient_circle_diagram,
-)
+from .orientation import OrientedCircleDiagram, _glue, _Glued, orient_circle_diagram
 
 
 class NotOrientableError(InputError):
@@ -74,18 +75,48 @@ def _listing(kept: tuple) -> Tuple[tuple, Dict[int, int]]:
     return basis, {sum(1 << v for v in mono): row for row, mono in enumerate(basis)}
 
 
+def _step(rule: Optional[Tuple[int, int]]) -> Tuple[int, int]:
+    """One variable's rewrite rule as ``(sign, image bit)``: ``(s, 1 << r)``
+    for the rule ``(s, r)``, and ``(0, 0)`` where the variable dies."""
+    return (0, 0) if rule is None else (rule[0], 1 << rule[1])
+
+
+def _steps(k: int, rules: dict) -> list:
+    """The step of each variable under ``rules``, indexed by the variable
+    (the entry at 0 is unused)."""
+    return [_step(rules.get(v, (1, v))) for v in range(k + 1)]
+
+
+def _subset_table(steps, variables: tuple) -> Tuple[list, list]:
+    """Sign and image bitmask of x_J for every subset J of ``variables``,
+    indexed by the bitmask of J's positions, folded from ``steps[v]`` of
+    each variable v in turn (see :meth:`QuotientPresentation.subset_table`)."""
+    sign, image = [1], [0]
+    for v in variables:
+        s, m = steps[v]
+        if not s:  # x_v dies, and so does every subset holding it
+            sign += [0] * len(sign)
+            image += image
+            continue
+        sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
+        image += [ij | m for ij in image]
+    return sign, image
+
+
 class QuotientPresentation:
     """Quotient of R(k) by a variable rewrite system.
 
     ``rules`` sends a variable index to ``None`` (the variable dies) or
     to ``(sign, representative)``; unmentioned variables survive as
-    their own representative.
+    their own representative.  ``steps[v]`` is the rule of x_v as
+    :func:`_step` reads it, for v in 0..k (x_0 is no variable).
     """
 
     def __init__(self, k: int, rules: Dict[int, Optional[Tuple[int, int]]]):
         self.k = k
         self.rules = dict(rules)
         self.kept = tuple(i for i in range(1, k + 1) if i not in rules)
+        self.steps = _steps(k, self.rules)
 
     @property
     def dimension(self) -> int:
@@ -96,12 +127,15 @@ class QuotientPresentation:
         return list(_listing(self.kept)[0])
 
     def reduce_monomial(self, mono) -> Optional[Tuple[int, frozenset]]:
-        """Rewrite x_mono to sign * x_image, or None when it dies.  Reads
-        the whole subset table of mono's variables, 2^len(mono) entries."""
-        reading = _readings(tuple(mono), self)[-1]  # the whole of mono comes last
-        if reading is None:
-            return None
-        image, sign = reading
+        """Rewrite x_mono to sign * x_image, or None when it dies: the
+        step of each variable folded along mono, as :meth:`subset_table`
+        folds it over every subset, in time linear in len(mono)."""
+        sign, image = 1, 0
+        for v in mono:
+            s, m = self.steps[v]
+            if not s or image & m:
+                return None
+            sign, image = sign * s, image | m
         return sign, frozenset(v for v in range(image.bit_length()) if image >> v & 1)
 
     def subset_table(self, variables: tuple) -> Tuple[list, list]:
@@ -109,28 +143,18 @@ class QuotientPresentation:
         ``variables``, indexed by the bitmask of J's positions; the image
         has bit v set for each representative x_v.
 
-        The table doubles once per variable, and the sign is 0 where x_J
-        dies: a dead variable, or a representative already in the image
-        (x^2 = 0).
+        The table doubles once per variable, by that variable's step, and
+        the sign is 0 where x_J dies: a dead variable, or a representative
+        already in the image (x^2 = 0).
         """
-        sign, image = [1], [0]
-        for v in variables:
-            rule = self.rules.get(v, (1, v))
-            if rule is None:  # x_v dies, and so does every subset holding it
-                sign += [0] * len(sign)
-                image += image
-                continue
-            s, m = rule[0], 1 << rule[1]
-            sign += [sj * s if not ij & m else 0 for sj, ij in zip(sign, image)]
-            image += [ij | m for ij in image]
-        return sign, image
+        return _subset_table(self.steps, variables)
 
 
-def _readings(variables: tuple, target: QuotientPresentation) -> list:
-    """Each monomial in ``variables``, in monomial order, read in
-    ``target``: its image bitmask and sign, or None where it dies.  The
-    one reader of :meth:`QuotientPresentation.subset_table`."""
-    sign, image = target.subset_table(variables)
+def _readings(variables: tuple, steps) -> list:
+    """Each monomial in ``variables``, in monomial order, read through the
+    per-variable ``steps`` of a target: its image bitmask and sign, or
+    None where it dies.  The one reader of :func:`_subset_table`."""
+    sign, image = _subset_table(steps, variables)
     return [(image[j], s) if (s := sign[j]) else None for j in _monomial_order(len(variables))]
 
 
@@ -154,23 +178,24 @@ def intersection_quotient(a: CupDiagram, b: CupDiagram) -> Optional[QuotientPres
     Circle classes keep their maximal vertex, every other circle vertex
     rewrites to it with the path sign; line classes die entirely.
     """
-    forced = force_lines(a.star(), b)
-    if forced is None:
+    glued = _glue(a.star(), b)
+    if glued is None:
         return None
-    return _quotient_of(forced.decomposition)
+    return QuotientPresentation(len(glued.sign) - 1, _glued_rules(glued))
 
 
-def _quotient_of(dec: ComponentDecomposition) -> QuotientPresentation:
-    rules: Dict[int, Optional[Tuple[int, int]]] = {}
-    for cl in dec.classes:
-        if cl.kind == "circle":
-            for v, s in zip(cl.vertices, cl.signs):
-                if v != cl.mx:
-                    rules[v] = (s, cl.mx)
-        else:
-            for v in cl.vertices:
+def _glued_rules(glued: _Glued) -> Dict[int, Optional[Tuple[int, int]]]:
+    """The rules of one glued pair's intersection quotient, read off the
+    walk: a circle vertex other than the maximum rewrites to the maximum
+    with its sign to it, a line vertex dies."""
+    sign, rules = glued.sign, {}
+    for verts, top, ref in glued.components:
+        for v in verts:
+            if top < 0:
                 rules[v] = None
-    return QuotientPresentation(dec.k, rules)
+            elif v != top:
+                rules[v] = (sign[v] * ref, top)
+    return rules
 
 
 class LinearMap(NamedTuple):
@@ -190,7 +215,7 @@ def _map_between(source: QuotientPresentation, target: QuotientPresentation) -> 
     codomain, row_of = _listing(target.kept)
     entries = [
         None if reading is None else (row_of[reading[0]], reading[1])
-        for reading in _readings(source.kept, target)
+        for reading in _readings(source.kept, target.steps)
     ]
     return LinearMap(source.basis(), list(codomain), entries)
 
@@ -252,13 +277,13 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
     for ai, a in enumerate(diagrams):
         a_star = a.star()
         for bi in range(ai + 1, len(diagrams)):
-            forced = force_lines(a_star, diagrams[bi])  # intersection_quotient, a_star hoisted
-            if forced is None:
+            glued = _glue(a_star, diagrams[bi])  # intersection_quotient, a_star hoisted
+            if glued is None:
                 continue
-            target = _quotient_of(forced.decomposition)
+            steps = _steps(k, _glued_rules(glued))  # no QuotientPresentation per pair
             constraint: Dict[int, Dict[int, int]] = {}
             for side, qi in ((1, ai), (-1, bi)):
-                for col, reading in zip(columns[qi], _readings(kept[qi], target)):
+                for col, reading in zip(columns[qi], _readings(kept[qi], steps)):
                     if reading is not None:
                         image, sign = reading
                         constraint.setdefault(image, {})[col] = side * sign
@@ -318,7 +343,7 @@ def diagram_basis_dictionary(a: CupDiagram, b: CupDiagram) -> BasisDictionary:
             f"{encode(a)} and {encode(b)} have empty intersection"
         )
     unit = oriented.anticlockwise  # the empty monomial, of least degree
-    target = _quotient_of(unit.decomposition)
+    target = intersection_quotient(a, b)  # reads the walk just kept in the one slot
     by_clockwise = {
         frozenset(mx for mx, cls in o.circle_classes if cls == "clockwise"): o for o in oriented
     }
@@ -347,7 +372,7 @@ def gamma_maps(a: CupDiagram, b: CupDiagram) -> Tuple[GammaMap, GammaMap]:
     entries read through the basis dictionaries, both in basis order."""
     dict_ab = diagram_basis_dictionary(a, b)  # raises when the intersection is empty
     unit = dict_ab.entries[0][1]  # the empty monomial: minimal degree, all anticlockwise
-    target = _quotient_of(unit.decomposition)
+    target = intersection_quotient(a, b)  # reads the walk just kept in the one slot
     weights = [o.weight for _, o in dict_ab.entries]
     out = []
     for source in (a, b):

@@ -225,18 +225,17 @@ def _suite_quotients(k_max, rng):
                     continue
                 # every generator of the one-diagram ideal dies downstairs:
                 # x_l + c x_r dies iff both terms die, or x_l reduces to
-                # -c times the reduction of x_r.  The reading of (v,) lists
-                # 1, then x_v: one per vertex serves both diagrams.
-                reduced = [None] + [ringcalc._readings((v,), target)[1] for v in range(1, k + 1)]
+                # -c times the reduction of x_r.  The step of x_v is its
+                # (sign, image bit), (0, 0) where it dies.
+                steps = target.steps
                 for d in (a, b):
                     for cup in d.cups:
                         c = -1 if cup.dotted else 1
-                        right = reduced[cup.right]
-                        cancelling = None if right is None else (right[0], -c * right[1])
-                        if reduced[cup.left] != cancelling:
+                        sign, bit = steps[cup.right]
+                        if steps[cup.left] != (-c * sign, bit):
                             return False, f"ideal inclusion fails for {d.encode()}"
                     for ray in d.rays:
-                        if reduced[ray.at] is not None:
+                        if steps[ray.at] != (0, 0):
                             return False, f"ray generator survives for {d.encode()}"
                 # both restriction maps into the one target: the pair is glued once
                 ma, mb = (ringcalc._map_between(q, target) for q in (qa, qb))

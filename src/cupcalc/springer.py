@@ -40,8 +40,8 @@ from . import linalg
 from .diagrams import enumerate_encodings, maximal_diagrams
 from .errors import InputError, InternalCheckError, SizeError
 from .movegraph import _distance_row
-from .orientation import DOWN, UP, Weight, force_lines
-from .orientation import _cup_words, _word_weight
+from .orientation import DOWN, UP, Weight
+from .orientation import _cup_words, _glue, _word_weight
 
 
 class MalformedIndexSetError(InputError):
@@ -297,10 +297,10 @@ def arc_algebra_graded_dimension_closed_form(k: int) -> GradedDimension:
             cap = a.star()
             row = _distance_row(k, parity, ia)
             for b, d in zip(diagrams, row):
-                forced = force_lines(cap, b)
-                if forced is None:
+                glued = _glue(cap, b)
+                if glued is None:
                     continue
-                key = (d, len(forced.decomposition.circles))
+                key = (d, glued.circles)
                 pairs[key] = pairs.get(key, 0) + 1
     coeffs: Dict[int, int] = {}
     for (d, circles), n in pairs.items():

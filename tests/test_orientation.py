@@ -351,7 +351,8 @@ def test_prepare_runs_once_on_the_first_read(monkeypatch, k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_truth_test_runs_force_lines_and_nothing_else(k):
     """The Python functions of this module that bool() and len() of a new
-    sequence run are the constructor's force_lines and its decompose."""
+    sequence, and is_orientable, run are the constructors and the walk
+    of _glue: no record is built."""
     ran = set()
 
     def profile(frame, event, _):
@@ -368,7 +369,7 @@ def test_truth_test_runs_force_lines_and_nothing_else(k):
         finally:
             sys.setprofile(None)
     assert ran == {
-        "orient_circle_diagram", "__init__", "force_lines", "decompose", "__len__", "is_orientable"
+        "orient_circle_diagram", "__init__", "_glue", "__len__", "is_orientable"
     }
 
 
@@ -407,6 +408,91 @@ def test_decompose_builds_exact_record_types(k):
             assert cl.signs is None or (
                 type(cl.signs) is tuple and all(type(s) is int for s in cl.signs)
             )
+
+
+def _glue_cases():
+    """Every pair of legal diagrams for k <= 6, and every maximal pair of
+    each parity for k <= 10."""
+    for k in range(1, 7):
+        yield k, "any"
+    for k in range(1, 11):
+        yield k, "even"
+        yield k, "odd"
+
+
+@pytest.mark.parametrize("k, pool", list(_glue_cases()))
+def test_glue_matches_oracle(k, pool):
+    """The walk's flat facts are what the oracles find: orientability,
+    the circle count, the components by least vertex with their maxima,
+    each vertex's rewrite rule (the sign to its circle maximum, or death
+    on a line) and the label each line vertex is forced to carry."""
+    from cupcalc import ringcalc as R
+
+    if pool == "any":
+        pairs = _same_k_pairs(k)
+    else:
+        pairs = itertools.product(D.maximal_diagrams(k, pool), repeat=2)
+    orientable = 0
+    for a, b in pairs:
+        cap = a.star()
+        glued = O._glue(cap, b)
+        forced = oracle_force_lines(cap, b)
+        assert (glued is None) == (forced is None), (a.encode(), b.encode())
+        if glued is None:
+            continue
+        orientable += 1
+        dec = oracle_decompose(cap, b)
+        assert glued.circles == len(dec.circles)
+        assert [(sorted(verts), abs(top), "circle" if top > 0 else "line")
+                for verts, top, _ in glued.components] == [
+            (list(cl.vertices), cl.mx, cl.kind) for cl in dec.classes
+        ]
+        rules = {}
+        for cl in dec.classes:
+            for v, s in zip(cl.vertices, cl.signs):
+                if cl.kind == "line":
+                    rules[v] = None
+                elif v != cl.mx:
+                    rules[v] = (s, cl.mx)
+        assert R._glued_rules(glued) == rules
+        sign, labels = glued.sign, [None] * k
+        for verts, top, ref in glued.components:
+            if top < 0:
+                for v in verts:
+                    labels[v - 1] = O.UP if sign[v] * ref == 1 else O.DOWN
+        assert tuple(labels) == forced.labels
+    assert orientable
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_law_readers_build_no_component_record(monkeypatch, k):
+    """is_orientable, bool and len of a glued sequence, the closed-form
+    graded dimension and the centre read the walk alone: no
+    ComponentClass is built.  Every record of this module is built in
+    ``_Glued.decomposition``, which is counted here; reading a record
+    shows the counter works."""
+    from cupcalc import ringcalc as R
+    from cupcalc import springer as S
+
+    built = []
+    decomposition = O._Glued.decomposition
+
+    def counted(glued):
+        built.append(glued)
+        return decomposition.fget(glued)
+
+    monkeypatch.setattr(O._Glued, "decomposition", property(counted))
+    last = None
+    for a, b in _maximal_pairs(k):
+        oriented = O.orient_circle_diagram(a.star(), b)
+        assert bool(oriented) == (len(oriented) > 0) == O.is_orientable(a.star(), b)
+        last = oriented if oriented else last
+    S.arc_algebra_graded_dimension_closed_form(k)
+    for parity in ("even", "odd"):
+        R.centre(k, parity)
+    assert built == []
+    assert type(last[0].decomposition.classes[0]) is O.ComponentClass
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))

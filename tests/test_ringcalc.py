@@ -223,11 +223,11 @@ def test_quotient_rings_suite_checks_every_k_to_k_max(monkeypatch):
 
 def test_quotient_rings_suite_glues_each_pair_once(monkeypatch):
     """The suite takes both restriction maps from the one intersection
-    quotient it built for the ideal check: ``force_lines`` runs once per
-    unordered pair it examines, orientable or not."""
+    quotient it built for the ideal check: the walk ``_glue`` runs once
+    per unordered pair it examines, orientable or not."""
     from cupcalc.selftest import _suite_quotients
 
-    calls = count_calls(monkeypatch, R, "force_lines")
+    calls = count_calls(monkeypatch, O, "_glue")
     assert _suite_quotients(8, None)[0]
     examined = sum(
         len(D.maximal_diagrams(k, parity)) * (len(D.maximal_diagrams(k, parity)) - 1) // 2
@@ -240,18 +240,43 @@ def test_quotient_rings_suite_glues_each_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_reduce_monomial_reads_the_table_as_the_oracle_reduces(k):
-    """``reduce_monomial`` (read from ``subset_table``) equals the
-    one-variable-at-a-time rewrite on every subset of 1..k, in every
-    component quotient and every intersection quotient."""
+    """``reduce_monomial`` (the per-variable step folded along the
+    monomial) and the entry of ``subset_table`` (the same step folded over
+    every subset) both equal the one-variable-at-a-time rewrite on every
+    subset of 1..k, in every component quotient and every intersection
+    quotient."""
     nodes = D.maximal_diagrams(k)
     quotients = [R.component_quotient(a) for a in nodes]
     quotients += [R.intersection_quotient(a, b) for a, b in itertools.product(nodes, repeat=2)]
     quotients = [q for q in quotients if q is not None]
     assert len(quotients) > len(nodes)
+    variables = tuple(range(1, k + 1))
     for q in quotients:
-        for size in range(k + 1):
-            for mono in itertools.combinations(range(1, k + 1), size):
-                assert q.reduce_monomial(frozenset(mono)) == oracle_reduce_monomial(q, mono)
+        sign, image = q.subset_table(variables)
+        for j in range(1 << k):
+            mono = [v for t, v in enumerate(variables) if j >> t & 1]
+            want = oracle_reduce_monomial(q, mono)
+            assert q.reduce_monomial(frozenset(mono)) == want
+            read = frozenset(v for v in range(k + 1) if image[j] >> v & 1)
+            assert (None if not sign[j] else (sign[j], read)) == want
+
+
+def test_reduce_monomial_folds_along_the_monomial(monkeypatch):
+    """reduce_monomial folds each variable's step along its monomial, so a
+    40-variable monomial reduces at once, with no subset table (2^40
+    entries), and equals the one-variable-at-a-time rewrite."""
+    def no_table(*args):
+        raise AssertionError("reduce_monomial built a subset table")
+
+    monkeypatch.setattr(R, "_subset_table", no_table)
+    q = R.QuotientPresentation(40, {})
+    mono = frozenset(range(1, 41))
+    assert q.reduce_monomial(mono) == oracle_reduce_monomial(q, mono) == (1, mono)
+    rules = {v: (-1, v + 1) for v in range(1, 40, 2)}  # x_1 = -x_2, x_3 = -x_4, ...
+    q = R.QuotientPresentation(40, rules)
+    odd = frozenset(range(1, 41, 2))
+    assert q.reduce_monomial(odd) == oracle_reduce_monomial(q, odd) == (1, frozenset(range(2, 41, 2)))
+    assert q.reduce_monomial(mono) is None is oracle_reduce_monomial(q, mono)
 
 
 def test_transport_sign_against_independent_path():
