@@ -89,9 +89,11 @@ fields ``k``, ``cups`` and ``rays``, which is why the diagram classes
 are plain classes and not tuples.
 ``==``, ``hash`` and ``repr`` read the fields alone, so reading a fact
 changes none of them, and since :func:`maximal_diagrams` is cached too,
-every sweep over the same diagrams reuses these values.  The diagram
-classes refuse assignment and deletion; the library fills a fact
-directly only where it already knows it (the encoding at enumeration).
+every sweep over the same diagrams reuses these values.  The diagrams,
+:class:`DiagramSet`, ``orientation.Weight`` and ``ringcalc.BasisDictionary``
+share the immutable base :class:`_Value`, which refuses assignment and
+deletion; the library fills a fact directly only where it already knows
+it (the encoding at enumeration).
 """
 
 from __future__ import annotations
@@ -166,32 +168,51 @@ def _partner_arrays(k: int, cups: tuple) -> Tuple[tuple, tuple]:
 
 
 def _refuse_assignment(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    """``__setattr__`` and ``__delattr__`` of :class:`_Value`."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
 
-class _ArcDiagram:
+class _Value:
+    """An immutable value over the attributes named in ``_fields``: equal
+    to a value of the same class with equal fields, hashed as their tuple,
+    shown as ``Name(field=value, ...)``, and copied or pickled by calling
+    the class on them, so ``__init__`` takes them in that order and stores
+    them past the refusing ``__setattr__``."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def _field_values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._field_values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._field_values()
+
+
+class _ArcDiagram(_Value):
     """The fields ``k``, ``cups`` and ``rays`` shared by cup and cap
-    diagrams, with equality, hash and repr over them in that order.  The
-    fields and the cached facts live in the instance ``__dict__``; only
-    diagrams of the same class compare equal."""
+    diagrams.  The fields and the cached facts live in the instance
+    ``__dict__``; only diagrams of the same class compare equal."""
+
+    _fields = ("k", "cups", "rays")
 
     def __init__(self, k: int, cups: tuple, rays: tuple):
         fields = self.__dict__
         fields["k"], fields["cups"], fields["rays"] = k, cups, rays
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.k, self.cups, self.rays) == (other.k, other.cups, other.rays)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.cups, self.rays))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(k={self.k!r}, cups={self.cups!r}, rays={self.rays!r})"
 
     @cached_property
     def encoding(self) -> str:
@@ -723,32 +744,15 @@ def _decorated(k: int, cups: Union[int, str], dots: str):
         yield arcs, decorations
 
 
-class DiagramSet:
+class DiagramSet(_Value):
     """The members of one enumeration, with the filters that chose them."""
+
+    _fields = ("k", "cup_filter", "dot_filter", "members")
 
     def __init__(self, k: int, cup_filter: Union[int, str], dot_filter: str, members: tuple):
         fields = self.__dict__
         fields["k"], fields["cup_filter"], fields["dot_filter"] = k, cup_filter, dot_filter
         fields["members"] = members
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def _values(self) -> tuple:
-        return (self.k, self.cup_filter, self.dot_filter, self.members)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"DiagramSet(k={self.k!r}, cup_filter={self.cup_filter!r}, "
-            f"dot_filter={self.dot_filter!r}, members={self.members!r})"
-        )
 
     def __len__(self) -> int:
         return len(self.members)

@@ -78,7 +78,7 @@ import operator
 from collections.abc import Sequence
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _refuse_assignment, validate
+from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _Value, validate
 from .errors import InputError
 
 UP = "^"
@@ -94,35 +94,18 @@ class InconsistentOrientationError(OrientationError):
     pass
 
 
-class Weight:
+class Weight(_Value):
     """A word in the symbols ``^`` and ``v``, one per vertex.  Immutable;
     equal weights have equal text, and the hash is that of ``(text,)``."""
 
     __slots__ = ("text",)
+    _fields = ("text",)
 
     def __init__(self, text: str):
         bad = set(text) - {UP, DOWN}
         if bad:
             raise OrientationError(f"weight symbols must be '{UP}' or '{DOWN}', got {bad}")
         object.__setattr__(self, "text", text)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.text == other.text
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.text,))
-
-    def __repr__(self) -> str:
-        return f"Weight(text={self.text!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: their default sets each
-        # slot by setattr, which the refusing __setattr__ would stop
-        return Weight, (self.text,)
 
     @property
     def k(self) -> int:

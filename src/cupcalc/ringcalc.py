@@ -43,7 +43,7 @@ import itertools
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
-from .diagrams import CupDiagram, _refuse_assignment, encode
+from .diagrams import CupDiagram, _Value, encode
 from .errors import InputError, InternalCheckError
 from .movegraph import total_order
 from .orientation import OrientedCircleDiagram, _glue, _Glued, orient_circle_diagram
@@ -306,25 +306,18 @@ def centre(k: int, parity: str, tie_break: str = "lex") -> CentreBasis:
 # Dictionary between quotient bases and oriented diagrams
 
 
-class BasisDictionary:
+class BasisDictionary(_Value):
     """``entries``, the pairs (monomial frozenset, OrientedCircleDiagram) in
     monomial order, looked up by monomial.  Equality and repr read ``a``,
     ``b`` and ``entries``; like the list it holds, it has no hash."""
+
+    _fields = ("a", "b", "entries")
+    __hash__ = None
 
     def __init__(self, a: CupDiagram, b: CupDiagram, entries: list):
         fields = self.__dict__
         fields["a"], fields["b"], fields["entries"] = a, b, entries
         fields["_by_monomial"] = dict(entries)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.entries) == (other.a, other.b, other.entries)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BasisDictionary(a={self.a!r}, b={self.b!r}, entries={self.entries!r})"
 
     def orientation_of(self, mono: frozenset) -> OrientedCircleDiagram:
         return self._by_monomial[mono]  # KeyError(mono) on a miss

@@ -349,7 +349,7 @@ def test_prepare_runs_once_on_the_first_read(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_truth_test_runs_force_lines_and_nothing_else(k):
+def test_truth_test_runs_glue_and_nothing_else(k):
     """The Python functions of this module that bool() and len() of a new
     sequence, and is_orientable, run are the constructors and the walk
     of _glue: no record is built."""

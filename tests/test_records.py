@@ -115,6 +115,11 @@ def test_word_weights_equal_checked_weights(k):
 def test_weights_and_diagrams_copy_and_pickle():
     d = D.parse_dsl("5: c*(1,4);c(2,3);r(5)")
     assert d.encode() and d.partners  # with cached facts in its __dict__
-    for obj in (O.Weight("v^^v"), d, d.star(), D.enumerate_diagrams(3), T.bitableau_of_cup(d)):
+    basis = R.diagram_basis_dictionary(d, d)
+    values = (O.Weight("v^^v"), d, d.star(), D.enumerate_diagrams(3), T.bitableau_of_cup(d), basis)
+    for obj in values:
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)
+    # rebuilt through __init__, a dictionary looks its entries up again
+    twin = pickle.loads(pickle.dumps(basis))
+    assert [twin.orientation_of(mono) for mono, _ in basis.entries] == [o for _, o in basis.entries]

@@ -208,6 +208,27 @@ def test_restriction_maps_match_oracle(k):
                 assert (m.domain, m.codomain, _dense(m)) == expected
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_surjectivity_from_the_generators_matches_the_table(k):
+    """The selftest's check on the generators agrees with the monomial
+    table's ``is_surjective`` on both restriction maps of every orientable
+    pair, and both say no where a kept target variable is never hit."""
+    from cupcalc.selftest import _onto
+
+    for parity in ("even", "odd"):
+        for a, b in itertools.product(D.maximal_diagrams(k, parity), repeat=2):
+            target = R.intersection_quotient(a, b)
+            if target is None:
+                continue
+            for source, m in zip((a, b), R.restriction_maps(a, b)):
+                assert _onto(R.component_quotient(source), target) == m.is_surjective()
+    # x_1 rewrites to -x_2 in the source, so the target's x_1 is never hit
+    source = R.component_quotient(D.parse_dsl("2: c(1,2)"))
+    target = R.QuotientPresentation(2, {})
+    assert not R._map_between(source, target).is_surjective()
+    assert not _onto(source, target)
+
+
 def test_quotient_rings_suite_checks_every_k_to_k_max(monkeypatch):
     """The selftest suite has no cap of its own: it restricts pairs of
     every size up to k_max, and its detail says so.  (At k = 2 each
