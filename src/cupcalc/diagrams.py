@@ -51,19 +51,20 @@ error.
 Validation policy: :func:`validate` checks every rule, and it runs where
 arcs come from outside the program or are computed from data a caller
 supplied.  That is :func:`parse_dsl` and :func:`from_json` (which also
-bound the vertex count by the arcs given) and the tableau and weight
-bijections that assemble arcs from user input (``std_to_cups``,
-``to_cup``, ``cup_of_weight``, ``cup_of_bitableau``).  Code that builds
-diagrams legal by construction, such as :func:`enumerate_diagrams` and
-:func:`dot_parity_involution`, calls the :class:`CupDiagram` constructor
-directly, with cups sorted by left end and rays ascending as
-:func:`validate` returns them; the tests check those members against
-:func:`validate`.  The move graph's rewrites swap two arcs of a legal
-diagram on the same vertices and decide with :func:`accept`, the walk
-:func:`validate` accepts with, whether the result is legal (the graph
-itself looks each result up among the enumerated maximal diagrams); the
-tests check those rewrites against :func:`validate` on every diagram
-with k <= 10.  Weights follow the same policy:
+bound the vertex count by the arcs given) and the bijections that
+assemble arcs from user input (``to_cup``, and ``cup_of_weight``, which
+``std_to_cups`` calls).  Code that builds diagrams legal by
+construction, such as :func:`enumerate_diagrams`,
+:func:`dot_parity_involution` and ``cup_of_bitableau`` (which checks its
+input by the round trip back to its marking), calls the
+:class:`CupDiagram` constructor directly, with cups sorted by left end
+and rays ascending as :func:`validate` returns them; the tests check
+those members against :func:`validate`.  The move graph's rewrites swap
+two arcs of a legal diagram on the same vertices and decide with
+:func:`accept`, the walk :func:`validate` accepts with, whether the
+result is legal (the graph itself looks each result up among the
+enumerated maximal diagrams); the tests check those rewrites against
+:func:`validate` on every diagram with k <= 10.  Weights follow the same policy:
 ``orientation.Weight(text)`` checks its symbols where the text comes
 from a caller, :func:`springer.weight_of_index_set` or the selftest's
 brute-force oracle, while the orientation generators write each weight
@@ -767,7 +768,7 @@ _DOT_FILTERS = ("all", "even", "odd", "none")
 def dot_count_filter(k: int, dots: str):
     """The test on a dot count that ``dots`` stands for, after rejecting a
     vertex count or dot filter that :func:`enumerate_diagrams` cannot take."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
     if dots not in _DOT_FILTERS:
         raise DiagramError(f"dot filter must be one of {_DOT_FILTERS}, got {dots!r}")

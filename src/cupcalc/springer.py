@@ -156,8 +156,6 @@ def _check_index_set(indices) -> Tuple[int, frozenset]:
             raise MalformedIndexSetError(
                 f"index set must contain exactly one of +-{i}: {sorted(iset)}"
             )
-    if len(iset) != size:
-        raise MalformedIndexSetError(f"index set has stray entries: {sorted(iset)}")
     return size, iset
 
 

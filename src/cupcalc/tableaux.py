@@ -14,10 +14,13 @@ Domino label v is vertex v of the cup diagram, so a tableau is fixed by
 its *row list*: the row of each label in label order, 1 or 2 for a
 horizontal in that row, "V" for a vertical.  A vertical sits where both
 rows are equally long and only horizontals lie between two verticals, so
-verticals alternate V1, V0 in label order.  The bijections with cup
-diagrams and the cycle moves read one stack walk over the labels,
-:func:`_arcs`, in which bottom-row horizontals and V0s close the last
-domino still open, and lay out row lists with :func:`_place`.
+verticals alternate V1, V0 in label order.  The code reads that order
+and sorts nothing: :func:`enumerate_dt` grows row lists in canonical
+order, :func:`clusters` cuts the labels after each V0, and the
+bijections with cup diagrams and the cycle moves read one stack walk
+over the labels, :func:`_arcs`, in which bottom-row horizontals and V0s
+close the last domino still open, and lay out row lists with
+:func:`_place`.
 
 The bijections implemented here, composable through cup diagrams:
 
@@ -28,8 +31,9 @@ The bijections implemented here, composable through cup diagrams:
   tableaux (rectangular cycle moves: a plus-signed V1 and its V0 turn
   into a top-row and a bottom-row horizontal),
 * two-row standard tableaux  <->  undecorated diagrams (bottom entries
-  close cups),
-* cup diagrams  <->  bitableaux (one marked endpoint per arc),
+  close cups, by the degree-zero walk of ``cup_of_weight``),
+* cup diagrams  <->  bitableaux (one marked endpoint per arc; the round
+  trip back to the marking checks the input),
 * skew-symmetric two-column tables  <->  maximal diagrams via weights.
 """
 
@@ -39,9 +43,9 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .diagrams import Cup, CupDiagram, InvalidDiagramError, Ray, dot_count_filter, encode, nesting, validate
+from .diagrams import Cup, CupDiagram, Ray, dot_count_filter, encode, nesting, validate
 from .errors import InputError, InternalCheckError
-from .orientation import degree_zero_weight, cup_of_weight
+from .orientation import DOWN, UP, Weight, cup_of_weight, degree_zero_weight
 
 
 class TableauError(InputError):
@@ -256,7 +260,9 @@ def _arcs(t) -> Tuple[List[Tuple[int, int]], List[int]]:
 
 @lru_cache(maxsize=None)
 def enumerate_dt(shape: Tuple[int, int]) -> tuple:
-    """All standard domino tableaux of a two-row shape, canonical order."""
+    """All standard domino tableaux of a two-row shape, in canonical
+    order: each label tries a top-row horizontal, a vertical, then a
+    bottom-row horizontal, whose cells compare in that order."""
     r, s = shape
     if r < s or s < 0 or (r + s) % 2 == 1:
         raise InadmissibleShapeError(f"not a two-row domino shape: {shape}")
@@ -268,13 +274,12 @@ def enumerate_dt(shape: Tuple[int, int]) -> tuple:
             return
         if rc + 2 <= r:
             grow(rc + 2, sc, rows + [1])
-        if sc + 2 <= s and sc + 2 <= rc:
-            grow(rc, sc + 2, rows + [2])
         if rc == sc and rc + 1 <= r and sc + 1 <= s:
             grow(rc + 1, sc + 1, rows + ["V"])
+        if sc + 2 <= s and sc + 2 <= rc:
+            grow(rc, sc + 2, rows + [2])
 
     grow(0, 0, [])
-    results.sort(key=DominoTableau.sort_key)
     return tuple(results)
 
 
@@ -288,12 +293,13 @@ def enumerate_adt(shape: Tuple[int, int]) -> tuple:
 
 @lru_cache(maxsize=None)
 def enumerate_signed(shape: Tuple[int, int]) -> tuple:
+    """Signed tableaux in canonical order: :func:`enumerate_adt`'s, each
+    with its signs in label order, ``+`` before ``-``."""
     out = []
     for t in enumerate_adt(shape):
         v1 = [d.label for d in t.dominoes if d.kind == "V1"]
         for combo in itertools.product("+-", repeat=len(v1)):
             out.append(SignedDominoTableau(t, tuple(zip(v1, combo))))
-    out.sort(key=SignedDominoTableau.sort_key)
     return tuple(out)
 
 
@@ -309,33 +315,29 @@ class Cluster(NamedTuple):
 
 
 def clusters(t) -> List[Cluster]:
-    """Left-to-right cluster decomposition of an admissible tableau."""
+    """Left-to-right cluster decomposition of an admissible tableau: its
+    dominoes in label order cut after each V0, the rest an open cluster.
+    Each starts at a V1, as horizontals start in even columns."""
     base = t.base if isinstance(t, SignedDominoTableau) else t
     if not is_admissible(base):
         raise InadmissibleShapeError("clusters require an admissible tableau")
-    doms = sorted(base.dominoes, key=lambda d: (d.left_col, d.cells))
-    out = []
+    parts = []
     current: List[Domino] = []
-    for d in doms:
+    for d in base.dominoes:
         current.append(d)
         if d.kind == "V0":
-            out.append(("closed", current))
+            parts.append(("closed", current))
             current = []
     if current:
-        out.append(("open", current))
+        parts.append(("open", current))
     result = []
-    for kind, doms_in in out:
+    for kind, doms_in in parts:
         v1 = [d for d in doms_in if d.kind == "V1"]
         if len(v1) != 1 or doms_in[0].kind != "V1":
             raise InternalCheckError("malformed cluster structure")
         sign = t.sign_of(v1[0].label) if isinstance(t, SignedDominoTableau) else None
-        cols = (
-            min(d.left_col for d in doms_in),
-            max(max(c for _, c in d.cells) for d in doms_in),
-        )
-        result.append(
-            Cluster(tuple(sorted(d.label for d in doms_in)), kind, sign, cols)
-        )
+        cols = (v1[0].left_col, max(d.cells[1][1] for d in doms_in))
+        result.append(Cluster(tuple(d.label for d in doms_in), kind, sign, cols))
     return result
 
 
@@ -344,7 +346,9 @@ def clusters(t) -> List[Cluster]:
 
 
 def std_to_cups(top: Iterable[int], bottom: Iterable[int]) -> CupDiagram:
-    """Bottom entries close cups with the nearest smaller unmatched top entry."""
+    """Bottom entries close cups with the nearest smaller unmatched top
+    entry: the degree-zero walk of :func:`cup_of_weight` on the weight
+    with ``v`` at top entries and ``^`` at bottom ones."""
     top, bottom = tuple(top), tuple(bottom)
     n = len(top) + len(bottom)
     if sorted(top + bottom) != list(range(1, n + 1)):
@@ -357,15 +361,8 @@ def std_to_cups(top: Iterable[int], bottom: Iterable[int]) -> CupDiagram:
         if top[i] > b:
             raise NotStandardError(f"column {i + 1} decreases")
     topset = set(top)
-    stack: List[int] = []
-    cups = []
-    for v in range(1, n + 1):
-        if v in topset:
-            stack.append(v)
-        else:
-            cups.append(Cup(stack.pop(), v, False))
-    rays = [Ray(v, False) for v in stack]
-    return validate(n, cups, rays)
+    word = "".join(DOWN if v in topset else UP for v in range(1, n + 1))
+    return cup_of_weight(Weight(word))
 
 
 def cups_to_std(c: CupDiagram) -> Tuple[tuple, tuple]:
@@ -506,6 +503,10 @@ def cup_of_bitableau(bt: Bitableau, k: int, dots: str = "all") -> CupDiagram:
     arc, except that an unmarked vertex with no arc open starts a dotted
     outer cup, inside which the roles swap; vertices left open are rays.
 
+    The walk closes cups on the top of its stack and dots only the first
+    ray and outer cups opened on an empty stack, so its arcs are legal
+    for every marking; the round trip back to ``bt`` checks the input.
+
     Toggling the leftmost ray's dot keeps the marking, so whenever rays
     are present a dot-parity filter (``"even"``/``"odd"``) is needed to
     make the inverse unique.
@@ -523,13 +524,11 @@ def cup_of_bitableau(bt: Bitableau, k: int, dots: str = "all") -> CupDiagram:
             if not stack:
                 swapped = v not in marked
             stack.append(v)
+    cups = tuple(sorted(cups))
     matches = []
     for lead_dotted in (False, True) if stack else (False,):
-        rays = [Ray(v, lead_dotted and v == stack[0]) for v in stack]
-        try:  # bt is user input, so the walk's result is checked
-            d = validate(k, cups, rays)
-        except InvalidDiagramError:
-            continue
+        rays = tuple(Ray(v, lead_dotted and v == stack[0]) for v in stack)
+        d = CupDiagram(k, cups, rays)
         if bitableau_of_cup(d) == bt and keeps(d.dot_count):
             matches.append(d)
     if not matches:

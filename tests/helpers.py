@@ -8,8 +8,10 @@ must match: the glued-pair kernel's (``oracle_walk_decompose``,
 ``oracle_force_lines``, ``oracle_orient_circle_diagram``), the minimum
 read from the full list of orientations (``min_degree_of``), the
 enumeration that built and sorted every diagram
-(``oracle_enumerate_diagrams``) and the CLI parser built one
-``add_argument`` call at a time (``oracle_parser``).
+(``oracle_enumerate_diagrams``), the CLI parser built one
+``add_argument`` call at a time (``oracle_parser``), the cluster
+decomposition read in column order (``oracle_clusters``) and the
+standard-tableau walk (``oracle_std_to_cups``).
 """
 
 import functools
@@ -52,6 +54,7 @@ from cupcalc.selftest import SelfTestReport, SuiteResult
 from cupcalc.springer import FixedPointTable, PresentationRing
 from cupcalc.tableaux import (
     Bitableau,
+    Cluster,
     DominoTableau,
     InadmissibleShapeError,
     SignedDominoTableau,
@@ -62,6 +65,7 @@ from cupcalc.tableaux import (
     bitableau_of_cup,
     clusters,
     domino_tableau,
+    is_admissible,
     signed_domino_tableau,
     std_to_cups,
 )
@@ -889,6 +893,50 @@ def brute_is_admissible_chain(tableau_cells):
         elif r != s and (r % 2 == 0 or s % 2 == 0):
             return False
     return True
+
+
+def oracle_clusters(t):
+    """``tableaux.clusters`` as first written: the dominoes sorted by
+    column, cut after each V0, each cluster's labels sorted."""
+    base = t.base if isinstance(t, SignedDominoTableau) else t
+    if not is_admissible(base):
+        raise InadmissibleShapeError("clusters require an admissible tableau")
+    doms = sorted(base.dominoes, key=lambda d: (d.left_col, d.cells))
+    out = []
+    current = []
+    for d in doms:
+        current.append(d)
+        if d.kind == "V0":
+            out.append(("closed", current))
+            current = []
+    if current:
+        out.append(("open", current))
+    result = []
+    for kind, doms_in in out:
+        v1 = [d for d in doms_in if d.kind == "V1"]
+        if len(v1) != 1 or doms_in[0].kind != "V1":
+            raise InternalCheckError("malformed cluster structure")
+        sign = t.sign_of(v1[0].label) if isinstance(t, SignedDominoTableau) else None
+        cols = (
+            min(d.left_col for d in doms_in),
+            max(max(c for _, c in d.cells) for d in doms_in),
+        )
+        result.append(Cluster(tuple(sorted(d.label for d in doms_in)), kind, sign, cols))
+    return result
+
+
+def oracle_std_to_cups(top, bottom):
+    """``tableaux.std_to_cups`` by its own stack walk, on standard rows:
+    a top entry opens, a bottom entry closes the last one open."""
+    topset = set(top)
+    stack = []
+    cups = []
+    for v in range(1, len(top) + len(bottom) + 1):
+        if v in topset:
+            stack.append(v)
+        else:
+            cups.append(Cup(stack.pop(), v, False))
+    return validate(len(top) + len(bottom), cups, [Ray(v, False) for v in stack])
 
 
 def oracle_to_cup(t):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from cupcalc import ringcalc as R
 from cupcalc import springer as S
 from cupcalc import tableaux as T
 from cupcalc.cli import _dump_from_cup, run
-from cupcalc.errors import SizeError
+from cupcalc.errors import InternalCheckError, SizeError
 from helpers import oracle_enumerate_diagrams, oracle_orient_circle_diagram, oracle_parser
 
 
@@ -333,6 +334,23 @@ def test_cohomology_centre(capsys):
     obj = json.loads(out)
     assert obj["total_dimension"] == 32
     assert obj["even"]["graded"][0] == {"degree": 0, "dim": 1}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cohomology_centre_text_is_the_json_payload(capsys, k):
+    code, out, _ = capture(capsys, ["cohomology", "centre", "--k", str(k), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    expected = [
+        f"{parity}: dimension {payload[parity]['dimension']} ("
+        + ", ".join(f"q^{g['degree']}: {g['dim']}" for g in payload[parity]["graded"])
+        + ")"
+        for parity in ("even", "odd")
+    ]
+    expected.append(f"total dimension {payload['total_dimension']}")
+    code, out, err = capture(capsys, ["cohomology", "centre", "--k", str(k)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
 
 
 def test_cohomology_springer(capsys):
@@ -733,6 +751,25 @@ def test_internal_error_is_not_invalid_input(capsys):
             code, out, err = capture(capsys, ["render", "--diagram", "2: c(1,2)"])
         assert (code, out) == (2, "")
         assert err.startswith("cupcalc: internal error: ") and "boom" in err
+
+
+def test_tripped_internal_law_exits_2(capsys):
+    with patch.object(D, "render", side_effect=InternalCheckError("x")):
+        code, out, err = capture(capsys, ["render", "--diagram", "2: c(1,2)"])
+    assert (code, out, err) == (2, "", "cupcalc: internal check failed: x\n")
+
+
+def test_failing_selftest_suite_exits_2(capsys, monkeypatch):
+    suites = importlib.import_module("cupcalc.selftest")  # not the package's function
+    broken = ("broken", lambda k_max, rng: (False, "law fails at k=2"))
+    monkeypatch.setattr(suites, "SUITES", suites.SUITES[:1] + [broken])
+    code, out, err = capture(capsys, ["selftest", "--k-max", "2"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[1:] == ["FAIL broken: law fails at k=2", "FAIL (2 suites, k_max=2)"]
+    code, out, _ = capture(capsys, ["selftest", "--k-max", "2", "--format", "json"])
+    report = json.loads(out)
+    assert code == 2 and report["ok"] is False
+    assert report["suites"][1] == {"name": "broken", "ok": False, "detail": "law fails at k=2"}
 
 
 # The errors ``run`` reports as invalid input, each with its subclasses.

@@ -342,6 +342,22 @@ def test_parse_dsl_reads_long_text_in_linear_time(text, error):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: D.enumerate_diagrams(True, "any"), "vertex count must be a positive integer, got True"),
+        (lambda: D.enumerate_encodings(True, "any"), "vertex count must be a positive integer, got True"),
+        (lambda: D.render(D.parse_dsl("2: c(1,2)"), "svg"), "unknown render format 'svg'"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(call, message):
+    """A bool is no vertex count here, as in :func:`validate`, so no
+    encoding is listed that :func:`parse_dsl` could not read back."""
+    with pytest.raises(D.DiagramError) as exc_info:
+        call()
+    assert type(exc_info.value) is D.DiagramError and str(exc_info.value) == message
+
+
 def test_ascii_render():
     assert D.render(D.parse_dsl("2: c*(1,2)"), "ascii") == "( )\n *"
     assert D.render(D.parse_dsl("3: c(1,2);r*(3)"), "ascii") == "( ) |\n    *"

@@ -154,3 +154,12 @@ def test_union_find_composes_exponents_along_paths():
     assert uf.live_class_count() == 1
     uf.kill(2)
     assert uf.live_class_count() == 0
+
+
+def test_union_find_merging_a_dead_class_kills_the_live_one():
+    uf = linalg.ScaledUnionFind(3, 0)
+    uf.kill(0)
+    assert uf.live_class_count() == 2
+    uf.relate(0, 1, 0)  # the dead root 0 is hung under the live root 1
+    assert uf.dead[uf.root_and_weight(0)[0]]
+    assert uf.live_class_count() == 1

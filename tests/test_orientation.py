@@ -76,6 +76,17 @@ def test_generated_weights_equal_validated_weights(k):
             assert not hasattr(weight, "__dict__")
 
 
+@pytest.mark.parametrize(
+    "glue", [O.decompose, O.orient_circle_diagram, O.min_degree_element, O.Orientations]
+)
+def test_input_checks_name_what_is_wrong(glue):
+    cap, cup = D.parse_dsl("2: c(1,2)").star(), D.parse_dsl("4: c(1,2);c(3,4)")
+    with pytest.raises(O.OrientationError) as exc_info:
+        glue(cap, cup)
+    assert type(exc_info.value) is O.OrientationError
+    assert str(exc_info.value) == "cap and cup must have the same vertex count"
+
+
 def test_weight_constructor_still_checks_symbols():
     for text in ("^x", "v^ ", "V"):
         with pytest.raises(O.OrientationError):

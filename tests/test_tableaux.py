@@ -1,17 +1,21 @@
 import itertools
+import json
 import math
 
 import pytest
 
 from cupcalc import diagrams as D
 from cupcalc import tableaux as T
+from cupcalc.cli import run
 from helpers import (
     brute_domino_tableaux,
     brute_is_admissible_chain,
+    oracle_clusters,
     oracle_cup_of_bitableau,
     oracle_cyc,
     oracle_cyc_inverse,
     oracle_from_cup,
+    oracle_std_to_cups,
     oracle_to_cup,
 )
 
@@ -94,6 +98,99 @@ def test_admissibility_matches_brute_chain(shape):
         assert T.is_admissible(t) == T.horizontal_rule(t)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_enumerations_come_in_sorted_order(n):
+    """The generators sort nothing: every shape with n dominoes gets the
+    tuple that sorting by ``sort_key`` gives."""
+    for s in range(n + 1):
+        shape = (2 * n - s, s)
+        dt = T.enumerate_dt(shape)
+        assert dt == tuple(sorted(dt, key=T.DominoTableau.sort_key))
+        if T.admissible_two_row(shape):
+            signed = T.enumerate_signed(shape)
+            assert signed == tuple(sorted(signed, key=T.SignedDominoTableau.sort_key))
+
+
+def _json_domino(label, cells, sign=None):
+    return {"label": label, "cells": [list(c) for c in cells], "sign": sign}
+
+
+def _bijection_outcome(capsys, tmp_path, src, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = run(["bijection", "--from", src, "--to", "cup", "--input", str(path)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_INADMISSIBLE = T.domino_tableau((2, 2), [Ht(1, 1), Hb(2, 1)])
+
+# (call, error class, message, the bijection source and JSON input that
+# reach the same check, or None)
+_INPUT_CHECKS = [
+    (lambda: T.domino_tableau((2, 3), []), T.TableauError,
+     "not a two-row domino shape: (2, 3)",
+     ("dt", {"shape": [2, 3], "dominoes": []})),
+    (lambda: T.domino_tableau((2, 2), [Ht(1, 1), (2, ((1, 1), (2, 1)))]), T.TableauError,
+     "overlapping cell (1, 1)",
+     ("adt", {"shape": [2, 2], "dominoes": [_json_domino(*Ht(1, 1)),
+                                            _json_domino(2, ((1, 1), (2, 1)))]})),
+    (lambda: T.domino_tableau((2, 2), [Ht(1, 1), Ht(2, 3)]), T.TableauError,
+     "dominoes do not tile the shape (2, 2)",
+     ("dt", {"shape": [2, 2], "dominoes": [_json_domino(*Ht(1, 1)), _json_domino(*Ht(2, 3))]})),
+    (lambda: T.domino_tableau((2, 2), [Hb(1, 1), Ht(2, 1)]), T.NotStandardError,
+     "column decrease at (1, 1)",
+     ("dt", {"shape": [2, 2], "dominoes": [_json_domino(*Hb(1, 1)), _json_domino(*Ht(2, 1))]})),
+    (lambda: T.signed_domino_tableau(_INADMISSIBLE, []), T.InadmissibleShapeError,
+     "tableau violates the truncation condition",
+     ("adt", {"shape": [2, 2], "dominoes": [_json_domino(*Ht(1, 1)), _json_domino(*Hb(2, 1))]})),
+    (lambda: T.signed_domino_tableau(
+        T.domino_tableau((3, 3), [V(1, 1), Ht(2, 2), Hb(3, 2)]), [(1, "x")]),
+     T.TableauError, "signs must be '+' or '-'",
+     ("adt", {"shape": [3, 3], "dominoes": [_json_domino(*V(1, 1), "x"), _json_domino(*Ht(2, 2)),
+                                            _json_domino(*Hb(3, 2))]})),
+    (lambda: T.enumerate_dt((2, 3)), T.InadmissibleShapeError,
+     "not a two-row domino shape: (2, 3)", None),
+    (lambda: T.clusters(_INADMISSIBLE), T.InadmissibleShapeError,
+     "clusters require an admissible tableau", None),
+    (lambda: T.enumerate_adt((1, 3)), T.InadmissibleShapeError,
+     "shape (1, 3) is not admissible", None),
+    (lambda: T.std_to_cups((2, 1), (3,)), T.NotStandardError, "rows must increase", None),
+    (lambda: T.std_to_cups((), ()), D.DiagramError,
+     "vertex count must be a positive integer, got 0", None),
+    (lambda: T.cups_to_std(D.parse_dsl("2: c*(1,2)")), T.TableauError,
+     "only undecorated diagrams correspond to standard tableaux", None),
+    (lambda: T.stable(1, (-1,), (2, 1)), T.TableauError, "columns must have length k",
+     ("stable", [[-1], [2, 1]])),
+    (lambda: T.stable(2, (-1, -1), (1, 1)), T.TableauError,
+     "entries must use each of +-1..+-k once", ("stable", [[-1, -1], [1, 1]])),
+    (lambda: T.stable(3, (2, -2, -3), (3, 1, -1)), T.TableauError,
+     "filling must be skew-symmetric", ("stable", [[2, -2, -3], [3, 1, -1]])),
+]
+
+
+@pytest.mark.parametrize("call, error, message, cli_input", _INPUT_CHECKS)
+def test_input_checks_name_what_is_wrong(capsys, tmp_path, call, error, message, cli_input):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert type(exc_info.value) is error and str(exc_info.value) == message
+    if cli_input is not None:
+        assert _bijection_outcome(capsys, tmp_path, *cli_input) == (1, "", f"cupcalc: {message}\n")
+
+
+_NO_VERTEX = "vertex count must be a positive integer, got 0"
+
+
+@pytest.mark.parametrize("src, payload, message", [
+    ("adt", {"shape": [0, 0], "dominoes": []}, _NO_VERTEX),
+    ("dt", {"shape": [0, 0], "dominoes": []}, _NO_VERTEX),
+    ("bitab", [[], []], _NO_VERTEX),
+    ("stable", [[], []], "index set must contain signed nonzero integers: []"),
+])
+def test_bijection_refuses_the_empty_labelling(capsys, tmp_path, src, payload, message):
+    assert _bijection_outcome(capsys, tmp_path, src, payload) == (1, "", f"cupcalc: {message}\n")
+
+
 def test_rejects_non_domino_labels():
     with pytest.raises(T.TableauError):
         T.domino_tableau((2, 2), [(1, ((1, 1), (2, 2))), (2, ((1, 2), (2, 1)))])
@@ -144,6 +241,32 @@ def test_horizontal_pair_forms_single_open_cluster():
     )
     assert [(c.labels, c.kind) for c in T.clusters(t2)] == [((1, 2, 3), "open")]
     assert T.to_cup(t2).encode() == "3: r(1);c(2,3)"
+
+
+@pytest.mark.parametrize("shape", SMALL_DOMINO_SHAPES)
+def test_clusters_match_the_column_order_decomposition(shape):
+    """Cutting the label sequence gives what sorting by column gave, on
+    every tableau and signed tableau with at most ten dominoes; both
+    refuse the inadmissible ones alike."""
+    tableaux = T.enumerate_dt(shape)
+    if T.admissible_two_row(shape):
+        tableaux += T.enumerate_signed(shape)
+    for t in tableaux:
+        assert _outcome(T.clusters, t) == _outcome(oracle_clusters, t), t
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_std_to_cups_matches_the_stack_walk(n):
+    """The degree-zero walk gives the diagram of the tableau's own stack
+    walk for every standard tableau with n entries."""
+    for r in range(n + 1):
+        for top in itertools.combinations(range(1, n + 1), r):
+            bottom = tuple(v for v in range(1, n + 1) if v not in top)
+            try:
+                d = T.std_to_cups(top, bottom)
+            except T.NotStandardError:
+                continue
+            assert d == oracle_std_to_cups(top, bottom), (top, bottom)
 
 
 def test_std_to_cups_paper_row():
@@ -482,6 +605,12 @@ def test_cup_of_bitableau_malformed_matches_scan(marked, unmarked, k, dots):
     outcome = _outcome(T.cup_of_bitableau, bt, k, dots)
     assert isinstance(outcome, tuple)
     assert outcome == _outcome(oracle_cup_of_bitableau, bt, k, dots)
+
+
+def test_cup_of_bitableau_refuses_a_bool_vertex_count():
+    with pytest.raises(D.DiagramError) as exc_info:
+        T.cup_of_bitableau(T.Bitableau((1,), ()), True)
+    assert str(exc_info.value) == "vertex count must be a positive integer, got True"
 
 
 def test_bitableau_image_count_b4():
