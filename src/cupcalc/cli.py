@@ -626,9 +626,7 @@ def _load_as_cup(src: str, data, parity: str = "all"):
     if src == "bitab":
         bt = tableaux.bitableau_from_json(data)
         return tableaux.cup_of_bitableau(bt, len(bt.marked) + len(bt.unmarked), parity)
-    if src == "stable":
-        return tableaux.stable_to_cup(tableaux.stable_from_json(data))
-    raise _UsageError(f"unknown source {src!r}")
+    return tableaux.stable_to_cup(tableaux.stable_from_json(data))  # src == "stable"
 
 
 def _dump_from_cup(dst: str, cup):
@@ -640,9 +638,7 @@ def _dump_from_cup(dst: str, cup):
         return tableaux.tableau_to_json_dict(tableaux.cyc(tableaux.from_cup(cup)))
     if dst == "bitab":
         return tableaux.bitableau_to_json(tableaux.bitableau_of_cup(cup))
-    if dst == "stable":
-        return tableaux.stable_to_json(tableaux.cup_to_stable(cup))
-    raise _UsageError(f"unknown target {dst!r}")
+    return tableaux.stable_to_json(tableaux.cup_to_stable(cup))  # dst == "stable"
 
 
 def _cmd_bijection(args) -> int:

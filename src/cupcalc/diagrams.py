@@ -17,7 +17,9 @@ vertex, e.g. ``4: c*(1,4);c(2,3)`` (the ``*`` marks a dot).  The same
 grammar doubles as the input DSL, which is whitespace-insensitive.
 :func:`parse_dsl` reads well-formed text with one match of the whole
 grammar and one scan for its arcs; text that does not match goes to the
-token parser, which alone reports syntax errors, with their positions.
+token reader :func:`_syntax_error`, which only reports: it walks the
+same grammar token by token to the first error and names its position,
+and it builds no arc.
 
 Two walks over the vertices from left to right, each keeping the open
 cups on a stack, decide legality and nesting.  :func:`accept` is the
@@ -51,20 +53,25 @@ error.
 Validation policy: :func:`validate` checks every rule, and it runs where
 arcs come from outside the program or are computed from data a caller
 supplied.  That is :func:`parse_dsl` and :func:`from_json` (which also
-bound the vertex count by the arcs given) and the bijections that
-assemble arcs from user input (``to_cup``, and ``cup_of_weight``, which
-``std_to_cups`` calls).  Code that builds diagrams legal by
-construction, such as :func:`enumerate_diagrams`,
-:func:`dot_parity_involution` and ``cup_of_bitableau`` (which checks its
-input by the round trip back to its marking), calls the
+bound the vertex count by the arcs given) and the bijection that
+assembles arcs from user input, ``to_cup``.  Code that builds diagrams
+legal by construction, such as :func:`enumerate_diagrams`,
+:func:`dot_parity_involution`, ``cup_of_weight`` (legal for every
+weight; ``std_to_cups`` calls it) and ``cup_of_bitableau`` (which
+checks its input by the round trip back to its marking), calls the
 :class:`CupDiagram` constructor directly, with cups sorted by left end
 and rays ascending as :func:`validate` returns them; the tests check
-those members against :func:`validate`.  The move graph's rewrites swap
-two arcs of a legal diagram on the same vertices and decide with
-:func:`accept`, the walk :func:`validate` accepts with, whether the
-result is legal (the graph itself looks each result up among the
-enumerated maximal diagrams); the tests check those rewrites against
-:func:`validate` on every diagram with k <= 10.  Weights follow the same policy:
+those members against :func:`validate`.  A vertex count is checked by
+one rule, ``_check_vertex_count``, wherever one enters: in
+:func:`validate`, the enumerations and ``cup_of_weight``.  The caches
+that a caller's vertex count reaches, :func:`maximal_diagrams` and
+``movegraph.move_graph``, are typed, so a bool misses the entry of 1
+and reaches the rule.  The move graph's rewrites swap two arcs of a legal
+diagram on the same vertices and decide with :func:`accept`, the walk
+:func:`validate` accepts with, whether the result is legal (the graph
+itself looks each result up among the enumerated maximal diagrams); the
+tests check those rewrites against :func:`validate` on every diagram
+with k <= 10.  Weights follow the same policy:
 ``orientation.Weight(text)`` checks its symbols where the text comes
 from a caller, :func:`springer.weight_of_index_set` or the selftest's
 brute-force oracle, while the orientation generators write each weight
@@ -124,7 +131,6 @@ class InvalidDiagramError(DiagramError):
         self.violations = tuple(violations)
 
     def __str__(self) -> str:
-        # built on demand: tableaux.cup_of_bitableau catches and discards these errors
         summary = "; ".join(f"{v.code} {list(v.arcs)}" for v in self.violations)
         return f"illegal diagram: {summary}"
 
@@ -280,6 +286,12 @@ class CapDiagram(_ArcDiagram):
         return CupDiagram(self.k, self.cups, self.rays)
 
 
+def _check_vertex_count(k) -> None:
+    """Refuse a vertex count that is not a positive integer; a bool is not one."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
+
+
 def _arc_key(arc: Arc) -> int:
     return arc.left if isinstance(arc, Cup) else arc.at
 
@@ -291,8 +303,7 @@ def validate(k: int, cups: Iterable, rays: Iterable) -> CupDiagram:
     ``cups`` entries are ``(left, right)`` or ``(left, right, dotted)``;
     ``rays`` entries are ``at`` or ``(at, dotted)``.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
+    _check_vertex_count(k)
     cup_list = [c if type(c) is Cup else _as_cup(c) for c in cups]
     ray_list = [r if type(r) is Ray else _as_ray(r) for r in rays]
     at = _vertex_array(k, cup_list, ray_list)
@@ -478,8 +489,6 @@ def _encode(d: Union[CupDiagram, CapDiagram]) -> str:
     return f"{d.k}: " + ";".join(parts)
 
 
-_TOKEN = re.compile(r"\d+|[cr:;,()*]")
-
 # The grammar of well-formed text as one pattern, and one arc of it with
 # its parts as groups.  Kept as strings: ``re`` compiles each on its first
 # use and caches it, where compiling here would cost every import.
@@ -487,29 +496,35 @@ _CUP = r"c\s*\*?\s*\(\s*\d+\s*,\s*\d+\s*\)"
 _RAY = r"r\s*\*?\s*\(\s*\d+\s*\)"
 _DSL = rf"\s*(\d+)\s*:\s*(?:{_CUP}|{_RAY})(?:\s*;\s*(?:{_CUP}|{_RAY}))*\s*"
 _ARC = r"([cr])\s*(\*?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)"
+_TOKEN = r"\d+|[cr:;,()*]"
 
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise DiagramSyntaxError(text, pos, "integer, 'c', 'r' or punctuation")
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
+# The same grammar token by token, for :func:`_syntax_error`: each state
+# names what it expects and where each token it accepts leads ("i" is an
+# integer).  The text may end only in state ";", after an arc.
+_STATES = {
+    "k": ("integer", {"i": ":"}),
+    ":": ("':'", {":": "arc"}),
+    "arc": ("arc ('c' or 'r')", {"c": "c*", "r": "r*"}),
+    "c*": ("'('", {"*": "c(", "(": "c1"}),
+    "c(": ("'('", {"(": "c1"}),
+    "c1": ("integer", {"i": "c,"}),
+    "c,": ("','", {",": "c2"}),
+    "c2": ("integer", {"i": ")"}),
+    "r*": ("'('", {"*": "r(", "(": "r1"}),
+    "r(": ("'('", {"(": "r1"}),
+    "r1": ("integer", {"i": ")"}),
+    ")": ("')'", {")": ";"}),
+    ";": ("';'", {";": "arc"}),
+}
 
 
 def parse_dsl(text: str) -> CupDiagram:
     """Parse ``k: c*(i,j);r(n);...`` into a validated diagram.
 
     Well-formed text is read with one match of the whole grammar and one
-    scan for its arcs.  Any other text, or an integer too long for ``int()``,
-    goes to :func:`_parse_tokens`, which alone reports syntax errors.
+    scan for its arcs, and its arcs are checked by :func:`validate`.  Any
+    other text, or an integer too long for ``int()``, is refused with the
+    error that :func:`_syntax_error` finds.
     """
     m = re.fullmatch(_DSL, text)
     if m is not None:
@@ -521,65 +536,40 @@ def parse_dsl(text: str) -> CupDiagram:
                     cups.append(Cup(int(first), int(second), star == "*"))
                 else:
                     rays.append(Ray(int(first), star == "*"))
-        except ValueError:  # more digits than int() converts: the token parser names it
+        except ValueError:  # more digits than int() converts: _syntax_error names it
             pass
         else:
             return _validate_input(k, cups, rays)
-    return _parse_tokens(text)
+    raise _syntax_error(text)
 
 
-def _parse_tokens(text: str) -> CupDiagram:
-    """:func:`parse_dsl` token by token, raising :class:`DiagramSyntaxError`
-    at the first token out of place."""
-    tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def pos():
-        return tokens[idx][1] if idx < len(tokens) else len(text)
-
-    def expect(what, pred):
-        nonlocal idx
-        tok = peek()
-        if tok is None or not pred(tok):
-            raise DiagramSyntaxError(text, pos(), what)
-        idx += 1
-        return tok
-
-    def integer():
-        at, tok = pos(), expect("integer", str.isdigit)
-        try:
-            return int(tok)
-        except ValueError:  # more digits than int() converts
-            raise DiagramError(
-                f"integer at position {at} has {len(tok)} digits, too many to read"
-            ) from None
-
-    k = integer()
-    expect("':'", lambda t: t == ":")
-    cups, rays = [], []
-    while True:
-        kind = expect("arc ('c' or 'r')", lambda t: t in ("c", "r"))
-        dotted = False
-        if peek() == "*":
-            idx += 1
-            dotted = True
-        expect("'('", lambda t: t == "(")
-        first = integer()
-        if kind == "c":
-            expect("','", lambda t: t == ",")
-            second = integer()
-            expect("')'", lambda t: t == ")")
-            cups.append(Cup(first, second, dotted))
-        else:
-            expect("')'", lambda t: t == ")")
-            rays.append(Ray(first, dotted))
-        if peek() is None:
-            break
-        expect("';'", lambda t: t == ";")
-    return _validate_input(k, cups, rays)
+def _syntax_error(text: str) -> DiagramError:
+    """The first error in text that :func:`parse_dsl` cannot read: a
+    character that is no token, else the first token out of place in
+    the grammar or an integer too long to read.  It only reports: no arc
+    is built.  Text with no such error raises
+    :class:`InternalCheckError`, since :func:`parse_dsl` reads it."""
+    stray = re.search(r"[^\s\dcr:;,()*]", text)
+    if stray is not None:
+        return DiagramSyntaxError(text, stray.start(), "integer, 'c', 'r' or punctuation")
+    state = "k"
+    for token in re.finditer(_TOKEN, text):
+        tok, at = token.group(), token.start()
+        expected, moves = _STATES[state]
+        integer = tok[0].isdigit()
+        state = moves.get("i" if integer else tok)
+        if state is None:
+            return DiagramSyntaxError(text, at, expected)
+        if integer:
+            try:
+                int(tok)
+            except ValueError:  # more digits than int() converts
+                return DiagramError(
+                    f"integer at position {at} has {len(tok)} digits, too many to read"
+                )
+    if state != ";":
+        return DiagramSyntaxError(text, len(text), _STATES[state][0])
+    raise InternalCheckError(f"the DSL readers disagree on {text!r}")
 
 
 def _validate_input(k, cups: list, rays: list) -> CupDiagram:
@@ -768,8 +758,7 @@ _DOT_FILTERS = ("all", "even", "odd", "none")
 def dot_count_filter(k: int, dots: str):
     """The test on a dot count that ``dots`` stands for, after rejecting a
     vertex count or dot filter that :func:`enumerate_diagrams` cannot take."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DiagramError(f"vertex count must be a positive integer, got {k!r}")
+    _check_vertex_count(k)
     if dots not in _DOT_FILTERS:
         raise DiagramError(f"dot filter must be one of {_DOT_FILTERS}, got {dots!r}")
     return lambda n: dots == "all" or (dots == "none" and n == 0) or dots == ("even", "odd")[n % 2]
@@ -812,7 +801,7 @@ def enumerate_encodings(k: int, cups: Union[int, str] = "max", dots: str = "all"
     return sorted(text for _, decorations in _decorated(k, cups, dots) for _, text in decorations)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool k misses the int entry and is refused
 def maximal_diagrams(k: int, parity: str = "all") -> tuple:
     """Diagrams with the maximal number floor(k/2) of cups, canonically ordered."""
     return enumerate_diagrams(k, "max", parity).members

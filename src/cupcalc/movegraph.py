@@ -237,7 +237,7 @@ def _node_index(k: int, parity: str) -> dict:
     return {encode(n): i for i, n in enumerate(maximal_diagrams(k, parity))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool k misses the int entry and is refused
 def move_graph(k: int, parity: str) -> MoveGraph:
     """The arrows between the maximal diagrams of one parity.
 

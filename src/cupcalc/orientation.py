@@ -78,7 +78,7 @@ import operator
 from collections.abc import Sequence
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _Value, validate
+from .diagrams import CapDiagram, Cup, CupDiagram, Ray, _Value, _check_vertex_count
 from .errors import InputError
 
 UP = "^"
@@ -676,23 +676,30 @@ def cup_of_weight(weight: Weight) -> CupDiagram:
     Downs are matched to later ups as undotted cups (parenthesis
     matching); leftover ups pair consecutively into dotted cups, an odd
     one out becoming a dotted ray; leftover downs become undotted rays.
+    The result is legal for every weight, so it is built with the
+    constructor, not ``diagrams.validate``: a matched cup closes on top of
+    the open downs; no down is open before a leftover up, so the dotted
+    cups are outer; and the dotted cups and the dotted ray lie left of
+    every leftover down.  Only the vertex count is checked.
     """
+    k = len(weight)
+    _check_vertex_count(k)
     open_downs: list = []
     spare_ups: list = []
     cups = []
-    for v in range(1, len(weight) + 1):
-        if weight[v] == DOWN:
+    for v, symbol in enumerate(weight.text, 1):
+        if symbol == DOWN:
             open_downs.append(v)
         elif open_downs:
             cups.append(Cup(open_downs.pop(), v, False))
         else:
             spare_ups.append(v)
-    rays = [Ray(v, False) for v in open_downs]
+    rays = tuple(Ray(v, False) for v in open_downs)
     for i in range(0, len(spare_ups) - 1, 2):
         cups.append(Cup(spare_ups[i], spare_ups[i + 1], True))
     if len(spare_ups) % 2 == 1:
-        rays.append(Ray(spare_ups[-1], True))
-    return validate(len(weight), cups, rays)
+        rays = (Ray(spare_ups[-1], True),) + rays
+    return CupDiagram(k, tuple(sorted(cups)), rays)
 
 
 def degree_zero_weight(c: CupDiagram) -> Weight:

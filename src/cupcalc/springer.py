@@ -121,8 +121,8 @@ def _relation_classes(k: int, t) -> linalg.ScaledUnionFind:
     relation kills the complement, which its own turn does.  The live
     classes index a basis of the quotient.
     """
-    if k < 1:
-        raise SizeError("k must be positive")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise SizeError(f"k must be positive, got {k!r}")
     t = Fraction(t)
     n = 1 << k
     full = n - 1
@@ -148,7 +148,7 @@ def equivariant_specialization(k: int, t) -> int:
 
 def _check_index_set(indices) -> Tuple[int, frozenset]:
     iset = frozenset(indices)
-    if not iset or any(not isinstance(i, int) or i == 0 for i in iset):
+    if not iset or any(not isinstance(i, int) or isinstance(i, bool) or i == 0 for i in iset):
         raise MalformedIndexSetError(f"index set must contain signed nonzero integers: {sorted(iset)}")
     size = max(abs(i) for i in iset)
     for i in range(1, size + 1):

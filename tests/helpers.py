@@ -8,7 +8,8 @@ must match: the glued-pair kernel's (``oracle_walk_decompose``,
 ``oracle_force_lines``, ``oracle_orient_circle_diagram``), the minimum
 read from the full list of orientations (``min_degree_of``), the
 enumeration that built and sorted every diagram
-(``oracle_enumerate_diagrams``), the CLI parser built one
+(``oracle_enumerate_diagrams``), the DSL parser that read token by
+token (``oracle_parse_tokens``), the CLI parser built one
 ``add_argument`` call at a time (``oracle_parser``), the cluster
 decomposition read in column order (``oracle_clusters``) and the
 standard-tableau walk (``oracle_std_to_cups``).
@@ -16,6 +17,7 @@ standard-tableau walk (``oracle_std_to_cups``).
 
 import functools
 import itertools
+import re
 from dataclasses import fields, make_dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -26,6 +28,7 @@ from cupcalc.diagrams import (
     CupDiagram,
     DiagramError,
     DiagramSet,
+    DiagramSyntaxError,
     InvalidDiagramError,
     Ray,
     Violation,
@@ -33,6 +36,7 @@ from cupcalc.diagrams import (
     encode,
     enumerate_diagrams,
     nesting,
+    _validate_input,
     validate,
 )
 from cupcalc import __version__, cli
@@ -1287,6 +1291,80 @@ def oracle_validate(k, cups, rays):
         tuple(sorted(cup_list, key=lambda c: c.left)),
         tuple(sorted(ray_list, key=lambda r: r.at)),
     )
+
+
+_ORACLE_TOKEN = re.compile(r"\d+|[cr:;,()*]")
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            raise DiagramSyntaxError(text, pos, "integer, 'c', 'r' or punctuation")
+        tokens.append((m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+def oracle_parse_tokens(text):
+    """``diagrams.parse_dsl`` token by token: the recursive-descent parser
+    that read every text before the one-match reader, raising
+    ``DiagramSyntaxError`` at the first token out of place and building
+    the arcs it reads for ``validate``."""
+    tokens = _oracle_tokenize(text)
+    idx = 0
+
+    def peek():
+        return tokens[idx][0] if idx < len(tokens) else None
+
+    def pos():
+        return tokens[idx][1] if idx < len(tokens) else len(text)
+
+    def expect(what, pred):
+        nonlocal idx
+        tok = peek()
+        if tok is None or not pred(tok):
+            raise DiagramSyntaxError(text, pos(), what)
+        idx += 1
+        return tok
+
+    def integer():
+        at, tok = pos(), expect("integer", str.isdigit)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise DiagramError(
+                f"integer at position {at} has {len(tok)} digits, too many to read"
+            ) from None
+
+    k = integer()
+    expect("':'", lambda t: t == ":")
+    cups, rays = [], []
+    while True:
+        kind = expect("arc ('c' or 'r')", lambda t: t in ("c", "r"))
+        dotted = False
+        if peek() == "*":
+            idx += 1
+            dotted = True
+        expect("'('", lambda t: t == "(")
+        first = integer()
+        if kind == "c":
+            expect("','", lambda t: t == ",")
+            second = integer()
+            expect("')'", lambda t: t == ")")
+            cups.append(Cup(first, second, dotted))
+        else:
+            expect("')'", lambda t: t == ")")
+            rays.append(Ray(first, dotted))
+        if peek() is None:
+            break
+        expect("';'", lambda t: t == ";")
+    return _validate_input(k, cups, rays)
 
 
 def oracle_peel_levels(cups):

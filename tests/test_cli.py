@@ -651,6 +651,11 @@ def test_bijection_bad_file(capsys):
 def test_selftest_rejects_small_k(capsys):
     code, out, err = capture(capsys, ["selftest", "--k-max", "1"])
     assert (code, out, err) == (1, "", "cupcalc: argument --k-max: must be an integer >= 2, got '1'\n")
+    from cupcalc.selftest import selftest
+
+    with pytest.raises(SizeError) as exc_info:  # the library refuses it too
+        selftest(1)
+    assert str(exc_info.value) == "k_max must be at least 2"
 
 
 def test_selftest_runs_green(capsys):

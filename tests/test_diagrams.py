@@ -14,6 +14,7 @@ from helpers import (
     brute_crossingless_matchings,
     count_calls,
     oracle_enumerate_diagrams,
+    oracle_parse_tokens,
     oracle_validate,
     raw_arc_covers,
 )
@@ -237,6 +238,17 @@ def test_syntax_errors_carry_position(text, position):
     assert exc.value.expected
 
 
+def test_the_error_reader_only_reports(monkeypatch):
+    """``_syntax_error`` builds no arc and calls no ``validate``; on text
+    that parses it finds no error, so the two readers disagree."""
+    for name in ("Cup", "Ray", "validate", "_validate_input"):
+        monkeypatch.setattr(D, name, None)
+    assert D._syntax_error("2: c(1 2)").position == 7
+    for text in ("2: c(1,2)", " 3 : r*(1) ; c(2 ,3) ", "3: c(1,3)"):
+        with pytest.raises(InternalCheckError, match="the DSL readers disagree"):
+            D._syntax_error(text)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_parse_is_whitespace_insensitive(data):
@@ -270,9 +282,11 @@ _ALPHABET = list("cr:;,()*0123456789x") + _WHITESPACE + ["\u200b", "\u00b2", "\u
 
 @pytest.mark.parametrize("seed", range(4))
 def test_parse_dsl_agrees_with_the_token_parser(seed):
-    """The one-match reader and the token parser give the same diagram, or
-    the same error type and message, on valid text spaced and written
-    with Unicode whitespace and digits, and on mutations of it."""
+    """``parse_dsl`` (the one-match reader, with ``_syntax_error`` for
+    what it refuses) and the token parser kept as ``oracle_parse_tokens``
+    give the same diagram, or the same error type and message, on valid
+    text spaced and written with Unicode whitespace and digits, and on
+    mutations of it."""
     rng = random.Random(seed)
     pool = [d.encoding for k in range(1, 9) for d in D.enumerate_diagrams(k, "any", "all")]
     parsed = 0
@@ -295,7 +309,7 @@ def test_parse_dsl_agrees_with_the_token_parser(seed):
                 chars[min(at, len(chars) - 1)] = rng.choice(_ALPHABET)
         text = "".join(chars)
         got = _parse_outcome(D.parse_dsl, text)
-        assert got == _parse_outcome(D._parse_tokens, text), text
+        assert got == _parse_outcome(oracle_parse_tokens, text), text
         parsed += not isinstance(got[0], type)
     assert 1000 < parsed < 2400  # both outcomes are well represented
 

@@ -4,8 +4,6 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cupcalc import diagrams as D
 from cupcalc import orientation as O
@@ -85,6 +83,25 @@ def test_input_checks_name_what_is_wrong(glue):
         glue(cap, cup)
     assert type(exc_info.value) is O.OrientationError
     assert str(exc_info.value) == "cap and cup must have the same vertex count"
+
+
+def test_lookups_outside_a_decomposition():
+    """A weight of another length orients nothing; a vertex outside the
+    decomposition has no class; an inconsistent circle has no sign to its
+    maximum; vertices of two classes have epsilon 0; and an
+    ``Orientations`` equals no int."""
+    cup = D.parse_dsl("2: c(1,2)")
+    assert not O.is_oriented(w("v^v"), cup)
+    two = D.parse_dsl("4: c(1,2);c(3,4)")
+    dec = O.decompose(two.star(), two)
+    with pytest.raises(KeyError):
+        dec.class_of(5)
+    assert (dec.epsilon(1, 3), dec.epsilon(1, 2)) == (0, -1)
+    inconsistent = O.decompose(cup.star(), D.parse_dsl("2: c*(1,2)"))
+    with pytest.raises(O.InconsistentOrientationError, match=r"ill-defined on component \(1, 2\)"):
+        inconsistent.sign_to_max(1)
+    orientations = O.orient_circle_diagram(cup.star(), cup)
+    assert orientations.__eq__(3) is NotImplemented and (orientations == 3) is False
 
 
 def test_weight_constructor_still_checks_symbols():
@@ -787,11 +804,16 @@ def test_cup_of_weight_unique_degree_zero(k):
         assert O.degree_zero_weight(c) == weight
 
 
-@given(st.integers(min_value=1, max_value=12), st.data())
-@settings(max_examples=80, deadline=None)
-def test_cup_of_weight_always_legal(k, data):
-    text = "".join(data.draw(st.sampled_from("v^")) for _ in range(k))
-    weight = w(text)
-    c = O.cup_of_weight(weight)  # validate() inside would raise on an illegal result
-    assert c.k == k
-    assert O.half_degree(weight, c) == 0
+def test_cup_of_weight_always_legal(monkeypatch):
+    """On every weight with k <= 12, cup_of_weight builds, without calling
+    validate, the diagram that validate returns for its arcs, and the
+    weight orients it with degree zero."""
+    calls = count_calls(monkeypatch, D, "validate")
+    weights = [weight for k in range(1, 13) for weight in all_weights(k)]
+    built = [O.cup_of_weight(weight) for weight in weights]
+    assert calls == []
+    for weight, c in zip(weights, built):
+        assert c == D.validate(c.k, c.cups, c.rays)
+        assert O.half_degree(weight, c) == 0
+    with pytest.raises(D.DiagramError, match="vertex count must be a positive integer, got 0"):
+        O.cup_of_weight(w(""))

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cupcalc import diagrams as D
+from cupcalc import movegraph as M
 from cupcalc import orientation as O
 from cupcalc import ringcalc as R
 from cupcalc import springer as S
-from cupcalc.errors import InternalCheckError
+from cupcalc.errors import InternalCheckError, SizeError
 from helpers import (
     brute_equivariant_dimension,
     brute_equivariant_rows,
@@ -149,6 +150,31 @@ def test_equivariant_rejects_nonpositive_k(k):
         S.equivariant_specialization(k, 2)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda: S.presentation_ring(True), lambda: S.equivariant_specialization(True, 2)]
+)
+def test_a_bool_is_no_ring_size(call):
+    with pytest.raises(SizeError) as exc_info:
+        call()
+    assert str(exc_info.value) == "k must be positive, got True"
+
+
+def test_a_bool_is_no_vertex_count_after_k_1_is_cached():
+    """The caches keyed by k are typed: entries for k = 1 do not answer
+    for True, which reaches the vertex-count rule."""
+    D.maximal_diagrams(1, "all")
+    M.move_graph(1, "even")
+    for call in (
+        lambda: D.maximal_diagrams(True, "all"),
+        lambda: M.move_graph(True, "even"),
+        lambda: R.centre(True, "even"),
+        lambda: S.fixed_point_table(True, "even"),
+    ):
+        with pytest.raises(D.DiagramError) as exc_info:
+            call()
+        assert str(exc_info.value) == "vertex count must be a positive integer, got True"
+
+
 def test_index_set_conversions():
     assert str(S.weight_of_index_set({1, 2, 3, 4})) == "^^^^"
     assert str(S.weight_of_index_set({1, -2, 3, 4})) == "^v^^"
@@ -186,6 +212,8 @@ def test_malformed_index_sets():
         S.weight_of_index_set({1, 3})
     with pytest.raises(S.MalformedIndexSetError):
         S.weight_of_index_set({0, 1})
+    with pytest.raises(S.MalformedIndexSetError, match="signed nonzero integers"):
+        S.weight_of_index_set({True, -2})  # True == 1, but a bool is no index
 
 
 def test_unequal_rows_refused():

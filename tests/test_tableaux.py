@@ -166,6 +166,9 @@ _INPUT_CHECKS = [
      "entries must use each of +-1..+-k once", ("stable", [[-1, -1], [1, 1]])),
     (lambda: T.stable(3, (2, -2, -3), (3, 1, -1)), T.TableauError,
      "filling must be skew-symmetric", ("stable", [[2, -2, -3], [3, 1, -1]])),
+    (lambda: T.domino_tableau((2, 2), [Ht(1, 1), Hb(3, 1)]), T.TableauError,
+     "labels must be 1..n, each on one domino",
+     ("dt", {"shape": [2, 2], "dominoes": [_json_domino(*Ht(1, 1)), _json_domino(*Hb(3, 1))]})),
 ]
 
 
@@ -204,6 +207,8 @@ def test_signs_must_sit_on_odd_verticals():
         T.signed_domino_tableau(base, [(2, "+")])
     t = T.signed_domino_tableau(base, [(1, "-")])
     assert t.sign_of(1) == "-"
+    with pytest.raises(KeyError):  # label 2 is a horizontal domino, which has no sign
+        t.sign_of(2)
 
 
 def test_cluster_example_nineteen_dominoes():
