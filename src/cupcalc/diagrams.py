@@ -15,11 +15,10 @@ Vertices are numbered 1..k from the left.  Every diagram has a unique
 canonical text encoding, ``k: arc;arc;...`` with arcs sorted by leftmost
 vertex, e.g. ``4: c*(1,4);c(2,3)`` (the ``*`` marks a dot).  The same
 grammar doubles as the input DSL, which is whitespace-insensitive.
-:func:`parse_dsl` reads well-formed text with one match of the whole
-grammar and one scan for its arcs; text that does not match goes to the
-token reader :func:`_syntax_error`, which only reports: it walks the
-same grammar token by token to the first error and names its position,
-and it builds no arc.
+:func:`parse_dsl` reads well-formed text with one match of the pattern
+that ``_grammar`` writes and one scan for its arcs.  It names the first
+error in other text with one match of the same grammar written with an
+error branch at every token, and builds no arc.
 
 Two walks over the vertices from left to right, each keeping the open
 cups on a stack, decide legality and nesting.  :func:`accept` is the
@@ -489,33 +488,44 @@ def _encode(d: Union[CupDiagram, CapDiagram]) -> str:
     return f"{d.k}: " + ";".join(parts)
 
 
-# The grammar of well-formed text as one pattern, and one arc of it with
-# its parts as groups.  Kept as strings: ``re`` compiles each on its first
-# use and caches it, where compiling here would cost every import.
-_CUP = r"c\s*\*?\s*\(\s*\d+\s*,\s*\d+\s*\)"
-_RAY = r"r\s*\*?\s*\(\s*\d+\s*\)"
-_DSL = rf"\s*(\d+)\s*:\s*(?:{_CUP}|{_RAY})(?:\s*;\s*(?:{_CUP}|{_RAY}))*\s*"
-_ARC = r"([cr])\s*(\*?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)"
-_TOKEN = r"\d+|[cr:;,()*]"
+def _grammar(part) -> str:
+    """The DSL as one pattern: each token follows optional whitespace and
+    is written ``part(token, expected)``, ``expected`` naming it in a
+    syntax error.  Group 1 is the vertex count.  An arc is followed by
+    ``;`` or by the end of the text, the token that expects ``';'``."""
 
-# The same grammar token by token, for :func:`_syntax_error`: each state
-# names what it expects and where each token it accepts leads ("i" is an
-# integer).  The text may end only in state ";", after an arc.
-_STATES = {
-    "k": ("integer", {"i": ":"}),
-    ":": ("':'", {":": "arc"}),
-    "arc": ("arc ('c' or 'r')", {"c": "c*", "r": "r*"}),
-    "c*": ("'('", {"*": "c(", "(": "c1"}),
-    "c(": ("'('", {"(": "c1"}),
-    "c1": ("integer", {"i": "c,"}),
-    "c,": ("','", {",": "c2"}),
-    "c2": ("integer", {"i": ")"}),
-    "r*": ("'('", {"*": "r(", "(": "r1"}),
-    "r(": ("'('", {"(": "r1"}),
-    "r1": ("integer", {"i": ")"}),
-    ")": ("')'", {")": ";"}),
-    ";": ("';'", {";": "arc"}),
-}
+    def tokens(*pairs):
+        return "".join(rf"\s*{part(token, expected)}" for token, expected in pairs)
+
+    integer, opening, closing = (r"\d+", "integer"), (r"\(", "'('"), (r"\)", "')'")
+
+    def arc():  # written for each use, since ``part`` may name groups
+        cup = r"c\s*\*?" + tokens(opening, integer, (",", "','"), integer, closing)
+        ray = r"r\s*\*?" + tokens(opening, integer, closing)
+        return tokens((f"{cup}|{ray}", "arc ('c' or 'r')"))
+
+    head = tokens((r"(\d+)", "integer"), (":", "':'"))
+    return rf"{head}{arc()}(?:\s*;{arc()})*" + tokens((r"\Z", "';'"))
+
+
+_EXPECTED = {}  # the name of each error group of _TOTAL -> what it expected
+
+
+def _or_error(token: str, expected: str) -> str:
+    """``token``, or else an empty group named for ``expected`` and the
+    rest of the text: a part that matches every text."""
+    name = f"e{len(_EXPECTED)}"
+    _EXPECTED[name] = expected
+    return rf"(?:{token}|(?P<{name}>)(?s:.*))"
+
+
+# The grammar of well-formed text, one arc of it with its parts as groups,
+# and the grammar that matches every text.  Kept as strings: ``re``
+# compiles each on its first use and caches it, where compiling here would
+# cost every import.
+_DSL = _grammar(lambda token, expected: f"(?:{token})")
+_ARC = r"([cr])\s*(\*?)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)"
+_TOTAL = _grammar(_or_error)
 
 
 def parse_dsl(text: str) -> CupDiagram:
@@ -523,8 +533,9 @@ def parse_dsl(text: str) -> CupDiagram:
 
     Well-formed text is read with one match of the whole grammar and one
     scan for its arcs, and its arcs are checked by :func:`validate`.  Any
-    other text, or an integer too long for ``int()``, is refused with the
-    error that :func:`_syntax_error` finds.
+    other text is refused at its first error: the first error group of
+    ``_TOTAL`` to take part, since every later part meets only the end of
+    the text.  No arc is built.
     """
     m = re.fullmatch(_DSL, text)
     if m is not None:
@@ -536,40 +547,25 @@ def parse_dsl(text: str) -> CupDiagram:
                     cups.append(Cup(int(first), int(second), star == "*"))
                 else:
                     rays.append(Ray(int(first), star == "*"))
-        except ValueError:  # more digits than int() converts: _syntax_error names it
+        except ValueError:  # more digits than int() converts: named below
             pass
         else:
             return _validate_input(k, cups, rays)
-    raise _syntax_error(text)
-
-
-def _syntax_error(text: str) -> DiagramError:
-    """The first error in text that :func:`parse_dsl` cannot read: a
-    character that is no token, else the first token out of place in
-    the grammar or an integer too long to read.  It only reports: no arc
-    is built.  Text with no such error raises
-    :class:`InternalCheckError`, since :func:`parse_dsl` reads it."""
     stray = re.search(r"[^\s\dcr:;,()*]", text)
     if stray is not None:
-        return DiagramSyntaxError(text, stray.start(), "integer, 'c', 'r' or punctuation")
-    state = "k"
-    for token in re.finditer(_TOKEN, text):
-        tok, at = token.group(), token.start()
-        expected, moves = _STATES[state]
-        integer = tok[0].isdigit()
-        state = moves.get("i" if integer else tok)
-        if state is None:
-            return DiagramSyntaxError(text, at, expected)
-        if integer:
-            try:
-                int(tok)
-            except ValueError:  # more digits than int() converts
-                return DiagramError(
-                    f"integer at position {at} has {len(tok)} digits, too many to read"
-                )
-    if state != ";":
-        return DiagramSyntaxError(text, len(text), _STATES[state][0])
-    raise InternalCheckError(f"the DSL readers disagree on {text!r}")
+        raise DiagramSyntaxError(text, stray.start(), "integer, 'c', 'r' or punctuation")
+    total = re.match(_TOTAL, text)  # its groups in pattern order
+    error = next((name for name, at in total.groupdict().items() if at is not None), None)
+    end = len(text) if error is None else total.start(error)
+    for digits in re.finditer(r"\d+", text[:end]):
+        try:
+            int(digits.group())
+        except ValueError:  # more digits than int() converts
+            raise DiagramError(
+                f"integer at position {digits.start()} has {len(digits.group())} digits, "
+                "too many to read"
+            ) from None
+    raise DiagramSyntaxError(text, end, _EXPECTED[error])
 
 
 def _validate_input(k, cups: list, rays: list) -> CupDiagram:

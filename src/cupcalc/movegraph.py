@@ -505,7 +505,7 @@ def cell_census(a: CupDiagram) -> tuple:
     dims = []
     for size in range(n + 1):
         dims.extend([2 * (n - size)] * math.comb(n, size))
-    return tuple(sorted(dims, reverse=True))
+    return tuple(dims)
 
 
 def _boundary_sets(a: CupDiagram):

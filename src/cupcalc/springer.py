@@ -149,7 +149,11 @@ def equivariant_specialization(k: int, t) -> int:
 def _check_index_set(indices) -> Tuple[int, frozenset]:
     iset = frozenset(indices)
     if not iset or any(not isinstance(i, int) or isinstance(i, bool) or i == 0 for i in iset):
-        raise MalformedIndexSetError(f"index set must contain signed nonzero integers: {sorted(iset)}")
+        try:
+            listed = sorted(iset)
+        except TypeError:  # entries that do not compare, such as 1 and "a"
+            listed = sorted(iset, key=repr)
+        raise MalformedIndexSetError(f"index set must contain signed nonzero integers: {listed}")
     size = max(abs(i) for i in iset)
     for i in range(1, size + 1):
         if (i in iset) == (-i in iset):

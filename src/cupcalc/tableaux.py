@@ -182,8 +182,7 @@ def is_admissible(t: DominoTableau) -> bool:
                 r += 1
             else:
                 s += 1
-        r2, s2 = max(r, s), min(r, s)
-        if (r2, s2) != (r, s) or not admissible_two_row((r, s)):
+        if not admissible_two_row((r, s)):
             return False
     return True
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -238,15 +239,30 @@ def test_syntax_errors_carry_position(text, position):
     assert exc.value.expected
 
 
+@pytest.mark.parametrize(
+    "text, position, expected",
+    [
+        ("2: c*,(1,2)", 5, "'('"),
+        ("2: c(,2)", 5, "integer"),
+        ("2: c(1,2", 8, "')'"),
+        ("2: c(1,2))", 9, "';'"),
+        ("2: r*(1", 7, "')'"),
+    ],
+)
+def test_syntax_errors_name_the_expected_token(text, position, expected):
+    with pytest.raises(D.DiagramSyntaxError) as exc:
+        D.parse_dsl(text)
+    assert (exc.value.position, exc.value.expected) == (position, expected)
+
+
 def test_the_error_reader_only_reports(monkeypatch):
-    """``_syntax_error`` builds no arc and calls no ``validate``; on text
-    that parses it finds no error, so the two readers disagree."""
+    """Refused text builds no arc and calls no ``validate``: the error
+    comes from the grammar alone."""
     for name in ("Cup", "Ray", "validate", "_validate_input"):
         monkeypatch.setattr(D, name, None)
-    assert D._syntax_error("2: c(1 2)").position == 7
-    for text in ("2: c(1,2)", " 3 : r*(1) ; c(2 ,3) ", "3: c(1,3)"):
-        with pytest.raises(InternalCheckError, match="the DSL readers disagree"):
-            D._syntax_error(text)
+    with pytest.raises(D.DiagramSyntaxError) as exc:
+        D.parse_dsl("2: c(1 2)")
+    assert exc.value.position == 7
 
 
 @given(st.data())
@@ -280,16 +296,11 @@ _DIGITS = {str(i): [chr(base + i) for base in (0x660, 0x966, 0xFF10, 0x1D7CE)] f
 _ALPHABET = list("cr:;,()*0123456789x") + _WHITESPACE + ["\u200b", "\u00b2", "\u2167", "\uff13"]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_parse_dsl_agrees_with_the_token_parser(seed):
-    """``parse_dsl`` (the one-match reader, with ``_syntax_error`` for
-    what it refuses) and the token parser kept as ``oracle_parse_tokens``
-    give the same diagram, or the same error type and message, on valid
-    text spaced and written with Unicode whitespace and digits, and on
-    mutations of it."""
+def _mutated_texts(seed):
+    """2500 valid texts spaced and written with Unicode whitespace and
+    digits, some of them mutated."""
     rng = random.Random(seed)
     pool = [d.encoding for k in range(1, 9) for d in D.enumerate_diagrams(k, "any", "all")]
-    parsed = 0
     for _ in range(2500):
         chars = []
         for ch in rng.choice(pool):
@@ -307,11 +318,35 @@ def test_parse_dsl_agrees_with_the_token_parser(seed):
                 del chars[min(at, len(chars) - 1)]
             else:
                 chars[min(at, len(chars) - 1)] = rng.choice(_ALPHABET)
-        text = "".join(chars)
+        yield "".join(chars)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_dsl_agrees_with_the_token_parser(seed):
+    """``parse_dsl`` (the one-match reader, with the grammar's error
+    branches for what it refuses) and the token parser kept as
+    ``oracle_parse_tokens`` give the same diagram, or the same error type
+    and message, on valid text and on mutations of it."""
+    parsed = 0
+    for text in _mutated_texts(seed):
         got = _parse_outcome(D.parse_dsl, text)
         assert got == _parse_outcome(oracle_parse_tokens, text), text
         parsed += not isinstance(got[0], type)
     assert 1000 < parsed < 2400  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_two_patterns_are_one_grammar(seed):
+    """``_DSL`` matches a text exactly when no error group of ``_TOTAL``
+    takes part, and ``_TOTAL`` matches every text."""
+    refused = 0
+    for text in _mutated_texts(seed):
+        total = re.match(D._TOTAL, text)
+        errors = [name for name, at in total.groupdict().items() if at is not None]
+        assert (re.fullmatch(D._DSL, text) is not None) == (not errors), text
+        assert total.end() == len(text)
+        refused += bool(errors)
+    assert 100 < refused < 2400
 
 
 @pytest.mark.parametrize("digit", ["9", "\u0669"])
@@ -324,6 +359,15 @@ def test_parse_dsl_names_an_integer_too_long_to_read(digit):
         assert str(exc.value) == (
             f"integer at position {position} has 5000 digits, too many to read"
         )
+
+
+def test_an_integer_too_long_to_read_is_named_only_ahead_of_the_first_error():
+    long = "9" * 5000
+    with pytest.raises(D.DiagramSyntaxError) as exc:
+        D.parse_dsl(f"4: c(1 2);c(3,{long})")
+    assert (exc.value.position, exc.value.expected) == (7, "','")
+    with pytest.raises(D.DiagramError, match="^integer at position 5 has 5001 digits"):
+        D.parse_dsl(f"4: c(1{long} 2)")
 
 
 _LONG_VALID = "16000: " + ";".join(f"c({i},{i + 1})" for i in range(1, 16000, 2))

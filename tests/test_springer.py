@@ -214,6 +214,15 @@ def test_malformed_index_sets():
         S.weight_of_index_set({0, 1})
     with pytest.raises(S.MalformedIndexSetError, match="signed nonzero integers"):
         S.weight_of_index_set({True, -2})  # True == 1, but a bool is no index
+    with pytest.raises(S.MalformedIndexSetError, match=r"exactly one of \+-2: \[1, 3\]$"):
+        S.weight_of_index_set({3, 1})
+
+
+@pytest.mark.parametrize("entries", [{"a", 1}, {None, 2}, {1.5, "x"}])
+def test_index_sets_whose_entries_do_not_compare(entries):
+    """The refusal lists the entries without sorting them by ``<``."""
+    with pytest.raises(S.MalformedIndexSetError, match="signed nonzero integers"):
+        S.weight_of_index_set(entries)
 
 
 def test_unequal_rows_refused():
