@@ -27,7 +27,10 @@ Every rewrite keeps the cup count, and it keeps the dot parity (it adds
 two dots or moves one).  So a move from a maximal diagram is legal
 exactly when its result is another maximal diagram of the same parity:
 :func:`move_graph` decides each candidate by looking its arc set up
-among the nodes and builds no diagram for it.  :func:`successors`,
+among the nodes and builds no diagram for it.  The arcs a candidate
+swaps depend only on the matched pair, so the graph keeps one table of
+the distinct arc pairs of its nodes and shapes each pair once, however
+many nodes hold it.  :func:`successors`,
 :func:`predecessors` and :func:`cup_forest` take single diagrams of any
 cup count, so they decide each rewrite with :func:`_rewire` instead,
 which runs :func:`diagrams.accept`, the walk that
@@ -123,12 +126,16 @@ _FORWARDS = _shape_table(True)
 _BACKWARDS = _shape_table(False)
 
 
+def _arc_pairs(d: CupDiagram):
+    """Each cup-cup pair of d, then each cup-ray pair, as :func:`_shape`
+    takes them: cups by left end, a cup before a ray."""
+    return itertools.chain(itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays))
+
+
 def _candidates(d: CupDiagram, rules: dict):
-    """(matched pair, kind, its vertices, other side) for each cup-cup and
-    cup-ray pair of d whose shape ``rules`` holds, in a fixed pair order."""
-    for pair in itertools.chain(
-        itertools.combinations(d.cups, 2), itertools.product(d.cups, d.rays)
-    ):
+    """(matched pair, kind, its vertices, other side) for each arc pair of
+    d whose shape ``rules`` holds, in the order of :func:`_arc_pairs`."""
+    for pair in _arc_pairs(d):
         shape, pos = _shape(pair)
         rule = rules.get(shape)
         if rule is not None:
@@ -191,7 +198,13 @@ class MoveGraph(NamedTuple):
 
     def index(self, d: CupDiagram) -> int:
         _require_maximal(d)
-        return _node_index(self.k, self.parity)[encode(d)]
+        i = _node_index(self.k, self.parity).get(encode(d))
+        if i is None:  # another k or the other dot parity
+            raise DiagramError(
+                f"{encode(d)} is not a node of the move graph"
+                f" for k = {self.k}, {self.parity} parity"
+            )
+        return i
 
     def undirected_adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in self.nodes]
@@ -237,6 +250,22 @@ def _node_index(k: int, parity: str) -> dict:
     return {encode(n): i for i, n in enumerate(maximal_diagrams(k, parity))}
 
 
+def _arrow_rule(pair, bit: dict) -> Optional[Tuple[int, Move]]:
+    """None if no forward rule matches the arc pair, else (key delta, move):
+    the bits of the placed arcs less those of the pair, and the rule's
+    kind on the pair's vertices.  An arc no node has gets a bit of its own
+    in ``bit``, which no node's key holds."""
+    shape, pos = _shape(pair)
+    rule = _FORWARDS.get(shape)
+    if rule is None:
+        return None
+    kind, other_side = rule
+    # a placed arc is a plain tuple, equal to (and hashed as) its Cup or Ray
+    new0, new1 = (tuple(map(pos.__getitem__, arc[:-1])) + arc[-1:] for arc in other_side)
+    delta = bit.setdefault(new0, 1 << len(bit)) + bit.setdefault(new1, 1 << len(bit))
+    return delta - bit[pair[0]] - bit[pair[1]], Move(kind, pos)
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: a bool k misses the int entry and is refused
 def move_graph(k: int, parity: str) -> MoveGraph:
     """The arrows between the maximal diagrams of one parity.
@@ -244,30 +273,34 @@ def move_graph(k: int, parity: str) -> MoveGraph:
     A move keeps the cup count and the dot parity, so its result is legal
     exactly when it is a node: each candidate is looked up by its arc set
     among the nodes.  An arc set is keyed as a bitmask, one bit per arc,
-    so a candidate's key is its source's with the bits of the matched
-    pair swapped for those of the placed arcs (an arc no node has gets a
-    bit of its own, which no node's key holds).  Nodes are in canonical
-    encoding order, so sorting a node's arrows by target index and kind
-    lists them as :func:`successors` does.
+    so a candidate's key is its source's plus a delta that depends only
+    on the matched pair: the bits of the placed arcs less those of the
+    pair.  A table keyed by the pair's two bits holds that delta and the
+    Move, or None where no rule matches, so :func:`_shape` runs once per
+    distinct arc pair and every arrow of one pair shares its Move.  Nodes
+    are in canonical encoding order, so sorting a node's arrows by target
+    index and move lists them as :func:`successors` does.
     """
     nodes = maximal_diagrams(k, parity)
     bit: dict = {}
     keys = [sum(bit.setdefault(arc, 1 << len(bit)) for arc in n.cups + n.rays) for n in nodes]
     index = {key: i for i, key in enumerate(keys)}
+    rules: dict = {}  # bits of an arc pair -> _arrow_rule of the pair
     arrows = []
     for i, (a, key) in enumerate(zip(nodes, keys)):
         found = []
-        for pair, kind, pos, other_side in _candidates(a, _FORWARDS):
-            # a placed arc is a plain tuple, equal to (and hashed as) its Cup or Ray
-            new0, new1 = (tuple(map(pos.__getitem__, arc[:-1])) + arc[-1:] for arc in other_side)
-            j = index.get(
-                key - bit[pair[0]] - bit[pair[1]]
-                + bit.setdefault(new0, 1 << len(bit)) + bit.setdefault(new1, 1 << len(bit))
-            )
-            if j is not None:
-                found.append((j, kind, pos))
-        found.sort()  # a target fixes the pair, so no tie reaches pos
-        arrows.extend((i, j, Move(kind, pos)) for j, kind, pos in found)
+        for pair in _arc_pairs(a):
+            pair_bits = bit[pair[0]] | bit[pair[1]]
+            try:
+                rule = rules[pair_bits]
+            except KeyError:
+                rule = rules[pair_bits] = _arrow_rule(pair, bit)
+            if rule is not None:
+                j = index.get(key + rule[0])
+                if j is not None:
+                    found.append((j, rule[1]))
+        found.sort()  # a target fixes the pair, so no tie reaches the move
+        arrows.extend((i, j, move) for j, move in found)
     graph = MoveGraph(k, parity, nodes, tuple(arrows))
     if not graph.is_connected():
         raise InternalCheckError(f"move graph ({k}, {parity}) is not connected")
@@ -524,10 +557,10 @@ def _boundary_sets(a: CupDiagram):
 
 
 def boundary_census(a: CupDiagram) -> tuple:
-    """Dimensions of the cells lying in earlier diagrams' subspaces."""
+    """Dimensions of the cells lying in earlier diagrams' subspaces,
+    descending, as :func:`_boundary_sets` yields the subsets by size."""
     n = a.n_cups
-    dims = [2 * (n - size) for size, inside in _boundary_sets(a) if inside]
-    return tuple(sorted(dims, reverse=True))
+    return tuple(2 * (n - size) for size, inside in _boundary_sets(a) if inside)
 
 
 def free_cell_count(a: CupDiagram) -> int:

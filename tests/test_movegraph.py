@@ -119,12 +119,36 @@ def test_shape_table_holds_each_rule_once(forwards):
         assert M._shape(cups_first) == (shape, tuple(range(n_vertices)))
 
 
-@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_move_graph_arrows_match_successor_oracle(k):
     """Legality by node lookup gives exactly the arrows, in order and
     with their positions, that the _rewire walk gives."""
     for parity in ("even", "odd"):
         assert M.move_graph.__wrapped__(k, parity).arrows == oracle_move_graph_arrows(k, parity)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_move_graph_shapes_each_arc_pair_once(monkeypatch, k, parity):
+    """An uncached build shapes no arc pair twice, however many nodes hold
+    it.  Up to k = 6 no two nodes of a parity share a candidate pair (30
+    pairs at k = 5 and 6); from k = 7 on they do, so the build shapes
+    fewer pairs than it has candidates (116 of 210 at k = 7, 680 of 6930
+    at k = 11 and 12)."""
+    pairs = [
+        frozenset(pair)
+        for a in D.maximal_diagrams(k, parity)
+        for pair in itertools.chain(
+            itertools.combinations(a.cups, 2), itertools.product(a.cups, a.rays)
+        )
+    ]
+    calls = count_calls(monkeypatch, M, "_shape")
+    M.move_graph.__wrapped__(k, parity)  # bypass the cache
+    shaped = [frozenset(pair) for (pair,) in calls]
+    assert len(set(shaped)) == len(shaped)
+    assert set(shaped) <= set(pairs)
+    if k >= 7:
+        assert len(shaped) < len(pairs)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -243,6 +267,15 @@ def test_index_rejects_non_maximal_diagram():
     graph = M.move_graph(4, "even")
     with pytest.raises(D.DiagramError, match="not maximal.*k // 2 = 2"):
         graph.index(D.parse_dsl("4: c(1,2);r(3);r(4)"))
+
+
+@pytest.mark.parametrize(
+    "text", ["4: c*(1,2);c(3,4)", "6: c(1,2);c(3,4);c(5,6)"], ids=["other-parity", "other-k"]
+)
+def test_index_rejects_a_diagram_of_another_graph(text):
+    graph = M.move_graph(4, "even")
+    with pytest.raises(D.DiagramError, match="not a node of the move graph for k = 4, even parity"):
+        graph.index(D.parse_dsl(text))
 
 
 def test_non_maximal_rejected_before_parity_comparison():
@@ -385,6 +418,14 @@ def test_free_cells_closed_form(k):
         total = len(M.cell_census(a))
         assert total == 2 ** a.n_cups
         assert total - len(M.boundary_census(a)) == M.free_cell_count(a)
+
+
+def test_boundary_census_is_descending():
+    """The census comes out of the subset walk already sorted."""
+    for k in range(1, 11):
+        for a in D.maximal_diagrams(k):
+            census = M.boundary_census(a)
+            assert census == tuple(sorted(census, reverse=True)), a.encode()
 
 
 def test_dot_export_deterministic():
